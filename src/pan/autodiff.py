@@ -34,7 +34,7 @@ def as_matrix(values, rows: int | None = None, cols: int | None = None) -> Array
         arr = arr.reshape(1, -1)
     elif arr.ndim != 2:
         raise DimensionError(f"expected at most 2 dimensions, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError("matrix construction requires all entries finite")
     if rows is not None and arr.shape != (rows, cols):
         raise DimensionError(f"expected shape {(rows, cols)}, got {arr.shape}")
@@ -164,9 +164,21 @@ def matmul(a, b) -> Tensor:
         raise DimensionError(f"matmul: inner dims differ, {a.shape} x {b.shape}")
 
     def vjp(g):
-        return g @ b.value.T, a.value.T @ g
+        # an operand off the tape gets no gradient, so none is computed for it
+        return (
+            g @ b.value.T if a.tape is not None else None,
+            a.value.T @ g if b.tape is not None else None,
+        )
 
     return _emit(a.value @ b.value, (a, b), vjp, lambda: a.value @ b.value)
+
+
+def self_adjoint(op: Callable[[Array], Array], a) -> Tensor:
+    """Apply a fixed linear map that equals its own adjoint, such as a
+    symmetric graph propagation; the vjp applies the same map to the upstream
+    gradient. The map is data: no gradient is made for it."""
+    a = _as_tensor(a)
+    return _emit(op(a.value), (a,), lambda g: (op(g),), lambda: op(a.value))
 
 
 def transpose(a) -> Tensor:
@@ -227,12 +239,10 @@ def absolute(a) -> Tensor:
 
 
 def sigmoid_values(x: Array) -> Array:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so exp
+    # never overflows; exp(-|x|) is the exp each branch needs
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 def sigmoid(a) -> Tensor:
@@ -452,10 +462,15 @@ def finite_diff_errors(
     if grad_transform is not None:
         analytic = grad_transform(analytic)
 
-    def loss_at(candidate: dict[str, Array]) -> float:
+    def loss_at(name: str, flat: int, value: float) -> float:
+        # the parameters were checked finite on the way in; a probe moves one entry
+        if not np.isfinite(value):
+            raise NumericError(f"non-finite probe value {value!r} for {name}[{flat}]")
+        work[name].flat[flat] = value
         probe = Tape()
-        ts = {name: probe.parameter(v, name) for name, v in candidate.items()}
-        return loss_fn(probe, ts).item()
+        for key, v in work.items():
+            probe.parameters[key] = Tensor(v, tape=probe, name=key)
+        return loss_fn(probe, dict(probe.parameters)).item()
 
     work = {name: v.copy() for name, v in arrays.items()}
     errors: dict[str, Array] = {}
@@ -464,10 +479,8 @@ def finite_diff_errors(
         err = np.zeros_like(base)
         for flat in range(base.size):
             centre = work[name].flat[flat]
-            work[name].flat[flat] = centre + step
-            up = loss_at(work)
-            work[name].flat[flat] = centre - step
-            down = loss_at(work)
+            up = loss_at(name, flat, centre + step)
+            down = loss_at(name, flat, centre - step)
             work[name].flat[flat] = centre
             if not (np.isfinite(up) and np.isfinite(down)):
                 raise NumericError(f"non-finite loss while probing {name}[{flat}]")

@@ -25,7 +25,7 @@ from . import data as data_mod
 from . import evaluation as ev
 from . import training as tr
 from .attributes import label_dimension, randomize_labels
-from .encoders import EncoderSpec, SimilarityGraph, normalize_adjacency
+from .encoders import EncoderSpec, SimilarityGraph
 from .errors import (
     BundleFormatError,
     ContractError,
@@ -508,7 +508,7 @@ def _cmd_eval(args) -> int:
             g_idx = np.asarray(bundle.splits[args.gallery_split], dtype=np.int64)
         report = ev.recall_at_k(
             bundle.features[q_idx], bundle.features[g_idx],
-            bundle.categories[q_idx], bundle.categories[g_idx], args.k,
+            bundle.categories[q_idx], bundle.categories[g_idx], args.k, model=model,
         )
     elif args.task == "attr-map":
         split = _eval_split(args, bundle)
@@ -564,7 +564,7 @@ def _parse_dims(text: str) -> tuple[int, int]:
     return out.get("d", 6), out.get("m", 4)
 
 
-def _kink_margin(kind, spec, params, feats, idx_i, idx_j, a_hat_values) -> float:
+def _kink_margin(kind, spec, params, feats, idx_i, idx_j, propagate) -> float:
     """Distance of the nearest relu/abs kink from its argument.
 
     Central differences are only valid away from non-differentiable points,
@@ -589,7 +589,7 @@ def _kink_margin(kind, spec, params, feats, idx_i, idx_j, a_hat_values) -> float
         else:
             h = feats
             for w in weights.weights:
-                pre = (a_hat_values @ h) @ w
+                pre = propagate(h) @ w
                 margin = min(margin, float(np.abs(pre).min()))
                 h = np.maximum(pre, 0.0)
     # an exactly-zero abs argument is symmetric under central differences and
@@ -638,16 +638,15 @@ def gradcheck_composition(seed: int, d: int, m: int, step: float = 1e-5):
             a, b = rng.integers(0, n, size=2)
             if a != b:
                 edges.add((min(int(a), int(b)), max(int(a), int(b))))
-        a_hat_values = normalize_adjacency(SimilarityGraph(n, edges))
+        propagate = SimilarityGraph(n, edges).propagation()
 
-        def loss_fn(tape, tensors, _kind=kind, _spec=spec, _feats=feats,
-                    _a_hat=a_hat_values, _i=idx_i, _j=idx_j, _e=e,
+        def loss_fn(tape, tensors, _kind=kind, _spec=spec, _x=ad.Tensor(feats),
+                    _propagate=propagate, _i=idx_i, _j=idx_j, _e=e,
                     _labels=labels, _mask=mask):
             if _kind == "csm":
                 h = tensors["features"]
             else:
-                a_hat = tape.constant(_a_hat) if _kind == "gcn" else None
-                h = encode_on_tape(_spec, tape, tape.constant(_feats), tensors, a_hat)
+                h = encode_on_tape(_spec, tape, _x, tensors, _propagate)
             hi = ad.gather_rows(h, _i)
             hj = ad.gather_rows(h, _j)
             rho, p = csm_mod.csm_on_tape(tape, hi, hj, tensors, cfg)
@@ -659,7 +658,7 @@ def gradcheck_composition(seed: int, d: int, m: int, step: float = 1e-5):
             node = ad.scale(ad.mean_all(ad.sigmoid(h)), 0.25)
             return ad.add(ad.add(link, attr), node)
 
-        if _kink_margin(kind, spec, params, feats, idx_i, idx_j, a_hat_values) <= 64 * step:
+        if _kink_margin(kind, spec, params, feats, idx_i, idx_j, propagate) <= 64 * step:
             continue
         probe = ad.Tape()
         tensors = {k: probe.parameter(v, k) for k, v in params.items()}

@@ -24,68 +24,156 @@ FEATURE_MAGIC = b"PANF"
 
 
 class SimilarityGraph:
-    """Undirected graph over n nodes; edges are unordered index pairs, no self-edges."""
+    """Undirected graph over n nodes; edges are unordered index pairs, no self-edges.
 
-    __slots__ = ("n", "edge_set", "_sorted")
+    Edges live in ``pairs``, one read-only (E, 2) int64 array with i < j in each
+    row, sorted and free of duplicates. ``edges``, ``edge_set`` and the GCN
+    ``propagation`` operator are built from it on first use and cached.
+    """
+
+    __slots__ = ("n", "pairs", "_keys", "_edges", "_edge_set", "_propagation")
 
     def __init__(self, n: int, edges=()):
         if n < 1:
             raise ContractError(f"graph needs at least one node, got n={n}")
-        self.n = int(n)
-        edge_set = set()
-        for i, j in edges:
-            i, j = int(i), int(j)
-            if i == j:
-                raise ContractError(f"self-edge ({i}, {i}) is not allowed")
-            if not (0 <= i < n and 0 <= j < n):
-                raise IndexError(f"edge ({i}, {j}) out of range for {n} nodes")
-            edge_set.add((min(i, j), max(i, j)))
-        self.edge_set = frozenset(edge_set)
-        self._sorted = None
+        n = int(n)
+        arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        arr = arr.reshape(-1, 2) if arr.size == 0 else arr
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ContractError(f"edges must be index pairs, got shape {arr.shape}")
+        i, j = arr[:, 0], arr[:, 1]
+        bad = (i == j) | (i < 0) | (i >= n) | (j < 0) | (j >= n)
+        if bad.any():
+            first = int(np.argmax(bad))
+            a, b = int(i[first]), int(j[first])
+            if a == b:
+                raise ContractError(f"self-edge ({a}, {a}) is not allowed")
+            raise IndexError(f"edge ({a}, {b}) out of range for {n} nodes")
+        self._set(n, np.unique(np.minimum(i, j) * n + np.maximum(i, j)))
+
+    @classmethod
+    def _from_keys(cls, n: int, keys: np.ndarray) -> "SimilarityGraph":
+        """A graph from sorted, unique, in-range keys i*n + j with i < j."""
+        g = cls.__new__(cls)
+        g._set(n, keys)
+        return g
+
+    def _set(self, n: int, keys: np.ndarray) -> None:
+        self.n = n
+        self._keys = keys
+        self.pairs = np.stack([keys // n, keys % n], axis=1)
+        self._keys.flags.writeable = False
+        self.pairs.flags.writeable = False
+        self._edges = self._edge_set = self._propagation = None
 
     @property
     def edges(self) -> list[tuple[int, int]]:
-        if self._sorted is None:
-            self._sorted = sorted(self.edge_set)
-        return self._sorted
+        if self._edges is None:
+            self._edges = list(zip(self.pairs[:, 0].tolist(), self.pairs[:, 1].tolist()))
+        return self._edges
+
+    @property
+    def edge_set(self) -> frozenset:
+        if self._edge_set is None:
+            self._edge_set = frozenset(self.edges)
+        return self._edge_set
 
     @property
     def num_edges(self) -> int:
-        return len(self.edge_set)
+        return len(self.pairs)
 
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edge_set
 
+    def contains_keys(self, keys: np.ndarray) -> np.ndarray:
+        """Boolean mask: which keys i*n + j (i < j) are edges."""
+        pos = np.searchsorted(self._keys, keys)
+        found = np.zeros(np.shape(keys), dtype=bool)
+        inside = pos < len(self._keys)
+        found[inside] = self._keys[pos[inside]] == keys[inside]
+        return found
+
     def adjacency(self) -> np.ndarray:
+        """Dense 0/1 adjacency; a test reference, never built on a hot path."""
         a = np.zeros((self.n, self.n))
-        for i, j in self.edge_set:
-            a[i, j] = 1.0
-            a[j, i] = 1.0
+        a[self.pairs[:, 0], self.pairs[:, 1]] = 1.0
+        a[self.pairs[:, 1], self.pairs[:, 0]] = 1.0
         return a
 
     def subgraph_edges(self, keep) -> "SimilarityGraph":
         """Same node set, only edges with both endpoints in ``keep``."""
-        keep = set(int(k) for k in keep)
-        return SimilarityGraph(
-            self.n, [e for e in self.edges if e[0] in keep and e[1] in keep]
-        )
+        keep = np.asarray(list(keep) if not isinstance(keep, np.ndarray) else keep,
+                          dtype=np.int64).ravel()
+        member = np.zeros(self.n, dtype=bool)
+        member[keep[(keep >= 0) & (keep < self.n)]] = True
+        mask = member[self.pairs[:, 0]] & member[self.pairs[:, 1]]
+        return SimilarityGraph._from_keys(self.n, self._keys[mask])
+
+    def propagation(self) -> "Propagation":
+        """The GCN operator D^{-1/2} (A + I) D^{-1/2} of this graph, cached."""
+        if self._propagation is None:
+            self._propagation = Propagation(self)
+        return self._propagation
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SimilarityGraph)
             and self.n == other.n
-            and self.edge_set == other.edge_set
+            and np.array_equal(self._keys, other._keys)
         )
 
     def __repr__(self) -> str:
         return f"SimilarityGraph(n={self.n}, edges={self.num_edges})"
 
 
-def normalize_adjacency(g: SimilarityGraph) -> np.ndarray:
-    """Symmetric renormalization with self-loops: D^{-1/2} (A + I) D^{-1/2}.
+class Propagation:
+    """The symmetric renormalized adjacency D^{-1/2} (A + I) D^{-1/2} as a
+    sparse operator: A + I in CSR order (rows ascending, columns ascending
+    within a row) with one weight d_i^{-1/2} d_j^{-1/2} per stored entry.
 
-    Computed from an outer product of the inverse square-root degrees so the
-    result is bit-exactly symmetric. An edgeless graph maps to the identity.
+    Applying it costs O((E + n) d): each output column is a segment sum of
+    weighted gathered entries, one segment per row of A + I. The entries are exactly
+    those of ``normalize_adjacency``; only the order of the sums differs from
+    a dense product. Entry (i, j) and entry (j, i) carry the same weight bit
+    for bit, so the operator is its own adjoint. An edgeless graph applies the
+    identity.
+    """
+
+    __slots__ = ("n", "cols", "weights", "starts")
+
+    def __init__(self, g: SimilarityGraph):
+        n = g.n
+        self.n = n
+        if g.num_edges == 0:
+            self.cols = self.weights = self.starts = None
+            return
+        i, j = g.pairs[:, 0], g.pairs[:, 1]
+        loops = np.arange(n, dtype=np.int64)
+        keys = np.sort(np.concatenate([i * n + j, j * n + i, loops * (n + 1)]))
+        rows, self.cols = keys // n, keys % n
+        degree = np.bincount(rows, minlength=n)
+        inv_sqrt = 1.0 / np.sqrt(degree.astype(np.float64))
+        self.weights = inv_sqrt[rows] * inv_sqrt[self.cols]
+        # every row holds its self-loop, so no segment is empty
+        self.starts = np.concatenate([[0], np.cumsum(degree)[:-1]])
+
+    def __call__(self, h: np.ndarray) -> np.ndarray:
+        if h.shape[0] != self.n:
+            raise DimensionError(f"operator has {self.n} nodes but values have {h.shape[0]} rows")
+        if self.cols is None:
+            return h.copy()
+        entries = h.T.take(self.cols, axis=1)  # one row per column of h
+        entries *= self.weights
+        return np.ascontiguousarray(np.add.reduceat(entries, self.starts, axis=1).T)
+
+
+def normalize_adjacency(g: SimilarityGraph) -> np.ndarray:
+    """Dense symmetric renormalization with self-loops: D^{-1/2} (A + I) D^{-1/2}.
+
+    The n x n reference that tests compare ``Propagation`` against; nothing in
+    the package builds it. Computed from an outer product of the inverse
+    square-root degrees so the result is bit-exactly symmetric. An edgeless
+    graph maps to the identity.
     """
     a = g.adjacency() + np.eye(g.n)
     inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
@@ -96,10 +184,9 @@ def drop_edges(g: SimilarityGraph, p: float, seed: int) -> SimilarityGraph:
     """Remove each edge independently with probability p; deterministic in seed."""
     if not 0.0 <= p < 1.0:
         raise ContractError(f"edge dropout probability must be in [0, 1), got {p}")
-    edges = g.edges
     rng = generator(seed, "edge-dropout")
-    keep = rng.random(len(edges)) >= p
-    return SimilarityGraph(g.n, [e for e, k in zip(edges, keep) if k])
+    keep = rng.random(g.num_edges) >= p
+    return SimilarityGraph._from_keys(g.n, g._keys[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +303,10 @@ def encode(
         raise ContractError("gcn encoder requires a similarity graph")
     if graph.n != x.shape[0]:
         raise DimensionError(f"graph has {graph.n} nodes but features have {x.shape[0]} rows")
-    a_hat = normalize_adjacency(graph)
+    propagate = graph.propagation()
     h = x
     for idx, w in enumerate(weights.weights):
-        h = _act_values((a_hat @ h) @ w, spec.activation)
+        h = _act_values(propagate(h) @ w, spec.activation)
         if training and spec.layer_dropout_p > 0.0:
             keep = 1.0 - spec.layer_dropout_p
             mask = generator(seed, "layer-dropout", idx).random(h.shape) < keep
@@ -246,10 +333,14 @@ def encode_on_tape(
     tape: ad.Tape,
     x: ad.Tensor,
     params: dict[str, ad.Tensor],
-    a_hat: ad.Tensor | None = None,
+    propagation: Propagation | None = None,
     dropout_masks: list[np.ndarray] | None = None,
 ) -> ad.Tensor:
-    """Taped mirror of encode(); identical op order, so values match bit-for-bit."""
+    """Taped mirror of encode(); identical op order, so values match bit-for-bit.
+
+    A GCN needs the ``propagation`` operator of its graph
+    (``SimilarityGraph.propagation()``).
+    """
     if spec.kind == "identity":
         return x
     if spec.kind == "mlp":
@@ -260,11 +351,11 @@ def encode_on_tape(
             if idx < last and spec.activation == "relu":
                 h = ad.relu(h)
         return h
-    if a_hat is None:
-        raise ContractError("gcn encoder requires a normalized adjacency")
+    if propagation is None:
+        raise ContractError("gcn encoder requires a graph propagation operator")
     h = x
     for idx in range(spec.num_layers):
-        h = ad.matmul(ad.matmul(a_hat, h), params[f"enc_w{idx}"])
+        h = ad.matmul(ad.self_adjoint(propagation, h), params[f"enc_w{idx}"])
         if spec.activation == "relu":
             h = ad.relu(h)
         if dropout_masks is not None:

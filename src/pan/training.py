@@ -32,7 +32,6 @@ from .encoders import (
     encode,
     encode_on_tape,
     init_encoder_weights,
-    normalize_adjacency,
 )
 from .errors import ContractError, DimensionError, NumericError, SamplingError
 from .rng import derive_seed, generator
@@ -135,20 +134,14 @@ def _sample_pair_arrays(
         raise SamplingError("graph has no edges to sample positives from")
     if g.num_edges == total:
         raise SamplingError("graph is complete; no negative pairs exist")
-    edges = np.array(g.edges, dtype=np.int64)
+    edges = g.pairs
     pos = edges[rng.integers(0, len(edges), size=count_per_class)]
 
     density = g.num_edges / total
     if density > 0.7:
-        non_edges = np.array(
-            [
-                (i, j)
-                for i in range(g.n)
-                for j in range(i + 1, g.n)
-                if (i, j) not in g.edge_set
-            ],
-            dtype=np.int64,
-        )
+        lo, hi = np.triu_indices(g.n, 1)
+        non_edge = ~g.contains_keys(lo * g.n + hi)
+        non_edges = np.stack([lo[non_edge], hi[non_edge]], axis=1)
         neg = non_edges[rng.integers(0, len(non_edges), size=count_per_class)]
     else:
         chunks = []
@@ -158,14 +151,10 @@ def _sample_pair_arrays(
             a = rng.integers(0, g.n, size=draw)
             b = rng.integers(0, g.n, size=draw)
             lo, hi = np.minimum(a, b), np.maximum(a, b)
-            keep = [
-                (i, j)
-                for i, j in zip(lo.tolist(), hi.tolist())
-                if i != j and (i, j) not in g.edge_set
-            ]
-            chunks.extend(keep[:needed])
-            needed = count_per_class - len(chunks)
-        neg = np.array(chunks, dtype=np.int64)
+            keep = np.flatnonzero((lo != hi) & ~g.contains_keys(lo * g.n + hi))[:needed]
+            chunks.append(np.stack([lo[keep], hi[keep]], axis=1))
+            needed -= len(keep)
+        neg = np.concatenate(chunks)
 
     i = np.concatenate([pos[:, 0], neg[:, 0]])
     j = np.concatenate([pos[:, 1], neg[:, 1]])
@@ -326,13 +315,11 @@ def _split_key(splits: dict, names: tuple[str, ...]) -> str | None:
 
 
 def _local_graph(graph: SimilarityGraph, indices: np.ndarray) -> SimilarityGraph:
-    position = {int(v): k for k, v in enumerate(indices)}
-    edges = [
-        (position[i], position[j])
-        for i, j in graph.edges
-        if i in position and j in position
-    ]
-    return SimilarityGraph(len(indices), edges)
+    """The edges among ``indices``, renumbered to positions in ``indices``."""
+    position = np.full(graph.n, -1, dtype=np.int64)
+    position[indices] = np.arange(len(indices))
+    local = position[graph.pairs]
+    return SimilarityGraph(len(indices), local[(local >= 0).all(axis=1)])
 
 
 def _balanced_eval_pairs(
@@ -344,7 +331,7 @@ def _balanced_eval_pairs(
     if local.num_edges == 0 or local.num_edges == total:
         return None
     rng = generator(seed, "balanced-eval-pairs")
-    edges = np.array(local.edges, dtype=np.int64)
+    edges = local.pairs
     if len(edges) > cap:
         edges = edges[rng.choice(len(edges), size=cap, replace=False)]
     count = len(edges)
@@ -487,9 +474,9 @@ def train_pan(
                     encoder_spec.edge_dropout_p,
                     derive_seed(config.seed, "edge-drop", epoch),
                 )
-            a_hat_values = normalize_adjacency(g_epoch)
+            propagation = g_epoch.propagation()
         else:
-            a_hat_values = None
+            propagation = None
 
         labels = mask = None
         if supervised_count > 0 and config.lambda_ > 0.0:
@@ -510,9 +497,8 @@ def train_pan(
                 if encoder_spec.kind == "gcn"
                 else None
             )
-            a_hat = tape.constant(a_hat_values) if a_hat_values is not None else None
             h = encode_on_tape(
-                encoder_spec, tape, tape.constant(features), tensors, a_hat, masks
+                encoder_spec, tape, tape.constant(features), tensors, propagation, masks
             )
             hi = ad.gather_rows(h, gi[batch])
             hj = ad.gather_rows(h, gj[batch])
@@ -583,7 +569,7 @@ def _sample_triplets(
     """All positive pairs as (anchor, positive), one random unlinked negative each."""
     if local.num_edges == 0:
         raise SamplingError("no linked pairs to build triplets from")
-    edges = np.array(local.edges, dtype=np.int64)
+    edges = local.pairs
     anchors, positives = edges[:, 0], edges[:, 1]
     negatives = np.empty(len(edges), dtype=np.int64)
     for row, a in enumerate(anchors.tolist()):

@@ -43,6 +43,20 @@ class TestMatmul:
             ad.matmul(np.ones((2, 3)), np.ones((2, 3)))
         assert "(2, 3)" in str(err.value)
 
+    def test_vjp_skips_constant_operands(self):
+        rng = np.random.default_rng(1)
+        tape = ad.Tape()
+        x = tape.constant(rng.normal(size=(4, 3)))
+        w = tape.parameter(rng.normal(size=(3, 2)), "w")
+        ad.matmul(x, w)
+        ad.matmul(w.value.T.copy(), tape.parameter(rng.normal(size=(3, 5)), "v"))
+        upstream = rng.normal(size=(4, 2))
+        grad_x, grad_w = tape.records[0][2](upstream)
+        assert grad_x is None
+        np.testing.assert_array_equal(grad_w, x.value.T @ upstream)
+        grad_a, grad_v = tape.records[1][2](np.ones((2, 5)))
+        assert grad_a is None and grad_v is not None
+
 
 class TestElementwise:
     def test_abs_of_equal_inputs_is_zero(self):

@@ -179,6 +179,34 @@ class TestEval:
         err = capsys.readouterr().err
         assert "12" in err and "8" in err
 
+    def test_recall_ranks_with_the_given_checkpoint(self, bundle_dir, trained_dir, tmp_path):
+        other = tmp_path / "other"
+        assert run_cli(
+            "train", "--bundle", bundle_dir, "--out", other, "--encoder", "mlp",
+            "--mlp-dims", "16,8", "--epochs", 20, "--seed", 2, "--val-every", 20,
+        ) == 0
+        from pan import evaluation as ev
+        from pan.data import load_bundle
+
+        bundle = load_bundle(bundle_dir)
+        q_idx = np.asarray(bundle.splits["test"], dtype=np.int64)
+        g_idx = np.asarray(bundle.splits["train"], dtype=np.int64)
+        values = []
+        for k, ckpt in enumerate((trained_dir / "checkpoint.json", other / "checkpoint.json")):
+            out = tmp_path / f"recall{k}"
+            assert run_cli(
+                "eval", "--checkpoint", ckpt, "--bundle", bundle_dir, "--task", "recall",
+                "--query-split", "test", "--gallery-split", "train", "--k", 1, "--out", out,
+            ) == 0
+            value = json.loads((out / "metrics.json").read_text())["value"]
+            expected = ev.recall_at_k(
+                bundle.features[q_idx], bundle.features[g_idx], bundle.categories[q_idx],
+                bundle.categories[g_idx], 1, model=cli.load_any_checkpoint(ckpt),
+            ).value
+            assert value == expected
+            values.append(value)
+        assert values[0] != values[1]
+
     def test_rank_report(self, bundle_dir, trained_dir, tmp_path):
         out = tmp_path / "ranks"
         code = run_cli(

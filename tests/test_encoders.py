@@ -3,7 +3,8 @@ import pytest
 
 from pan import autodiff as ad
 from pan import encoders as enc
-from pan.errors import BundleFormatError, ContractError
+from pan.errors import BundleFormatError, ContractError, DimensionError
+from pan.rng import generator
 
 
 class TestSimilarityGraph:
@@ -19,6 +20,124 @@ class TestSimilarityGraph:
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             enc.SimilarityGraph(3, [(0, 3)])
+
+    def test_first_bad_edge_decides_the_error(self):
+        with pytest.raises(ContractError, match=r"self-edge \(2, 2\)"):
+            enc.SimilarityGraph(3, [(0, 1), (2, 2), (0, 5)])
+        with pytest.raises(IndexError, match=r"edge \(0, 5\) out of range for 3 nodes"):
+            enc.SimilarityGraph(3, [(0, 1), (0, 5), (2, 2)])
+        with pytest.raises(IndexError, match=r"edge \(-1, 2\)"):
+            enc.SimilarityGraph(3, [(-1, 2)])
+
+    def test_edges_sorted_and_deduplicated(self):
+        raw = [(3, 1), (0, 2), (1, 3), (2, 0), (4, 0), (1, 2)]
+        g = enc.SimilarityGraph(5, raw)
+        assert g.edges == sorted({(min(i, j), max(i, j)) for i, j in raw})
+        assert g.edges == [(0, 2), (0, 4), (1, 2), (1, 3)]
+        assert g.edge_set == frozenset(g.edges)
+        assert g.num_edges == 4
+        np.testing.assert_array_equal(g.pairs, np.array(g.edges))
+        assert g.pairs.dtype == np.int64 and not g.pairs.flags.writeable
+
+    def test_has_edge_and_equality(self):
+        g = enc.SimilarityGraph(5, np.array([[4, 0], [1, 3]]))
+        assert g.has_edge(0, 4) and g.has_edge(4, 0) and g.has_edge(3, 1)
+        assert not g.has_edge(0, 1) and not g.has_edge(2, 2)
+        assert g == enc.SimilarityGraph(5, {(0, 4), (3, 1), (1, 3)})
+        assert g != enc.SimilarityGraph(6, [(0, 4), (1, 3)])
+        assert g != enc.SimilarityGraph(5, [(0, 4)])
+
+    def test_empty_inputs(self):
+        for edges in ((), [], np.zeros((0, 2), dtype=np.int64), iter([])):
+            g = enc.SimilarityGraph(4, edges)
+            assert g.num_edges == 0 and g.edges == [] and g.pairs.shape == (0, 2)
+
+    def test_subgraph_edges_keeps_edges_inside(self):
+        g = enc.SimilarityGraph(6, [(0, 1), (1, 2), (2, 5), (3, 4), (0, 5)])
+        sub = g.subgraph_edges([0, 1, 5, 9])
+        assert sub.n == 6
+        assert sub.edges == [(0, 1), (0, 5)]
+
+    def test_adjacency_is_symmetric_zero_one(self):
+        g = enc.SimilarityGraph(4, [(0, 1), (2, 3)])
+        a = g.adjacency()
+        expected = np.zeros((4, 4))
+        for i, j in g.edges:
+            expected[i, j] = expected[j, i] = 1.0
+        np.testing.assert_array_equal(a, expected)
+
+
+def _random_graph(rng, n, n_connected, n_edges):
+    """Random edges among the first ``n_connected`` nodes; the rest isolated."""
+    edges = set()
+    n_edges = min(n_edges, n_connected * (n_connected - 1) // 2)
+    while len(edges) < n_edges:
+        i, j = rng.integers(0, n_connected, size=2)
+        if i != j:
+            edges.add((min(int(i), int(j)), max(int(i), int(j))))
+    return enc.SimilarityGraph(n, edges)
+
+
+class TestPropagation:
+    def test_matches_dense_reference(self):
+        rng = np.random.default_rng(10)
+        for trial in range(20):
+            n = int(rng.integers(2, 40))
+            connected = int(rng.integers(2, n + 1))
+            g = _random_graph(rng, n, connected, int(rng.integers(1, connected * 2)))
+            h = rng.normal(size=(n, int(rng.integers(1, 6))))
+            got = g.propagation()(h)
+            assert got.shape == h.shape and got.flags.c_contiguous
+            assert np.abs(got - enc.normalize_adjacency(g) @ h).max() <= 1e-15, trial
+
+    def test_isolated_node_keeps_its_row(self):
+        g = enc.SimilarityGraph(4, [(0, 1), (1, 2)])
+        h = np.arange(8.0).reshape(4, 2)
+        np.testing.assert_array_equal(g.propagation()(h)[3], h[3])
+
+    def test_edgeless_graph_is_exact_identity(self):
+        h = np.random.default_rng(11).normal(size=(5, 3))
+        h[0, 0] = -0.0
+        out = enc.SimilarityGraph(5).propagation()(h)
+        assert np.array_equal(out.view(np.uint64), h.view(np.uint64))
+        assert out is not h
+
+    def test_operator_is_symmetric(self):
+        rng = np.random.default_rng(12)
+        g = _random_graph(rng, 25, 20, 40)
+        op = g.propagation()
+        x, y = rng.normal(size=(25, 3)), rng.normal(size=(25, 3))
+        assert np.sum(op(x) * y) == pytest.approx(np.sum(x * op(y)), abs=1e-12)
+
+    def test_cached_per_graph(self):
+        g = enc.SimilarityGraph(3, [(0, 1)])
+        assert g.propagation() is g.propagation()
+
+    def test_row_count_mismatch(self):
+        with pytest.raises(DimensionError):
+            enc.SimilarityGraph(3, [(0, 1)]).propagation()(np.ones((4, 2)))
+
+    def test_vjp_passes_finite_difference_check(self):
+        rng = np.random.default_rng(13)
+        g = _random_graph(rng, 9, 7, 10)
+        op = g.propagation()
+        c = rng.normal(size=(9, 2))
+
+        def loss(tape, params):
+            y = ad.self_adjoint(op, params["x"])
+            return ad.mean_all(ad.multiply(ad.sigmoid(y), tape.constant(c)))
+
+        assert ad.finite_diff_check(loss, {"x": rng.normal(size=(9, 2))}) < 1e-6
+
+    def test_vjp_applies_the_operator(self):
+        g = enc.SimilarityGraph(4, [(0, 1), (1, 3)])
+        op = g.propagation()
+        tape = ad.Tape()
+        x = tape.parameter(np.ones((4, 2)), "x")
+        ad.self_adjoint(op, x)
+        upstream = np.arange(8.0).reshape(4, 2)
+        (piece,) = tape.records[-1][2](upstream)
+        np.testing.assert_array_equal(piece, op(upstream))
 
 
 class TestNormalizeAdjacency:
@@ -71,6 +190,18 @@ class TestDropEdges:
         frac = kept / g.num_edges
         sigma = np.sqrt(0.15 * 0.85 / g.num_edges)
         assert abs(frac - 0.85) < 3 * sigma
+
+    def test_keeps_the_edges_of_a_list_based_drop(self):
+        def list_drop(g, p, seed):
+            edges = sorted(g.edge_set)
+            keep = generator(seed, "edge-dropout").random(len(edges)) >= p
+            return [e for e, k in zip(edges, keep) if k]
+
+        rng = np.random.default_rng(14)
+        g = _random_graph(rng, 80, 70, 600)
+        for p in (0.0, 0.15, 0.5, 0.9):
+            for seed in range(5):
+                assert enc.drop_edges(g, p, seed).edges == list_drop(g, p, seed)
 
     def test_rejects_p_one(self):
         with pytest.raises(ContractError):
@@ -168,8 +299,8 @@ class TestEncode:
             plain = enc.encode(spec, x, graph=g, weights=w)
             tape = ad.Tape()
             params = {k: tape.parameter(v, k) for k, v in w.as_dict().items()}
-            a_hat = tape.constant(enc.normalize_adjacency(g)) if spec.kind == "gcn" else None
-            taped = enc.encode_on_tape(spec, tape, tape.constant(x), params, a_hat)
+            propagation = g.propagation() if spec.kind == "gcn" else None
+            taped = enc.encode_on_tape(spec, tape, tape.constant(x), params, propagation)
             assert np.array_equal(plain, taped.value)
 
 
@@ -216,11 +347,10 @@ def test_gradients_flow_through_both_encoders():
         enc.EncoderSpec(kind="gcn", num_layers=2, hidden_dim=3),
     ):
         w = enc.init_encoder_weights(spec, 3, seed=9)
-        a_hat_values = enc.normalize_adjacency(g)
+        propagation = g.propagation()
 
         def loss(tape, params):
-            a_hat = tape.constant(a_hat_values) if spec.kind == "gcn" else None
-            h = enc.encode_on_tape(spec, tape, tape.constant(x), params, a_hat)
+            h = enc.encode_on_tape(spec, tape, tape.constant(x), params, propagation)
             return ad.mean_all(ad.multiply(h, h))
 
         assert ad.finite_diff_check(loss, w.as_dict(), step=1e-5) < 1e-4

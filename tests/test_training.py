@@ -102,6 +102,67 @@ class TestSamplePairs:
             assert not g.has_edge(s.i, s.j)
 
 
+def _list_sample_pair_arrays(g, count_per_class, rng):
+    """The per-pair Python sampler that _sample_pair_arrays replaced, kept
+    as the reference for its draws."""
+    total = g.n * (g.n - 1) // 2
+    edges = np.array(g.edges, dtype=np.int64)
+    pos = edges[rng.integers(0, len(edges), size=count_per_class)]
+    if g.num_edges / total > 0.7:
+        non_edges = np.array(
+            [(i, j) for i in range(g.n) for j in range(i + 1, g.n) if (i, j) not in g.edge_set],
+            dtype=np.int64,
+        )
+        neg = non_edges[rng.integers(0, len(non_edges), size=count_per_class)]
+    else:
+        chunks = []
+        needed = count_per_class
+        while needed > 0:
+            draw = max(2 * needed, 64)
+            a = rng.integers(0, g.n, size=draw)
+            b = rng.integers(0, g.n, size=draw)
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            keep = [
+                (i, j) for i, j in zip(lo.tolist(), hi.tolist())
+                if i != j and (i, j) not in g.edge_set
+            ]
+            chunks.extend(keep[:needed])
+            needed = count_per_class - len(chunks)
+        neg = np.array(chunks, dtype=np.int64)
+    i = np.concatenate([pos[:, 0], neg[:, 0]])
+    j = np.concatenate([pos[:, 1], neg[:, 1]])
+    e = np.concatenate([np.ones(count_per_class, dtype=np.int64),
+                        np.zeros(count_per_class, dtype=np.int64)])
+    return i, j, e
+
+
+class TestSamplerMatchesListReference:
+    @pytest.mark.parametrize("n,n_edges", [(60, 150), (60, 1500), (25, 280), (25, 299)])
+    def test_same_pairs_as_list_sampler(self, n, n_edges):
+        # densities 0.08 and 0.85 (sparse branch) vs 0.93 and 0.997 (dense branch)
+        rng = np.random.default_rng(n_edges)
+        all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        chosen = rng.choice(len(all_pairs), size=n_edges, replace=False)
+        g = SimilarityGraph(n, [all_pairs[k] for k in chosen])
+        for seed in range(4):
+            for count in (1, 7, 200):
+                got = tr._sample_pair_arrays(g, count, np.random.default_rng(seed))
+                want = _list_sample_pair_arrays(g, count, np.random.default_rng(seed))
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype
+                    np.testing.assert_array_equal(a, b)
+
+    def test_local_graph_matches_position_map(self):
+        rng = np.random.default_rng(5)
+        g = SimilarityGraph(40, {tuple(sorted(rng.choice(40, 2, replace=False))) for _ in range(200)})
+        indices = rng.permutation(40)[:25]
+        position = {int(v): k for k, v in enumerate(indices)}
+        expected = SimilarityGraph(25, [
+            (position[i], position[j]) for i, j in g.edges if i in position and j in position
+        ])
+        assert tr._local_graph(g, indices) == expected
+
+
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         params = {"w": np.array([[1.0, -2.0]])}
