@@ -294,8 +294,10 @@ def gather_rows(a, indices) -> Tensor:
         raise IndexError(f"gather_rows: index out of range for {a.shape[0]} rows")
 
     def vjp(g):
-        acc = np.zeros_like(a.value)
-        np.add.at(acc, idx, g)
+        # per column, bincount adds the rows of g in index order, as np.add.at does
+        acc = np.empty_like(a.value)
+        for c in range(acc.shape[1]):
+            acc[:, c] = np.bincount(idx, weights=g[:, c], minlength=acc.shape[0])
         return (acc,)
 
     return _emit(a.value[idx].copy(), (a,), vjp, lambda: a.value[idx].copy())

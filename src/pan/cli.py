@@ -25,7 +25,7 @@ from . import data as data_mod
 from . import evaluation as ev
 from . import training as tr
 from .attributes import label_dimension, randomize_labels
-from .encoders import EncoderSpec, SimilarityGraph
+from .encoders import EncoderSpec, SimilarityGraph, within_pairs
 from .errors import (
     BundleFormatError,
     ContractError,
@@ -336,7 +336,10 @@ def _save_baseline(path: Path, kind: str, model) -> None:
     _write_json(path, payload)
 
 
-def _load_baseline(obj: dict):
+def _model_from_dict(obj: dict):
+    """A PAN or baseline model from a checkpoint's JSON object."""
+    if obj.get("format") != BASELINE_FORMAT:
+        return tr.model_from_dict(obj)
     kind = obj["kind"]
     mats = {k: csm_mod.matrix_from_hex(v) for k, v in obj["matrices"].items()}
     if kind == "siamese":
@@ -366,10 +369,7 @@ def _load_baseline(obj: dict):
 
 
 def load_any_checkpoint(path):
-    obj = json.loads(Path(path).read_text())
-    if obj.get("format") == BASELINE_FORMAT:
-        return _load_baseline(obj)
-    return tr.model_from_dict(obj)
+    return tr.load_checkpoint(path, _model_from_dict)
 
 
 def _cmd_train(args) -> int:
@@ -420,8 +420,6 @@ def _check_dims(model, bundle) -> None:
     if isinstance(model, tr.ModelBundle):
         if model.encoder_spec.kind == "identity":
             expected = model.csm_params.d
-        elif model.encoder_spec.kind == "mlp":
-            expected = model.encoder_weights.weights[0].shape[0]
         else:
             expected = model.encoder_weights.weights[0].shape[0]
         if expected != bundle.d:
@@ -431,13 +429,11 @@ def _check_dims(model, bundle) -> None:
 
 
 def _sampled_split_pairs(bundle, split: str, seed: int, cap: int) -> np.ndarray:
-    idx = np.asarray(bundle.splits[split], dtype=np.int64)
-    pairs = [(int(a), int(b)) for p, a in enumerate(idx) for b in idx[p + 1 :]]
+    pairs = within_pairs(bundle.splits[split])
     if len(pairs) > cap:
         rng = generator(seed, "eval-pairs", split)
-        keep = rng.choice(len(pairs), size=cap, replace=False)
-        pairs = [pairs[int(k)] for k in np.sort(keep)]
-    return np.asarray(pairs, dtype=np.int64)
+        pairs = pairs[np.sort(rng.choice(len(pairs), size=cap, replace=False))]
+    return pairs
 
 
 def _cmd_eval(args) -> int:
@@ -848,9 +844,12 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
         parser.error(f"config file {path}: {exc}")
     if not isinstance(defaults, dict):
         parser.error(f"config file {path} must hold a JSON object")
-    parser.set_defaults(**defaults)
-    for sub in parser._pan_subparsers.values():  # noqa: SLF001
-        sub.set_defaults(**defaults)
+    parsers = [parser, *parser._pan_subparsers.values()]  # noqa: SLF001
+    known = {action.dest for p in parsers for action in p._actions}  # noqa: SLF001
+    if unknown := sorted(set(defaults) - known):
+        parser.error(f"config file {path}: unknown key(s) {', '.join(unknown)}")
+    for p in parsers:
+        p.set_defaults(**defaults)
     return argv[:pos] + argv[pos + 2 :]
 
 

@@ -23,6 +23,7 @@ from .attributes import AttributeTable, read_attribute_csv, write_attribute_csv
 from .encoders import (
     SimilarityGraph,
     read_feature_file,
+    within_pairs,
     write_feature_file,
 )
 from .errors import BundleFormatError, ContractError, GenerationError
@@ -73,7 +74,6 @@ class DatasetBundle:
         n = self.features.shape[0]
         if self.graph.n != n:
             raise ContractError(f"graph has {self.graph.n} nodes, features have {n}")
-        seen: dict[int, str] = {}
         split_of: dict[int, str] = {}
         for name, idx in self.splits.items():
             idx = np.asarray(idx, dtype=np.int64)
@@ -81,11 +81,10 @@ class DatasetBundle:
             for i in idx.tolist():
                 if not 0 <= i < n:
                     raise ContractError(f"split {name!r} index {i} out of range")
-                if i in seen:
+                if i in split_of:
                     raise ContractError(
-                        f"index {i} appears in splits {seen[i]!r} and {name!r}"
+                        f"index {i} appears in splits {split_of[i]!r} and {name!r}"
                     )
-                seen[i] = name
                 split_of[i] = name
         for i, j in self.graph.edges:
             if split_of.get(i) != split_of.get(j):
@@ -123,23 +122,28 @@ def presence_bayes_accuracy(
     Considers every within-split pair with positives and negatives weighted
     equally as classes; for each unordered presence configuration the optimal
     decision takes the heavier side, so the result is
-    0.5 * sum over configurations of max(pos_share, neg_share).
+    0.5 * sum over configurations of max(pos_share, neg_share), added in the
+    order each configuration first appears in the scan of pairs.
+
+    Pairs are scanned one item at a time against all later items, so memory
+    stays linear in the split size plus one count pair per configuration.
     """
-    indices = [int(i) for i in indices]
-    buckets: dict = {}
-    n_pos = n_neg = 0
-    for a_pos, a in enumerate(indices):
-        row_a = tuple(values[a].astype(int).tolist())
-        for b in indices[a_pos + 1 :]:
-            row_b = tuple(values[b].astype(int).tolist())
-            key = (row_a, row_b) if row_a <= row_b else (row_b, row_a)
-            pos = graph.has_edge(a, b)
-            cnt = buckets.setdefault(key, [0, 0])
-            cnt[0 if pos else 1] += 1
-            if pos:
-                n_pos += 1
-            else:
-                n_neg += 1
+    indices = np.asarray(indices, dtype=np.int64).ravel()
+    # one integer per distinct presence row, so a configuration is one int key
+    rows = np.asarray(values)[indices].astype(int)
+    code = np.unique(rows, axis=0, return_inverse=True)[1].ravel()
+    buckets: dict = {}  # configuration -> [linked, unlinked], in first-seen order
+    for p in range(len(indices) - 1):
+        lo, hi = np.minimum(code[p], code[p + 1 :]), np.maximum(code[p], code[p + 1 :])
+        unlinked = ~graph.has_edges(indices[p], indices[p + 1 :])
+        # 2c for the linked pairs of configuration c, 2c + 1 for the unlinked
+        keys, first, counts = np.unique(2 * (lo * len(indices) + hi) + unlinked,
+                                        return_index=True, return_counts=True)
+        order = np.argsort(first)
+        for key, count in zip(keys[order].tolist(), counts[order].tolist()):
+            buckets.setdefault(key // 2, [0, 0])[key % 2] += count
+    n_pos = sum(pos for pos, _ in buckets.values())
+    n_neg = sum(neg for _, neg in buckets.values())
     if n_pos == 0 or n_neg == 0:
         raise GenerationError("split lacks linked or unlinked pairs")
     acc = 0.0
@@ -173,38 +177,41 @@ def _assign_splits(n: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
     }
 
 
-def _within_split_edges(edges, splits) -> list[tuple[int, int]]:
-    split_of = {}
-    for name, idx in splits.items():
-        for i in np.asarray(idx).tolist():
-            split_of[i] = name
-    return [e for e in edges if split_of.get(e[0]) == split_of.get(e[1])]
+def _row_edges(partners: list[np.ndarray]) -> np.ndarray:
+    """(E, 2) edges (i, j) from the partners j of each row i, in row order."""
+    rows = np.repeat(np.arange(len(partners)), [len(p) for p in partners])
+    return np.stack([rows, np.concatenate([np.zeros(0, np.int64), *partners])], axis=1)
+
+
+def _within_split_edges(n: int, edges: np.ndarray, splits) -> np.ndarray:
+    split_of = np.full(n, -1)
+    for k, idx in enumerate(splits.values()):
+        split_of[idx] = k
+    return edges[split_of[edges[:, 0]] == split_of[edges[:, 1]]]
 
 
 def _sample_positive_sets(
     graph: SimilarityGraph, indices, rng: np.random.Generator, count: int
 ) -> list[list[int]]:
     """Mutually-linked item sets of size 2..5, grown greedily from a random edge."""
-    pool = set(int(i) for i in indices)
-    local_edges = [e for e in graph.edges if e[0] in pool and e[1] in pool]
-    if not local_edges:
+    # candidates are drawn in the iteration order of the set of indices
+    pool = np.fromiter(set(int(i) for i in indices), dtype=np.int64)
+    local_edges = graph.subgraph_edges(pool).pairs
+    if not len(local_edges):
         return []
     sets: list[list[int]] = []
     attempts = 0
     while len(sets) < count and attempts < 20 * count:
         attempts += 1
-        i, j = local_edges[rng.integers(0, len(local_edges))]
-        members = [i, j]
+        members = local_edges[rng.integers(0, len(local_edges))].tolist()
         target = int(rng.integers(2, 6))
+        linked = graph.has_edges(pool, members[0]) & graph.has_edges(pool, members[1])
         while len(members) < target:
-            candidates = [
-                c
-                for c in pool
-                if c not in members and all(graph.has_edge(c, m) for m in members)
-            ]
-            if not candidates:
+            candidates = pool[linked]  # linked to every member, so not a member
+            if not candidates.size:
                 break
             members.append(int(candidates[rng.integers(0, len(candidates))]))
+            linked &= graph.has_edges(pool, members[-1])
         sets.append(sorted(members))
     return sets
 
@@ -215,8 +222,6 @@ def gen_compatibility_manifestation(
     """Items with binary attributes whose positive entries carry a hidden
     manifestation; pairs link iff some attribute is shared and all shared
     attributes agree in manifestation."""
-    if spec.manifestation_count < 2 and spec.task_kind == "compatibility_manifestation":
-        pass  # a single manifestation is a legal degenerate case
     m, v, d, n = spec.m_attributes, spec.manifestation_count, spec.d, spec.n_items
     if m * v > d:
         raise ContractError(
@@ -234,17 +239,16 @@ def gen_compatibility_manifestation(
     feats = _round_to_f32(feats)
 
     present = values.astype(bool)
-    edges = []
+    partners = []
     for i in range(n - 1):
         shared = present[i] & present[i + 1 :]
         agree = (manifest[i] == manifest[i + 1 :]) | ~shared
         link = shared.any(axis=1) & agree.all(axis=1)
-        for off in np.nonzero(link)[0]:
-            edges.append((i, int(i + 1 + off)))
+        partners.append(i + 1 + np.flatnonzero(link))
+    edges = _row_edges(partners)
 
     splits = _assign_splits(n, rng)
-    kept = _within_split_edges(edges, splits)
-    graph = SimilarityGraph(n, kept)
+    graph = SimilarityGraph(n, _within_split_edges(n, edges, splits))
     categories = rng.integers(0, 4, size=n)
     table = AttributeTable(values, np.ones_like(values))
     sets = {
@@ -308,14 +312,7 @@ def gen_fewshot_clusters(spec: SyntheticSpec, seed: int) -> tuple[DatasetBundle,
         name: np.sort(np.concatenate([np.nonzero(labels == k)[0] for k in classes]))
         for name, classes in groups.items()
     }
-    edges = []
-    for k in range(c):
-        members = np.nonzero(labels == k)[0].tolist()
-        edges.extend(
-            (members[a], members[b])
-            for a in range(len(members))
-            for b in range(a + 1, len(members))
-        )
+    edges = np.concatenate([within_pairs(np.flatnonzero(labels == k)) for k in range(c)])
     bundle = DatasetBundle(
         feats, SimilarityGraph(n, edges), splits, table, labels, None, task=spec.task_kind
     )
@@ -339,13 +336,13 @@ def gen_linear_separable(spec: SyntheticSpec, seed: int) -> tuple[DatasetBundle,
     values = (rng.random((n, m)) < spec.attr_density).astype(np.float64)
     basis = _orthonormal_columns(rng, d, m)
     feats = _round_to_f32(values @ basis.T + spec.noise_sd * rng.normal(size=(n, d)))
-    edges = []
-    for i in range(n - 1):
-        hamming = np.abs(values[i] - values[i + 1 :]).sum(axis=1)
-        for off in np.nonzero(hamming <= spec.hamming_threshold)[0]:
-            edges.append((i, int(i + 1 + off)))
+    edges = _row_edges([
+        i + 1 + np.flatnonzero(np.abs(values[i] - values[i + 1 :]).sum(axis=1)
+                               <= spec.hamming_threshold)
+        for i in range(n - 1)
+    ])
     splits = _assign_splits(n, rng)
-    graph = SimilarityGraph(n, _within_split_edges(edges, splits))
+    graph = SimilarityGraph(n, _within_split_edges(n, edges, splits))
     table = AttributeTable(values, np.ones_like(values))
     bundle = DatasetBundle(
         feats, graph, splits, table, np.zeros(n, dtype=np.int64), None, task=spec.task_kind
@@ -516,6 +513,21 @@ def save_bundle(directory, bundle: DatasetBundle) -> None:
     (directory / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
 
 
+def _read_int_pairs(path: Path) -> tuple[list[str] | None, list[tuple[int, int]]]:
+    """Header and the first two cells of every further row as integers; a
+    cell that is not an integer raises BundleFormatError naming file:line."""
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                rows.append((int(row[0]), int(row[1])))
+            except (ValueError, IndexError) as exc:
+                raise BundleFormatError(f"{path}:{lineno}: {exc}") from exc
+    return header, rows
+
+
 def load_bundle(directory) -> DatasetBundle:
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
@@ -539,24 +551,13 @@ def load_bundle(directory) -> DatasetBundle:
             f"feature file is {features.shape}, manifest says "
             f"({manifest['n']}, {manifest['d']})"
         )
-    edges = []
-    with (directory / "edges.csv").open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["i", "j"]:
-            raise BundleFormatError(f"{directory / 'edges.csv'}: bad header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                i, j = int(row[0]), int(row[1])
-            except (ValueError, IndexError) as exc:
-                raise BundleFormatError(
-                    f"{directory / 'edges.csv'}:{lineno}: {exc}"
-                ) from exc
-            if not (0 <= i < n and 0 <= j < n):
-                raise BundleFormatError(
-                    f"{directory / 'edges.csv'}:{lineno}: index out of range for n={n}"
-                )
-            edges.append((i, j))
+    edges_path = directory / "edges.csv"
+    header, edges = _read_int_pairs(edges_path)
+    if header != ["i", "j"]:
+        raise BundleFormatError(f"{edges_path}: bad header {header}")
+    for lineno, (i, j) in enumerate(edges, start=2):
+        if not (0 <= i < n and 0 <= j < n):
+            raise BundleFormatError(f"{edges_path}:{lineno}: index out of range for n={n}")
     splits = {
         k: np.asarray(v, dtype=np.int64)
         for k, v in json.loads((directory / "splits.json").read_text()).items()
@@ -572,10 +573,8 @@ def load_bundle(directory) -> DatasetBundle:
             )
     categories = None
     if (directory / "categories.csv").exists():
-        with (directory / "categories.csv").open(newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader, None)
-            categories = np.array([int(row[1]) for row in reader], dtype=np.int64)
+        _, rows = _read_int_pairs(directory / "categories.csv")
+        categories = np.array([cat for _, cat in rows], dtype=np.int64)
         if len(categories) != n:
             raise BundleFormatError(
                 f"categories file has {len(categories)} rows, features have {n}"

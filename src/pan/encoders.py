@@ -23,6 +23,20 @@ from .rng import generator
 FEATURE_MAGIC = b"PANF"
 
 
+def pair_array(pairs) -> np.ndarray:
+    """Index pairs as an int64 array, (0, 2) when empty; an (N, 2) ndarray is
+    used as it is."""
+    arr = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
+    return arr.reshape(-1, 2) if arr.size == 0 else arr
+
+
+def within_pairs(items) -> np.ndarray:
+    """Every unordered pair (items[a], items[b]) with a < b, in that order."""
+    items = np.asarray(items, dtype=np.int64)
+    r = np.arange(len(items))
+    return items[np.argwhere(r[:, None] < r)]  # row-major, like np.triu_indices
+
+
 class SimilarityGraph:
     """Undirected graph over n nodes; edges are unordered index pairs, no self-edges.
 
@@ -37,8 +51,7 @@ class SimilarityGraph:
         if n < 1:
             raise ContractError(f"graph needs at least one node, got n={n}")
         n = int(n)
-        arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
-        arr = arr.reshape(-1, 2) if arr.size == 0 else arr
+        arr = pair_array(edges)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ContractError(f"edges must be index pairs, got shape {arr.shape}")
         i, j = arr[:, 0], arr[:, 1]
@@ -92,6 +105,10 @@ class SimilarityGraph:
         inside = pos < len(self._keys)
         found[inside] = self._keys[pos[inside]] == keys[inside]
         return found
+
+    def has_edges(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """``has_edge`` elementwise over index arrays."""
+        return self.contains_keys(np.minimum(i, j) * self.n + np.maximum(i, j))
 
     def adjacency(self) -> np.ndarray:
         """Dense 0/1 adjacency; a test reference, never built on a hot path."""

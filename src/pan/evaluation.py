@@ -3,9 +3,10 @@ episodic few-shot accuracy, retrieval recall@k, attribute mAP, and the
 attribute rank report.
 
 All metrics are read-only over immutable models and features. Ties break
-toward the lowest index everywhere. Models are anything exposing
-``pair_scores(pairs, features, graph_context=None) -> array``; condition-level
-metrics additionally need ``pair_conditions``.
+toward the lowest index everywhere. Pairs are built as (N, 2) int64 index
+arrays, scored in one ``score_pairs`` call per episode, question, set or split.
+Models are anything exposing ``pair_scores(pairs, features, graph_context=None)
+-> array``; condition-level metrics additionally need ``pair_conditions``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attributes import AttributeTable, pair_label_matrix
-from .encoders import SimilarityGraph
+from .encoders import SimilarityGraph, pair_array, within_pairs
 from .errors import ContractError
 
 INTERVAL_Z = 1.96
@@ -81,6 +82,11 @@ def score_pairs(model, pairs, features, graph_context: SimilarityGraph | None = 
     return np.asarray(model.pair_scores(pairs, features, graph_context), dtype=np.float64)
 
 
+def product_pairs(a, b) -> np.ndarray:
+    """Every pair (a[k], b[l]), k-major: (a[0], b[0]), (a[0], b[1]), ..."""
+    return np.stack([np.repeat(a, len(b)), np.tile(b, len(a))], axis=1)
+
+
 # ---------------------------------------------------------------------------
 # fill in the blank
 # ---------------------------------------------------------------------------
@@ -96,22 +102,15 @@ def fitb_accuracy(model, questions: list[FitbQuestion], features) -> MetricRepor
     n_items = np.asarray(features).shape[0]
     correct = 0
     for q in questions:
-        pairs = [(qi, oj) for oj in q.candidates for qi in q.question_items]
-        context = SimilarityGraph(
-            n_items,
-            [
-                (a, b)
-                for ai, a in enumerate(q.question_items)
-                for b in q.question_items[ai + 1 :]
-            ],
-        )
-        if pairs:
+        context = SimilarityGraph(n_items, within_pairs(q.question_items))
+        if q.question_items:
+            # (question item, candidate), candidate-major
+            pairs = product_pairs(q.candidates, q.question_items)[:, ::-1]
             scores = score_pairs(model, pairs, features, context)
             per_candidate = scores.reshape(len(q.candidates), len(q.question_items)).sum(axis=1)
         else:
             per_candidate = np.zeros(len(q.candidates))
-        if int(np.argmax(per_candidate)) == q.answer_index:
-            correct += 1
+        correct += int(np.argmax(per_candidate)) == q.answer_index
     return MetricReport("fitb_accuracy", correct / len(questions), None, len(questions))
 
 
@@ -124,8 +123,7 @@ def set_score(model, items, features) -> float:
     items = list(items)
     if len(items) < 2:
         raise ContractError(f"a set needs at least two items, got {len(items)}")
-    pairs = [(a, b) for k, a in enumerate(items) for b in items[k + 1 :]]
-    return float(score_pairs(model, pairs, features).mean())
+    return float(score_pairs(model, within_pairs(items), features).mean())
 
 
 def mann_whitney_auc(pos_scores, neg_scores) -> float:
@@ -136,15 +134,12 @@ def mann_whitney_auc(pos_scores, neg_scores) -> float:
         raise ContractError("AUC needs at least one score on each side")
     merged = np.concatenate([pos, neg])
     order = np.argsort(merged, kind="stable")
-    ranks = np.empty(merged.size, dtype=np.float64)
     sorted_vals = merged[order]
-    start = 0
-    while start < merged.size:
-        stop = start
-        while stop + 1 < merged.size and sorted_vals[stop + 1] == sorted_vals[start]:
-            stop += 1
-        ranks[order[start : stop + 1]] = 0.5 * (start + stop) + 1.0  # average rank
-        start = stop + 1
+    # runs of equal sorted values (NaN equals nothing, so each NaN is its own run)
+    starts = np.flatnonzero(np.concatenate([[True], sorted_vals[1:] != sorted_vals[:-1]]))
+    stops = np.append(starts[1:], merged.size) - 1
+    ranks = np.empty(merged.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + stops) + 1.0, stops - starts + 1)  # average rank
     rank_sum = ranks[: pos.size].sum()
     u = rank_sum - pos.size * (pos.size + 1) / 2.0
     return float(u / (pos.size * neg.size))
@@ -164,25 +159,18 @@ def compatibility_auc(model, positive_sets, negative_sets, features) -> MetricRe
 def episode_accuracy(model, episode: Episode, features) -> float:
     """Per query: class score is the mean edge probability to that class's
     supports; argmax class wins, lowest class index on ties."""
-    pairs = [
-        (q, s)
-        for q, _ in episode.query
-        for support_class in episode.support
-        for s in support_class
-    ]
-    scores = score_pairs(model, pairs, features)
-    shots = [len(c) for c in episode.support]
-    per_query = scores.reshape(len(episode.query), sum(shots))
-    correct = 0
-    for row, (_, true_class) in zip(per_query, episode.query):
-        offset = 0
-        class_scores = []
-        for k in shots:
-            class_scores.append(row[offset : offset + k].mean())
-            offset += k
-        if int(np.argmax(class_scores)) == true_class:
-            correct += 1
-    return correct / len(episode.query)
+    queries, truth = np.array(episode.query, dtype=np.int64).reshape(-1, 2).T
+    supports = np.array([s for cls in episode.support for s in cls], dtype=np.int64)
+    pairs = product_pairs(queries, supports)
+    per_query = score_pairs(model, pairs, features).reshape(len(queries), len(supports))
+    # one column block per class; a row-wise mean over a row-major block adds
+    # in the same order as the mean of one row's slice (np.add.reduceat does not)
+    ends = np.cumsum([len(c) for c in episode.support])
+    class_scores = np.stack(
+        [per_query[:, e - len(c) : e].mean(axis=1) for c, e in zip(episode.support, ends)],
+        axis=1,
+    )
+    return int(np.count_nonzero(class_scores.argmax(axis=1) == truth)) / len(queries)
 
 
 def few_shot_accuracy(model, episodes: list[Episode], features) -> MetricReport:
@@ -225,16 +213,13 @@ def recall_at_k(
         raise ContractError(f"k={k} outside [1, {n_g}]")
     if model is not None:
         stacked = np.concatenate([query_features, gallery_features])
-        pairs = [(qi, n_q + gj) for qi in range(n_q) for gj in range(n_g)]
+        pairs = product_pairs(np.arange(n_q), n_q + np.arange(n_g))
         scores = score_pairs(model, pairs, stacked).reshape(n_q, n_g)
     else:
         d2 = ((query_features[:, None, :] - gallery_features[None, :, :]) ** 2).sum(axis=2)
         scores = -np.sqrt(d2)
-    hits = 0
-    for qi in range(n_q):
-        top = np.argsort(-scores[qi], kind="stable")[:k]
-        if np.any(gallery_labels[top] == query_labels[qi]):
-            hits += 1
+    top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    hits = int(np.count_nonzero((gallery_labels[top] == query_labels[:, None]).any(axis=1)))
     return MetricReport(f"recall_at_{k}", hits / n_q, None, n_q)
 
 
@@ -251,12 +236,10 @@ def average_precision(scores, labels) -> float:
     positives = ranked.sum()
     if positives == 0:
         raise ContractError("average precision is undefined without positives")
-    hits = 0
-    total = 0.0
-    for rank, rel in enumerate(ranked, start=1):
-        if rel == 1.0:
-            hits += 1
-            total += hits / rank
+    relevant = ranked == 1.0
+    precision = np.cumsum(relevant)[relevant] / (np.flatnonzero(relevant) + 1)
+    # cumsum adds left to right, as a running total would
+    total = precision.cumsum()[-1] if precision.size else 0.0
     return float(total / positives)
 
 
@@ -266,7 +249,7 @@ def attribute_map(model, pairs, attribute_table: AttributeTable, fa: str, featur
     Attributes lacking both a positive and a negative labelled pair are
     excluded from the mean and flagged in the detail payload.
     """
-    idx = np.asarray(list(pairs), dtype=np.int64)
+    idx = pair_array(pairs)
     rho, _ = model.pair_conditions(idx, features)
     labels, mask = pair_label_matrix(attribute_table, idx[:, 0], idx[:, 1], fa)
     n_attr = labels.shape[1]
@@ -318,7 +301,7 @@ def attribute_rank_report(runs, pairs, features) -> list[dict]:
             raise ContractError(
                 f"runs disagree on condition count: {run.csm_config.m} != {m}"
             )
-    idx = np.asarray(list(pairs), dtype=np.int64)
+    idx = pair_array(pairs)
     by_relevance = []
     by_contribution = []
     for run in runs:
@@ -354,12 +337,10 @@ def balanced_pair_accuracy(
     the number equals the mean of true-positive and true-negative rates and
     carries no sampling noise.
     """
-    indices = np.asarray(indices, dtype=np.int64)
-    pos_pairs, neg_pairs = [], []
-    for a_pos, a in enumerate(indices.tolist()):
-        for b in indices.tolist()[a_pos + 1 :]:
-            (pos_pairs if graph.has_edge(a, b) else neg_pairs).append((a, b))
-    if not pos_pairs or not neg_pairs:
+    pairs = within_pairs(indices)
+    linked = graph.has_edges(pairs[:, 0], pairs[:, 1])
+    pos_pairs, neg_pairs = pairs[linked], pairs[~linked]
+    if not len(pos_pairs) or not len(neg_pairs):
         raise ContractError("split needs both linked and unlinked pairs")
     pos_scores = score_pairs(model, pos_pairs, features)
     neg_scores = score_pairs(model, neg_pairs, features)

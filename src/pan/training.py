@@ -32,6 +32,8 @@ from .encoders import (
     encode,
     encode_on_tape,
     init_encoder_weights,
+    pair_array,
+    within_pairs,
 )
 from .errors import ContractError, DimensionError, NumericError, SamplingError
 from .rng import derive_seed, generator
@@ -139,9 +141,8 @@ def _sample_pair_arrays(
 
     density = g.num_edges / total
     if density > 0.7:
-        lo, hi = np.triu_indices(g.n, 1)
-        non_edge = ~g.contains_keys(lo * g.n + hi)
-        non_edges = np.stack([lo[non_edge], hi[non_edge]], axis=1)
+        pairs = within_pairs(np.arange(g.n))
+        non_edges = pairs[~g.has_edges(pairs[:, 0], pairs[:, 1])]
         neg = non_edges[rng.integers(0, len(non_edges), size=count_per_class)]
     else:
         chunks = []
@@ -221,13 +222,6 @@ def adam_step(
 # model bundle
 # ---------------------------------------------------------------------------
 
-def _pair_index_arrays(pairs) -> tuple[np.ndarray, np.ndarray]:
-    arr = np.asarray(list(pairs), dtype=np.int64)
-    if arr.size == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    return arr[:, 0], arr[:, 1]
-
-
 @dataclass
 class ModelBundle:
     encoder_spec: EncoderSpec
@@ -262,7 +256,7 @@ class ModelBundle:
         self, pairs, features, graph_context: SimilarityGraph | None = None
     ) -> np.ndarray:
         h = self.encode_all(features, graph_context)
-        idx_i, idx_j = _pair_index_arrays(pairs)
+        idx_i, idx_j = pair_array(pairs).T
         diff = np.abs(h[idx_i] - h[idx_j])
         return csm_mod.csm_pair_scores(diff, self.csm_params, self.csm_config)
 
@@ -271,7 +265,7 @@ class ModelBundle:
     ) -> tuple[np.ndarray, np.ndarray]:
         """(rho, omega) matrices for a batch of pairs."""
         h = self.encode_all(features, graph_context)
-        idx_i, idx_j = _pair_index_arrays(pairs)
+        idx_i, idx_j = pair_array(pairs).T
         diff = np.abs(h[idx_i] - h[idx_j])
         p = self.csm_params
         rho = ad.sigmoid_values(diff @ p.w1 + p.b1)
@@ -558,7 +552,7 @@ class SiameseModel:
 
     def pair_scores(self, pairs, features, graph_context=None) -> np.ndarray:
         h = self.embed(features)
-        idx_i, idx_j = _pair_index_arrays(pairs)
+        idx_i, idx_j = pair_array(pairs).T
         diff = np.abs(h[idx_i] - h[idx_j])
         return ad.sigmoid_values(diff @ self.link_w + self.link_b)[:, 0]
 
@@ -681,7 +675,7 @@ class MultitaskModel:
 
     def pair_scores(self, pairs, features, graph_context=None) -> np.ndarray:
         h = self.encode_all(features)
-        idx_i, idx_j = _pair_index_arrays(pairs)
+        idx_i, idx_j = pair_array(pairs).T
         diff = np.abs(h[idx_i] - h[idx_j])
         return ad.sigmoid_values(diff @ self.link_w + self.link_b)[:, 0]
 
@@ -787,7 +781,7 @@ class AttrSimilarityModel:
 
     def pair_scores(self, pairs, features, graph_context=None) -> np.ndarray:
         probs = self.attribute_probs(features)
-        idx_i, idx_j = _pair_index_arrays(pairs)
+        idx_i, idx_j = pair_array(pairs).T
         stacked = np.concatenate([probs[idx_i], probs[idx_j]], axis=1)
         return ad.sigmoid_values(stacked @ self.pair_w + self.pair_b)[:, 0]
 
@@ -919,8 +913,13 @@ def save_checkpoint(path, model: ModelBundle) -> None:
     Path(path).write_text(blob + "\n")
 
 
-def load_checkpoint(path) -> ModelBundle:
-    return model_from_dict(json.loads(Path(path).read_text()))
+def load_checkpoint(path, build=model_from_dict):
+    """``build`` applied to a checkpoint file's JSON object; a file that is not
+    JSON, lacks a key or holds a wrong type raises ContractError naming it."""
+    try:
+        return build(json.loads(Path(path).read_text()))
+    except (ValueError, KeyError, TypeError, AttributeError, IndexError) as exc:
+        raise ContractError(f"{path}: not a valid checkpoint ({type(exc).__name__}: {exc})") from exc
 
 
 def write_history_csv(path, history: list[HistoryRow]) -> None:

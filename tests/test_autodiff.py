@@ -81,6 +81,20 @@ class TestElementwise:
         with pytest.raises(DimensionError):
             ad.add(np.ones((2, 2)), np.ones((1, 2)))
 
+    def test_gather_rows_vjp_equals_add_at_bitwise(self):
+        rng = np.random.default_rng(3)
+        for rows, cols, n in ((7, 3, 50), (1, 4, 9), (20, 1, 0), (500, 16, 8192)):
+            tape = ad.Tape()
+            a = tape.parameter(rng.normal(size=(rows, cols)), "a")
+            idx = rng.integers(0, rows, size=n)  # repeated and unsorted
+            ad.gather_rows(a, idx)
+            _out, _inputs, vjp, _forward = tape.records[-1]
+            g = rng.normal(size=(n, cols)) * 10.0 ** rng.integers(-6, 7, size=(n, 1))
+            expected = np.zeros((rows, cols))
+            np.add.at(expected, idx, g)
+            (got,) = vjp(g)
+            assert got.tobytes() == expected.tobytes()
+
 
 class TestRowSoftmax:
     def test_uniform_on_equal_row(self):

@@ -309,3 +309,62 @@ class TestConfigFile:
         assert run_cli("train", "--bundle", bundle_dir, "--out", out, "--epochs", 3) == 0
         manifest = json.loads((out / "run.json").read_text())
         assert manifest["config"]["train"]["seed"] == 123
+
+
+class TestCleanFailures:
+    """Malformed inputs exit 1 with a message naming the file, not a traceback."""
+
+    def _eval(self, bundle_dir, checkpoint, out):
+        return run_cli("eval", "--checkpoint", checkpoint, "--bundle", bundle_dir,
+                       "--task", "pair-acc", "--out", out)
+
+    @pytest.mark.parametrize("case", ["not-json", "missing-key", "wrong-type"])
+    def test_malformed_checkpoint(self, bundle_dir, trained_dir, tmp_path, capsys, case):
+        obj = json.loads((trained_dir / "checkpoint.json").read_text())
+        bad = tmp_path / f"{case}.json"
+        if case == "not-json":
+            bad.write_text("{ this is not json")
+        elif case == "missing-key":
+            del obj["encoder"]
+            bad.write_text(json.dumps(obj))
+        else:
+            obj["encoder"]["weights"] = 5
+            bad.write_text(json.dumps(obj))
+        assert self._eval(bundle_dir, bad, tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
+
+    def test_load_checkpoint_raises_contract_error(self, tmp_path):
+        from pan import training as tr
+        from pan.errors import ContractError
+
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1, 2]")
+        with pytest.raises(ContractError, match="bad.json"):
+            tr.load_checkpoint(bad)
+
+    def test_non_integer_category_names_file_and_line(self, bundle_dir, trained_dir,
+                                                      tmp_path, capsys):
+        import shutil
+
+        broken = tmp_path / "broken"
+        shutil.copytree(bundle_dir, broken)
+        path = broken / "categories.csv"
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].split(",")[0] + ",two"
+        path.write_text("\n".join(lines) + "\n")
+        manifest = json.loads((broken / "manifest.json").read_text())
+        manifest["files"]["categories.csv"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        assert self._eval(broken, trained_dir / "checkpoint.json", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert f"{path}:3" in err and "Traceback" not in err
+
+    def test_unknown_config_key_is_usage_error(self, bundle_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epocs": 5, "seed": 1}))
+        code = run_cli_expect_usage_exit(
+            "--config", cfg, "train", "--bundle", bundle_dir, "--out", tmp_path / "x"
+        )
+        assert code == 2
+        assert "epocs" in capsys.readouterr().err

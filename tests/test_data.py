@@ -32,6 +32,43 @@ class TestPresenceBayesOracle:
         values = np.zeros((3, 1))
         with pytest.raises(GenerationError):
             data.presence_bayes_accuracy(values, SimilarityGraph(3), [0, 1, 2])
+        with pytest.raises(GenerationError):
+            data.presence_bayes_accuracy(values, SimilarityGraph(3), [1])
+
+    @staticmethod
+    def list_oracle(values, graph, indices):
+        """The pair-by-pair loop the array version replaced."""
+        indices = [int(i) for i in indices]
+        buckets: dict = {}
+        n_pos = n_neg = 0
+        for a_pos, a in enumerate(indices):
+            row_a = tuple(values[a].astype(int).tolist())
+            for b in indices[a_pos + 1 :]:
+                row_b = tuple(values[b].astype(int).tolist())
+                key = (row_a, row_b) if row_a <= row_b else (row_b, row_a)
+                pos = graph.has_edge(a, b)
+                buckets.setdefault(key, [0, 0])[0 if pos else 1] += 1
+                n_pos, n_neg = n_pos + pos, n_neg + (not pos)
+        acc = 0.0
+        for pos, neg in buckets.values():
+            acc += max(pos / n_pos, neg / n_neg)
+        return 0.5 * acc
+
+    @pytest.mark.parametrize("n, m, density, edge_p", [
+        (50, 2, 0.5, 0.3),     # few distinct rows: many duplicates per bucket
+        (60, 5, 0.7, 0.1),
+        (40, 70, 0.5, 0.4),    # more attributes than bits in an int64
+        (420, 3, 0.5, 0.2),    # a split of 86,736 pairs
+    ])
+    def test_matches_pair_loop_bitwise(self, n, m, density, edge_p):
+        rng = np.random.default_rng(n + m)
+        values = (rng.random((n, m)) < density).astype(float)
+        a, b = np.triu_indices(n, 1)
+        linked = rng.random(len(a)) < edge_p
+        graph = SimilarityGraph(n, np.stack([a[linked], b[linked]], axis=1))
+        indices = rng.permutation(n)[: n - 3]  # unsorted, not every item
+        got = data.presence_bayes_accuracy(values, graph, indices)
+        assert got.hex() == self.list_oracle(values, graph, indices).hex()
 
 
 class TestCompatibilityManifestation:
@@ -91,6 +128,36 @@ class TestCompatibilityManifestation:
                     assert split_of[a] == split
                     for b in members[k + 1 :]:
                         assert bundle.graph.has_edge(a, b)
+
+    def test_set_sampler_matches_pair_loop(self):
+        def list_sets(graph, indices, rng, count):
+            pool = set(int(i) for i in indices)
+            local_edges = [e for e in graph.edges if e[0] in pool and e[1] in pool]
+            sets, attempts = [], 0
+            while local_edges and len(sets) < count and attempts < 20 * count:
+                attempts += 1
+                members = list(local_edges[rng.integers(0, len(local_edges))])
+                target = int(rng.integers(2, 6))
+                while len(members) < target:
+                    candidates = [c for c in pool if c not in members
+                                  and all(graph.has_edge(c, m) for m in members)]
+                    if not candidates:
+                        break
+                    members.append(int(candidates[rng.integers(0, len(candidates))]))
+                sets.append(sorted(members))
+            return sets
+
+        rng = np.random.default_rng(8)
+        # a set of few large indices iterates out of numeric order
+        for n, edge_p, size in ((30, 0.0, 20), (40, 0.5, 26), (90, 0.2, 60), (70, 0.9, 46),
+                                (400, 0.8, 40)):
+            a, b = np.triu_indices(n, 1)
+            linked = rng.random(len(a)) < edge_p
+            graph = SimilarityGraph(n, np.stack([a[linked], b[linked]], axis=1))
+            indices = rng.permutation(n)[:size]
+            got = data._sample_positive_sets(graph, indices, np.random.default_rng(n), 25)
+            want = list_sets(graph, indices, np.random.default_rng(n), 25)
+            assert got == want
 
 
 class TestFewShotClusters:

@@ -394,3 +394,283 @@ class TestBalancedPairAccuracy:
         report = ev.balanced_pair_accuracy(model, FEATS[:4], graph, [0, 1, 2, 3])
         # positives: 0.9 right, 0.2 wrong -> tpr 0.5; negatives all 0.4 -> tnr 1.0
         assert report.value == pytest.approx(0.75, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# index-array metrics against list-based copies of the loops they replaced
+# ---------------------------------------------------------------------------
+
+class TablePairModel:
+    """Scores read from a fixed n x n table; accepts tuple lists and arrays,
+    and records the pairs of every call."""
+
+    def __init__(self, table):
+        self.table = table
+        self.calls = []
+
+    def pair_scores(self, pairs, features, graph_context=None):
+        idx = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs),
+                         dtype=np.int64).reshape(-1, 2)
+        self.calls.append(idx)
+        return self.table[idx[:, 0], idx[:, 1]]
+
+
+def same_results_and_calls(model, new, old):
+    """Run both; they must return the same bits and score the same pairs in
+    the same calls, in the same order."""
+    model.calls = []
+    got = new()
+    new_calls, model.calls = model.calls, []
+    want = old()
+    assert len(new_calls) == len(model.calls)
+    for a, b in zip(new_calls, model.calls):
+        assert np.array_equal(a, b)
+    return got, want
+
+
+def _tied_table(rng, n, decimals=1):
+    table = np.round(rng.random((n, n)), decimals)
+    return np.minimum(table, table.T)
+
+
+def _bits(x) -> str:
+    return float(x).hex()
+
+
+def list_episode_accuracy(model, episode, features):
+    pairs = [(q, s) for q, _ in episode.query for c in episode.support for s in c]
+    scores = ev.score_pairs(model, pairs, features)
+    shots = [len(c) for c in episode.support]
+    per_query = scores.reshape(len(episode.query), sum(shots))
+    correct = 0
+    for row, (_, true_class) in zip(per_query, episode.query):
+        offset, class_scores = 0, []
+        for k in shots:
+            class_scores.append(row[offset : offset + k].mean())
+            offset += k
+        if int(np.argmax(class_scores)) == true_class:
+            correct += 1
+    return correct / len(episode.query)
+
+
+def list_recall_at_k(qf, gf, ql, gl, k, model=None):
+    n_q, n_g = len(qf), len(gf)
+    if model is not None:
+        pairs = [(qi, n_q + gj) for qi in range(n_q) for gj in range(n_g)]
+        scores = ev.score_pairs(model, pairs, np.concatenate([qf, gf])).reshape(n_q, n_g)
+    else:
+        scores = -np.sqrt(((qf[:, None, :] - gf[None, :, :]) ** 2).sum(axis=2))
+    hits = 0
+    for qi in range(n_q):
+        top = np.argsort(-scores[qi], kind="stable")[:k]
+        if np.any(gl[top] == ql[qi]):
+            hits += 1
+    return hits / n_q
+
+
+def list_average_precision(scores, labels):
+    ranked = np.asarray(labels, dtype=float)[np.argsort(-np.asarray(scores), kind="stable")]
+    hits, total = 0, 0.0
+    for rank, rel in enumerate(ranked, start=1):
+        if rel == 1.0:
+            hits += 1
+            total += hits / rank
+    return float(total / ranked.sum())
+
+
+def list_mann_whitney_auc(pos, neg):
+    pos, neg = np.asarray(pos, dtype=float), np.asarray(neg, dtype=float)
+    merged = np.concatenate([pos, neg])
+    order = np.argsort(merged, kind="stable")
+    ranks = np.empty(merged.size)
+    sorted_vals = merged[order]
+    start = 0
+    while start < merged.size:
+        stop = start
+        while stop + 1 < merged.size and sorted_vals[stop + 1] == sorted_vals[start]:
+            stop += 1
+        ranks[order[start : stop + 1]] = 0.5 * (start + stop) + 1.0
+        start = stop + 1
+    u = ranks[: pos.size].sum() - pos.size * (pos.size + 1) / 2.0
+    return float(u / (pos.size * neg.size))
+
+
+def list_balanced_pair_accuracy(model, features, graph, indices, threshold=0.5):
+    pos_pairs, neg_pairs = [], []
+    idx = np.asarray(indices, dtype=np.int64).tolist()
+    for a_pos, a in enumerate(idx):
+        for b in idx[a_pos + 1 :]:
+            (pos_pairs if graph.has_edge(a, b) else neg_pairs).append((a, b))
+    tpr = float((ev.score_pairs(model, pos_pairs, features) >= threshold).mean())
+    tnr = float((ev.score_pairs(model, neg_pairs, features) < threshold).mean())
+    return 0.5 * (tpr + tnr), len(pos_pairs) + len(neg_pairs), tpr, tnr
+
+
+def list_sampled_split_pairs(bundle, split, seed, cap):
+    from pan.rng import generator
+
+    idx = np.asarray(bundle.splits[split], dtype=np.int64)
+    pairs = [(int(a), int(b)) for p, a in enumerate(idx) for b in idx[p + 1 :]]
+    if len(pairs) > cap:
+        rng = generator(seed, "eval-pairs", split)
+        keep = rng.choice(len(pairs), size=cap, replace=False)
+        pairs = [pairs[int(k)] for k in np.sort(keep)]
+    return np.asarray(pairs, dtype=np.int64)
+
+
+class TestIndexArraysMatchListLoops:
+    def test_fewshot_with_unequal_shots_and_ties(self):
+        rng = np.random.default_rng(10)
+        for decimals in (1, 2, 15):
+            model = TablePairModel(_tied_table(rng, 60, decimals))
+            episodes = []
+            for _ in range(80):
+                way = int(rng.integers(1, 6))
+                shots = rng.integers(1, 12, size=way)
+                n_query = int(rng.integers(1, 9))
+                picks = rng.permutation(60)[: int(shots.sum()) + n_query].tolist()
+                support, offset = [], 0
+                for k in shots.tolist():
+                    support.append(tuple(picks[offset : offset + k]))
+                    offset += k
+                query = tuple((q, int(rng.integers(0, way))) for q in picks[offset:])
+                episodes.append(ev.Episode(tuple(support), query))
+            for ep in episodes:
+                got, want = same_results_and_calls(
+                    model, lambda: ev.episode_accuracy(model, ep, FEATS),
+                    lambda: list_episode_accuracy(model, ep, FEATS),
+                )
+                assert _bits(got) == _bits(want)
+            report = ev.few_shot_accuracy(model, episodes, FEATS)
+            accs = np.array([list_episode_accuracy(model, ep, FEATS) for ep in episodes])
+            assert _bits(report.value) == _bits(accs.mean())
+
+    def test_fewshot_class_means_round_like_the_row_loop(self):
+        # every class holds the same scores in another order, so the class
+        # means differ only by rounding and the winner depends on how each
+        # mean adds its shots
+        rng = np.random.default_rng(17)
+        for shots in (3, 5, 8, 9, 13):
+            episodes, table = [], np.zeros((8 * shots, 8 * shots))
+            for trial in range(40):
+                table[:] = 0.0
+                values = rng.random(shots)
+                support = []
+                for c in range(4):
+                    items = tuple(range(4 + c * shots, 4 + (c + 1) * shots))
+                    table[0, list(items)] = rng.permutation(values)
+                    support.append(items)
+                ep = ev.Episode(tuple(support), ((0, trial % 4),))
+                model = TablePairModel(table.copy())
+                episodes.append(
+                    (ev.episode_accuracy(model, ep, FEATS), list_episode_accuracy(model, ep, FEATS))
+                )
+            assert [g for g, _ in episodes] == [w for _, w in episodes]
+
+    def test_fewshot_all_tied_picks_class_zero(self):
+        ep = ev.Episode(((0, 1, 2), (3,), (4, 5)), ((6, 1), (7, 0), (8, 2)))
+        assert ev.episode_accuracy(ConstantModel(), ep, FEATS) == 1 / 3
+
+    def test_recall_with_ties_and_k_above_one(self):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            n_q, n_g = int(rng.integers(1, 12)), int(rng.integers(1, 15))
+            qf = rng.integers(0, 3, size=(n_q, 2)).astype(float)  # distance ties
+            gf = rng.integers(0, 3, size=(n_g, 2)).astype(float)
+            ql, gl = rng.integers(0, 4, size=n_q), rng.integers(0, 4, size=n_g)
+            model = TablePairModel(_tied_table(rng, n_q + n_g))
+            for k in range(1, n_g + 1):
+                got = ev.recall_at_k(qf, gf, ql, gl, k).value
+                assert _bits(got) == _bits(list_recall_at_k(qf, gf, ql, gl, k))
+                got, want = same_results_and_calls(
+                    model, lambda: ev.recall_at_k(qf, gf, ql, gl, k, model=model).value,
+                    lambda: list_recall_at_k(qf, gf, ql, gl, k, model=model),
+                )
+                assert _bits(got) == _bits(want)
+
+    def test_average_precision_and_auc_with_ties(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            scores = np.round(rng.random(n), 1)
+            labels = (rng.random(n) < 0.4).astype(float)
+            labels[int(rng.integers(0, n))] = 1.0
+            assert _bits(ev.average_precision(scores, labels)) == _bits(
+                list_average_precision(scores, labels)
+            )
+            pos, neg = scores[: n // 2 or 1], np.append(scores[n // 2 :], [0.0, -0.0])
+            assert _bits(ev.mann_whitney_auc(pos, neg)) == _bits(
+                list_mann_whitney_auc(pos, neg)
+            )
+
+    def test_balanced_pair_accuracy_with_unsorted_indices(self):
+        from pan.encoders import SimilarityGraph
+
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            n = 40
+            a, b = np.triu_indices(n, 1)
+            linked = rng.random(len(a)) < 0.3
+            graph = SimilarityGraph(n, np.stack([a[linked], b[linked]], axis=1))
+            indices = rng.permutation(n)[: int(rng.integers(8, n))]
+            model = TablePairModel(_tied_table(rng, n))
+            report, (value, count, tpr, tnr) = same_results_and_calls(
+                model, lambda: ev.balanced_pair_accuracy(model, FEATS, graph, indices),
+                lambda: list_balanced_pair_accuracy(model, FEATS, graph, indices),
+            )
+            assert _bits(report.value) == _bits(value)
+            assert report.count == count
+            assert report.detail == {"true_positive_rate": tpr, "true_negative_rate": tnr}
+
+    def test_sampled_split_pairs_above_and_below_cap(self):
+        from types import SimpleNamespace
+
+        from pan import cli
+
+        rng = np.random.default_rng(14)
+        bundle = SimpleNamespace(splits={"test": rng.permutation(90)[:70]})
+        n_pairs = 70 * 69 // 2
+        for cap in (10, n_pairs - 1, n_pairs, n_pairs + 5):
+            got = cli._sampled_split_pairs(bundle, "test", 5, cap)
+            want = list_sampled_split_pairs(bundle, "test", 5, cap)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_fitb_and_set_auc_match_tuple_lists(self):
+        rng = np.random.default_rng(15)
+        model = TablePairModel(np.round(rng.random((40, 40)), 1))  # not symmetric
+        for _ in range(40):
+            items = rng.permutation(40)[: int(rng.integers(3, 12))]
+            n_q = int(rng.integers(1, len(items) - 1))
+            q = ev.FitbQuestion(tuple(items[:n_q]), tuple(items[n_q:]), 0)
+            model.calls = []
+            got = ev.fitb_accuracy(model, [q], FEATS).value
+            (call,) = model.calls
+            assert call.tolist() == [[a, b] for b in q.candidates for a in q.question_items]
+            assert got == fitb_oracle(model, [q], FEATS)
+            pairs = list(itertools.combinations(items.tolist(), 2))
+            got, want = same_results_and_calls(
+                model, lambda: ev.set_score(model, items, FEATS),
+                lambda: ev.score_pairs(model, pairs, FEATS).mean(),
+            )
+            assert _bits(got) == _bits(want)
+
+    def test_ndarray_and_list_pairs_give_the_same_scores(self):
+        from pan import training as tr
+        from pan.attributes import AttributeTable
+        from pan.csm import CsmConfig
+        from pan.encoders import EncoderSpec
+
+        rng = np.random.default_rng(16)
+        feats = rng.normal(size=(30, 6))
+        model = tr.init_model(EncoderSpec(kind="mlp", layer_dims=(8, 5)), CsmConfig(m=3), 6, 2)
+        arr = rng.integers(0, 30, size=(200, 2))
+        as_list = [tuple(row) for row in arr.tolist()]
+        assert model.pair_scores(arr, feats).tobytes() == model.pair_scores(as_list, feats).tobytes()
+        for got, want in zip(model.pair_conditions(arr, feats),
+                             model.pair_conditions(as_list, feats)):
+            assert got.tobytes() == want.tobytes()
+        values = (rng.random((30, 3)) < 0.5).astype(float)
+        table = AttributeTable(values, np.ones_like(values))
+        from_arr = ev.attribute_map(model, arr, table, "or", feats)
+        from_list = ev.attribute_map(model, as_list, table, "or", feats)
+        assert from_arr.to_dict() == from_list.to_dict()
