@@ -4,7 +4,9 @@ Every value is a 2-D float64 matrix (vectors are 1xM or Nx1, scalars 1x1).
 A forward pass through the primitives below records one node per operation on
 a ``Tape``; ``backward`` consumes the tape once, in reverse, and returns exact
 first-order gradients for every parameter registered on that tape. The tape is
-build-once: no higher-order derivatives, no re-entrant recording.
+build-once: no higher-order derivatives, no re-entrant recording. An
+operation none of whose operands is on a tape is computed and not recorded, so
+the same primitives are the untaped forward used at inference.
 
 Numerical guards:
   * sigmoid is computed branchwise from exp of the negative-magnitude argument,
@@ -76,8 +78,8 @@ class Tape:
     __slots__ = ("records", "parameters")
 
     def __init__(self):
-        # each record: (output, inputs, vjp, forward)
-        self.records: list[tuple[Tensor, tuple[Tensor, ...], Callable, Callable]] = []
+        # each record: (output, inputs, vjp)
+        self.records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
         self.parameters: dict[str, Tensor] = {}
 
     def parameter(self, values, name: str) -> Tensor:
@@ -90,18 +92,6 @@ class Tape:
 
     def constant(self, values) -> Tensor:
         return Tensor(as_matrix(values), tape=None)
-
-    def replay_forward(self) -> bool:
-        """Recompute every node from its operands; True iff all bit-identical."""
-        for out, _inputs, _vjp, forward in self.records:
-            recomputed = forward()
-            if recomputed.shape != out.value.shape:
-                return False
-            if not np.array_equal(
-                recomputed.view(np.uint64), out.value.view(np.uint64)
-            ):
-                return False
-        return True
 
 
 class GradientStore:
@@ -140,12 +130,11 @@ def _emit(
     value: Array,
     inputs: tuple[Tensor, ...],
     vjp: Callable[[Array], Iterable[Array | None]],
-    forward: Callable[[], Array],
 ) -> Tensor:
     tape = _tape_of(*inputs)
     out = Tensor(value, tape=tape)
     if tape is not None:
-        tape.records.append((out, inputs, vjp, forward))
+        tape.records.append((out, inputs, vjp))
     return out
 
 
@@ -170,7 +159,7 @@ def matmul(a, b) -> Tensor:
             a.value.T @ g if b.tape is not None else None,
         )
 
-    return _emit(a.value @ b.value, (a, b), vjp, lambda: a.value @ b.value)
+    return _emit(a.value @ b.value, (a, b), vjp)
 
 
 def self_adjoint(op: Callable[[Array], Array], a) -> Tensor:
@@ -178,28 +167,24 @@ def self_adjoint(op: Callable[[Array], Array], a) -> Tensor:
     symmetric graph propagation; the vjp applies the same map to the upstream
     gradient. The map is data: no gradient is made for it."""
     a = _as_tensor(a)
-    return _emit(op(a.value), (a,), lambda g: (op(g),), lambda: op(a.value))
+    return _emit(op(a.value), (a,), lambda g: (op(g),))
 
 
 def transpose(a) -> Tensor:
     a = _as_tensor(a)
-    return _emit(
-        a.value.T.copy(), (a,), lambda g: (g.T.copy(),), lambda: a.value.T.copy()
-    )
+    return _emit(a.value.T.copy(), (a,), lambda g: (g.T.copy(),))
 
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _require_same_shape(a, b, "add")
-    return _emit(a.value + b.value, (a, b), lambda g: (g, g), lambda: a.value + b.value)
+    return _emit(a.value + b.value, (a, b), lambda g: (g, g))
 
 
 def subtract(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _require_same_shape(a, b, "subtract")
-    return _emit(
-        a.value - b.value, (a, b), lambda g: (g, -g), lambda: a.value - b.value
-    )
+    return _emit(a.value - b.value, (a, b), lambda g: (g, -g))
 
 
 def multiply(a, b) -> Tensor:
@@ -209,13 +194,13 @@ def multiply(a, b) -> Tensor:
     def vjp(g):
         return g * b.value, g * a.value
 
-    return _emit(a.value * b.value, (a, b), vjp, lambda: a.value * b.value)
+    return _emit(a.value * b.value, (a, b), vjp)
 
 
 def scale(a, c: float) -> Tensor:
     a = _as_tensor(a)
     c = float(c)
-    return _emit(a.value * c, (a,), lambda g: (g * c,), lambda: a.value * c)
+    return _emit(a.value * c, (a,), lambda g: (g * c,))
 
 
 def add_row(a, row) -> Tensor:
@@ -227,15 +212,13 @@ def add_row(a, row) -> Tensor:
     def vjp(g):
         return g, g.sum(axis=0, keepdims=True)
 
-    return _emit(a.value + row.value, (a, row), vjp, lambda: a.value + row.value)
+    return _emit(a.value + row.value, (a, row), vjp)
 
 
 def absolute(a) -> Tensor:
     a = _as_tensor(a)
     # subgradient 0 at exactly 0
-    return _emit(
-        np.abs(a.value), (a,), lambda g: (g * np.sign(a.value),), lambda: np.abs(a.value)
-    )
+    return _emit(np.abs(a.value), (a,), lambda g: (g * np.sign(a.value),))
 
 
 def sigmoid_values(x: Array) -> Array:
@@ -248,24 +231,19 @@ def sigmoid_values(x: Array) -> Array:
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     s = sigmoid_values(a.value)
-    return _emit(s, (a,), lambda g: (g * s * (1.0 - s),), lambda: sigmoid_values(a.value))
+    return _emit(s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
-    return _emit(
-        np.maximum(a.value, 0.0),
-        (a,),
-        lambda g: (g * (a.value > 0.0),),
-        lambda: np.maximum(a.value, 0.0),
-    )
+    return _emit(np.maximum(a.value, 0.0), (a,), lambda g: (g * (a.value > 0.0),))
 
 
 def sqrt_entries(a) -> Tensor:
     """Entrywise square root; inputs must be strictly positive for a finite vjp."""
     a = _as_tensor(a)
     s = np.sqrt(a.value)
-    return _emit(s, (a,), lambda g: (g / (2.0 * s),), lambda: np.sqrt(a.value))
+    return _emit(s, (a,), lambda g: (g / (2.0 * s),))
 
 
 def row_softmax_values(x: Array) -> Array:
@@ -284,23 +262,57 @@ def row_softmax(a) -> Tensor:
         dot = (g * s).sum(axis=1, keepdims=True)
         return (s * (g - dot),)
 
-    return _emit(s, (a,), vjp, lambda: row_softmax_values(a.value))
+    return _emit(s, (a,), vjp)
+
+
+def _row_indices(a: Tensor, indices, op: str) -> Array:
+    # contiguous: numpy gathers about twice as slowly through a strided index array
+    idx = np.ascontiguousarray(indices, dtype=np.int64).reshape(-1)
+    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
+        raise IndexError(f"{op}: index out of range for {a.shape[0]} rows")
+    return idx
+
+
+def _scatter_rows(g: Array, idx: Array, shape: tuple[int, int]) -> Array:
+    """Rows of g added into row idx[k] of a zero (shape) matrix."""
+    # per column, bincount adds the rows of g in index order, as np.add.at does
+    acc = np.empty(shape)
+    for c in range(shape[1]):
+        acc[:, c] = np.bincount(idx, weights=g[:, c], minlength=shape[0])
+    return acc
 
 
 def gather_rows(a, indices) -> Tensor:
     a = _as_tensor(a)
-    idx = np.asarray(indices, dtype=np.int64).ravel()
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise IndexError(f"gather_rows: index out of range for {a.shape[0]} rows")
+    idx = _row_indices(a, indices, "gather_rows")
+    # fancy indexing already returns a new array
+    return _emit(a.value[idx], (a,), lambda g: (_scatter_rows(g, idx, a.shape),))
+
+
+def pair_abs_diff(a, i, j) -> Tensor:
+    """Row k is |a[i[k]] - a[j[k]]|: the joint representation of index pairs.
+
+    Value and gradient equal those of ``absolute(subtract(gather_rows(a, i),
+    gather_rows(a, j)))`` bit for bit, without keeping the gathered rows: the
+    vjp hands back the j-scatter and then the i-scatter, the order in which
+    ``backward`` reaches the two gathers of that composition.
+    """
+    a = _as_tensor(a)
+    i = _row_indices(a, i, "pair_abs_diff")
+    j = _row_indices(a, j, "pair_abs_diff")
+    if i.shape != j.shape:
+        raise DimensionError(f"pair_abs_diff: {i.size} left indices, {j.size} right")
+    out = a.value[i]
+    out -= a.value[j]  # in place: two (N, cols) arrays at the peak, not three
+    np.abs(out, out=out)
 
     def vjp(g):
-        # per column, bincount adds the rows of g in index order, as np.add.at does
-        acc = np.empty_like(a.value)
-        for c in range(acc.shape[1]):
-            acc[:, c] = np.bincount(idx, weights=g[:, c], minlength=acc.shape[0])
-        return (acc,)
+        # the sign is recomputed from the operand, unchanged since the forward;
+        # subgradient 0 at exactly 0, as in absolute
+        signed = g * np.sign(a.value[i] - a.value[j])
+        return _scatter_rows(-signed, j, a.shape), _scatter_rows(signed, i, a.shape)
 
-    return _emit(a.value[idx].copy(), (a,), vjp, lambda: a.value[idx].copy())
+    return _emit(out, (a, a), vjp)
 
 
 def slice_cols(a, start: int, stop: int) -> Tensor:
@@ -313,8 +325,7 @@ def slice_cols(a, start: int, stop: int) -> Tensor:
         acc[:, start:stop] = g
         return (acc,)
 
-    return _emit(a.value[:, start:stop].copy(), (a,), vjp,
-                 lambda: a.value[:, start:stop].copy())
+    return _emit(a.value[:, start:stop].copy(), (a,), vjp)
 
 
 def row_sum(a) -> Tensor:
@@ -323,8 +334,7 @@ def row_sum(a) -> Tensor:
     def vjp(g):
         return (np.broadcast_to(g, a.shape).copy(),)
 
-    return _emit(a.value.sum(axis=1, keepdims=True), (a,), vjp,
-                 lambda: a.value.sum(axis=1, keepdims=True))
+    return _emit(a.value.sum(axis=1, keepdims=True), (a,), vjp)
 
 
 def mean_all(a) -> Tensor:
@@ -334,8 +344,7 @@ def mean_all(a) -> Tensor:
     def vjp(g):
         return (np.full(a.shape, g[0, 0] / n),)
 
-    return _emit(a.value.mean().reshape(1, 1), (a,), vjp,
-                 lambda: a.value.mean().reshape(1, 1))
+    return _emit(a.value.mean().reshape(1, 1), (a,), vjp)
 
 
 def bce_values(p: Array, y: Array) -> Array:
@@ -363,7 +372,7 @@ def bce(p, y) -> Tensor:
     def vjp(g):
         return (g * _bce_grad(p.value, y),)
 
-    return _emit(bce_values(p.value, y), (p,), vjp, lambda: bce_values(p.value, y))
+    return _emit(bce_values(p.value, y), (p,), vjp)
 
 
 def bce_mean(p, y) -> Tensor:
@@ -385,20 +394,15 @@ def masked_bce_mean(p, y, mask) -> Tensor:
         )
     labelled = mask == 1.0
     count = int(labelled.sum())
-
-    def forward():
-        if count == 0:
-            return np.zeros((1, 1))
-        per_entry = np.where(labelled, bce_values(p.value, y), 0.0)
-        return (per_entry.sum() / count).reshape(1, 1)
+    if count == 0:
+        return _emit(np.zeros((1, 1)), (p,), lambda g: (np.zeros_like(p.value),))
+    per_entry = np.where(labelled, bce_values(p.value, y), 0.0)
 
     def vjp(g):
-        if count == 0:
-            return (np.zeros_like(p.value),)
         grad = np.where(labelled, _bce_grad(p.value, y), 0.0) / count
         return (grad * g[0, 0],)
 
-    return _emit(forward(), (p,), vjp, forward)
+    return _emit((per_entry.sum() / count).reshape(1, 1), (p,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +422,7 @@ def backward(tape: Tape, output: Tensor) -> GradientStore:
         raise ContractError("backward: output was not produced on this tape")
 
     grad_by_id: dict[int, Array] = {id(output): np.ones((1, 1))}
-    for out, inputs, vjp, _forward in reversed(tape.records):
+    for out, inputs, vjp in reversed(tape.records):
         g = grad_by_id.get(id(out))
         if g is None:
             continue

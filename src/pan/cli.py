@@ -236,7 +236,7 @@ def _train_once(args, bundle, out_dir: Path, seed: int) -> dict:
     resolved = {
         "baseline": args.baseline,
         "bundle": str(args.bundle),
-        "encoder": encoder_spec.__dict__ | {"layer_dims": list(encoder_spec.layer_dims)},
+        "encoder": tr.spec_to_dict(encoder_spec),
         "csm": {
             "m": csm_config.m,
             "supervision": csm_config.supervision,
@@ -277,7 +277,7 @@ def _train_once(args, bundle, out_dir: Path, seed: int) -> dict:
         }
     else:
         model = _train_baseline(args, bundle, config, table)
-        _save_baseline(out_dir / "checkpoint.json", args.baseline, model)
+        tr.save_baseline(out_dir / "checkpoint.json", args.baseline, model)
         summary = {"baseline": args.baseline}
     _write_json(out_dir / "summary.json", summary)
     return {"summary": summary, "fingerprint": manifest["fingerprint"]}
@@ -297,79 +297,8 @@ def _train_baseline(args, bundle, config: tr.TrainConfig, table):
     return tr.train_attr_similarity_baseline(patched, config)
 
 
-BASELINE_FORMAT = "pan-baseline-v1"
-
-
-def _save_baseline(path: Path, kind: str, model) -> None:
-    matrices = {}
-    if kind == "siamese":
-        matrices = {"embed_w": model.embed_w, "link_w": model.link_w, "link_b": model.link_b}
-        extra = {}
-    elif kind == "multitask":
-        matrices = {"link_w": model.link_w, "link_b": model.link_b}
-        for idx, w in enumerate(model.encoder_weights.weights):
-            matrices[f"enc_w{idx}"] = w
-        for idx, b in enumerate(model.encoder_weights.biases):
-            matrices[f"enc_b{idx}"] = b
-        if model.attr_w is not None:
-            matrices["attr_w"] = model.attr_w
-            matrices["attr_b"] = model.attr_b
-        extra = {
-            "encoder": model.encoder_spec.__dict__
-            | {"layer_dims": list(model.encoder_spec.layer_dims)},
-            "n_enc_layers": len(model.encoder_weights.weights),
-        }
-    else:
-        matrices = {"pair_w": model.pair_w, "pair_b": model.pair_b}
-        if model.attr_w is not None:
-            matrices["attr_w"] = model.attr_w
-            matrices["attr_b"] = model.attr_b
-        if model.true_probs is not None:
-            matrices["true_probs"] = model.true_probs
-        extra = {}
-    payload = {
-        "format": BASELINE_FORMAT,
-        "kind": kind,
-        "matrices": {k: csm_mod.matrix_to_hex(v) for k, v in matrices.items()},
-        **extra,
-    }
-    _write_json(path, payload)
-
-
-def _model_from_dict(obj: dict):
-    """A PAN or baseline model from a checkpoint's JSON object."""
-    if obj.get("format") != BASELINE_FORMAT:
-        return tr.model_from_dict(obj)
-    kind = obj["kind"]
-    mats = {k: csm_mod.matrix_from_hex(v) for k, v in obj["matrices"].items()}
-    if kind == "siamese":
-        return tr.SiameseModel(mats["embed_w"], mats["link_w"], mats["link_b"])
-    if kind == "multitask":
-        enc = obj["encoder"]
-        spec = EncoderSpec(
-            kind=enc["kind"], layer_dims=tuple(enc["layer_dims"]),
-            activation=enc["activation"], num_layers=enc["num_layers"],
-            hidden_dim=enc["hidden_dim"], layer_dropout_p=enc["layer_dropout_p"],
-            edge_dropout_p=enc["edge_dropout_p"],
-        )
-        n_layers = obj["n_enc_layers"]
-        weights = tr.EncoderWeights(
-            spec.kind,
-            [mats[f"enc_w{k}"] for k in range(n_layers)],
-            [mats[f"enc_b{k}"] for k in range(n_layers) if f"enc_b{k}" in mats],
-        )
-        return tr.MultitaskModel(
-            spec, weights, mats["link_w"], mats["link_b"],
-            mats.get("attr_w"), mats.get("attr_b"),
-        )
-    return tr.AttrSimilarityModel(
-        mats.get("attr_w"), mats.get("attr_b"), mats["pair_w"], mats["pair_b"],
-        true_probs=mats.get("true_probs"),
-    )
-
-
 def load_any_checkpoint(path):
-    return tr.load_checkpoint(path, _model_from_dict)
+    return tr.load_checkpoint(path, tr.checkpoint_from_dict)
 
 
 def _cmd_train(args) -> int:
@@ -566,8 +495,6 @@ def _kink_margin(kind, spec, params, feats, idx_i, idx_j, propagate) -> float:
     Central differences are only valid away from non-differentiable points,
     so compositions that land too close to one are redrawn.
     """
-    from .encoders import encode
-
     if kind == "csm":
         h = feats
         margin = np.inf
@@ -642,10 +569,9 @@ def gradcheck_composition(seed: int, d: int, m: int, step: float = 1e-5):
             if _kind == "csm":
                 h = tensors["features"]
             else:
-                h = encode_on_tape(_spec, tape, _x, tensors, _propagate)
-            hi = ad.gather_rows(h, _i)
-            hj = ad.gather_rows(h, _j)
-            rho, p = csm_mod.csm_on_tape(tape, hi, hj, tensors, cfg)
+                h = encode_on_tape(_spec, _x, tensors, _propagate)
+            diff = ad.pair_abs_diff(h, _i, _j)
+            rho, _, p = csm_mod.csm_on_tape(diff, tensors, cfg)
             link = ad.bce_mean(p, _e)
             attr = ad.masked_bce_mean(rho, _labels, _mask)
             # |h_i - h_j| cancels any common shift of the encodings (the final

@@ -3,7 +3,7 @@
 For a pair of feature vectors the module forms the joint representation
 ``|h_i - h_j|`` and produces M condition scores ``rho`` (sigmoid), M relevance
 weights ``omega`` (softmax over the same joint representation), and the final
-similarity ``p = rho . omega`` — or the plain mean of ``rho`` when relevance
+similarity ``p = rho . omega`` — or ``sum(rho) * (1/M)`` when relevance
 weighting is disabled.
 """
 
@@ -103,73 +103,38 @@ def init_params(d: int, m: int, seed: int) -> CsmParameters:
     return CsmParameters(w1, np.zeros((1, m)), w2, np.zeros((1, m)))
 
 
-def _joint(h_i: np.ndarray, h_j: np.ndarray, d: int) -> np.ndarray:
-    h_i = ad.as_matrix(h_i)
-    h_j = ad.as_matrix(h_j)
-    if h_i.shape != (1, d) or h_j.shape != (1, d):
-        raise DimensionError(
-            f"feature vectors must have length d={d}, got {h_i.shape} and {h_j.shape}"
-        )
-    return np.abs(h_i - h_j)
-
-
 def csm_forward(h_i, h_j, params: CsmParameters, config: CsmConfig) -> CsmOutput:
     """Score one pair. Symmetric in its two feature arguments bit-for-bit."""
     if config.m != params.m:
         raise ContractError(f"config m={config.m} does not match parameters m={params.m}")
-    diff = _joint(h_i, h_j, params.d)
-    rho = ad.sigmoid_values(diff @ params.w1 + params.b1)
-    omega = ad.row_softmax_values(diff @ params.w2 + params.b2)
-    if config.relevance_enabled:
-        p = float((rho * omega).sum())
-    else:
-        p = float(rho.mean())
-    return CsmOutput(rho=rho[0].copy(), omega=omega[0].copy(), p=p)
-
-
-def csm_batch_forward(pairs, features, params: CsmParameters, config: CsmConfig) -> list[CsmOutput]:
-    """Per-pair forward over rows of a feature matrix; equals the per-pair loop."""
-    features = ad.as_matrix(features)
-    n = features.shape[0]
-    outputs = []
-    for i, j in pairs:
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexError(f"pair ({i}, {j}) out of range for {n} items")
-        outputs.append(
-            csm_forward(features[i : i + 1], features[j : j + 1], params, config)
+    h_i = ad.as_matrix(h_i)
+    h_j = ad.as_matrix(h_j)
+    if h_i.shape != (1, params.d) or h_j.shape != (1, params.d):
+        raise DimensionError(
+            f"feature vectors must have length d={params.d}, got {h_i.shape} and {h_j.shape}"
         )
-    return outputs
-
-
-def csm_pair_scores(
-    diff: np.ndarray, params: CsmParameters, config: CsmConfig
-) -> np.ndarray:
-    """Vectorised similarity scores for a batch of joint representations."""
-    rho = ad.sigmoid_values(diff @ params.w1 + params.b1)
-    if not config.relevance_enabled:
-        return rho.mean(axis=1)
-    omega = ad.row_softmax_values(diff @ params.w2 + params.b2)
-    return (rho * omega).sum(axis=1)
+    diff = ad.pair_abs_diff(np.concatenate([h_i, h_j]), [0], [1])
+    rho, omega, p = csm_on_tape(diff, params.as_dict(), config)
+    return CsmOutput(rho=rho.value[0], omega=omega.value[0], p=p.item())
 
 
 def csm_on_tape(
-    tape: ad.Tape,
-    h_i: ad.Tensor,
-    h_j: ad.Tensor,
-    params: dict[str, ad.Tensor],
-    config: CsmConfig,
-) -> tuple[ad.Tensor, ad.Tensor]:
-    """Taped batch forward; returns (rho: NxM, p: Nx1)."""
-    diff = ad.absolute(ad.subtract(h_i, h_j))
+    diff: ad.Tensor, params: dict, config: CsmConfig
+) -> tuple[ad.Tensor, ad.Tensor, ad.Tensor]:
+    """(rho: NxM, omega: NxM, p: Nx1) for a batch of joint representations.
+
+    ``diff`` is |h_i - h_j| per row (``autodiff.pair_abs_diff``); ``params``
+    maps csm_w1, csm_b1, csm_w2, csm_b2 to tensors or arrays. This is the
+    module's only forward: recorded when its operands are on a tape (training),
+    plain values when they are not (validation and evaluation).
+    """
     rho = ad.sigmoid(ad.add_row(ad.matmul(diff, params["csm_w1"]), params["csm_b1"]))
+    omega = ad.row_softmax(ad.add_row(ad.matmul(diff, params["csm_w2"]), params["csm_b2"]))
     if config.relevance_enabled:
-        omega = ad.row_softmax(
-            ad.add_row(ad.matmul(diff, params["csm_w2"]), params["csm_b2"])
-        )
         p = ad.row_sum(ad.multiply(rho, omega))
     else:
         p = ad.scale(ad.row_sum(rho), 1.0 / config.m)
-    return rho, p
+    return rho, omega, p
 
 
 # ---------------------------------------------------------------------------

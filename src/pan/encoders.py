@@ -3,13 +3,11 @@ convolutional encoder with symmetric adjacency normalization, inverted layer
 dropout, and per-epoch edge dropout.
 
 Feature files are little-endian binary: magic ``PANF``, u32 item count, u32
-feature dimension, then n*d float32 values (widened to float64 on load). A CSV
-alternative uses header ``item_id, f_0..f_{d-1}``.
+feature dimension, then n*d float32 values (widened to float64 on load).
 """
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -284,53 +282,6 @@ def init_encoder_weights(spec: EncoderSpec, d_in: int, seed: int) -> EncoderWeig
     return EncoderWeights("gcn", weights)
 
 
-def _act_values(x: np.ndarray, activation: str) -> np.ndarray:
-    return np.maximum(x, 0.0) if activation == "relu" else x
-
-
-def encode(
-    spec: EncoderSpec,
-    x: np.ndarray,
-    graph: SimilarityGraph | None = None,
-    weights: EncoderWeights | None = None,
-    training: bool = False,
-    seed: int = 0,
-) -> np.ndarray:
-    """Encode a full feature matrix.
-
-    Evaluation mode (training=False) applies no dropout and ignores the seed.
-    In training mode each GCN layer output gets inverted dropout with scale
-    1/(1-p); edge dropout is the training loop's concern (see drop_edges), so
-    the graph passed here is used as-is.
-    """
-    x = ad.as_matrix(x)
-    if spec.kind == "identity":
-        return x
-    if weights is None:
-        raise ContractError(f"{spec.kind} encoder needs weights")
-    if spec.kind == "mlp":
-        h = x
-        last = len(weights.weights) - 1
-        for idx, (w, b) in enumerate(zip(weights.weights, weights.biases)):
-            h = h @ w + b
-            if idx < last:
-                h = _act_values(h, spec.activation)
-        return h
-    if graph is None:
-        raise ContractError("gcn encoder requires a similarity graph")
-    if graph.n != x.shape[0]:
-        raise DimensionError(f"graph has {graph.n} nodes but features have {x.shape[0]} rows")
-    propagate = graph.propagation()
-    h = x
-    for idx, w in enumerate(weights.weights):
-        h = _act_values(propagate(h) @ w, spec.activation)
-        if training and spec.layer_dropout_p > 0.0:
-            keep = 1.0 - spec.layer_dropout_p
-            mask = generator(seed, "layer-dropout", idx).random(h.shape) < keep
-            h = h * (mask / keep)
-    return h
-
-
 def dropout_masks_for_epoch(
     spec: EncoderSpec, shape_rows: int, seed: int
 ) -> list[np.ndarray] | None:
@@ -347,36 +298,39 @@ def dropout_masks_for_epoch(
 
 def encode_on_tape(
     spec: EncoderSpec,
-    tape: ad.Tape,
-    x: ad.Tensor,
-    params: dict[str, ad.Tensor],
+    x,
+    params: dict,
     propagation: Propagation | None = None,
     dropout_masks: list[np.ndarray] | None = None,
 ) -> ad.Tensor:
-    """Taped mirror of encode(); identical op order, so values match bit-for-bit.
+    """The encoder's only forward, over the full feature matrix ``x``.
 
-    A GCN needs the ``propagation`` operator of its graph
-    (``SimilarityGraph.propagation()``).
+    ``params`` maps enc_w{k} (and enc_b{k} for an MLP) to tensors or arrays.
+    On taped parameters the operations are recorded for training; on untaped
+    ones this is the evaluation forward. A GCN needs the ``propagation``
+    operator of its graph (``SimilarityGraph.propagation()``). ``dropout_masks``
+    (see ``dropout_masks_for_epoch``) multiply each GCN layer's output; without
+    them no dropout is applied.
     """
+    x = x if isinstance(x, ad.Tensor) else ad.Tensor(ad.as_matrix(x))
     if spec.kind == "identity":
         return x
+    layers = sum(1 for k in params if k.startswith("enc_w"))
+    h = x
     if spec.kind == "mlp":
-        h = x
-        last = sum(1 for k in params if k.startswith("enc_w")) - 1
-        for idx in range(last + 1):
+        for idx in range(layers):
             h = ad.add_row(ad.matmul(h, params[f"enc_w{idx}"]), params[f"enc_b{idx}"])
-            if idx < last and spec.activation == "relu":
+            if idx < layers - 1 and spec.activation == "relu":
                 h = ad.relu(h)
         return h
     if propagation is None:
         raise ContractError("gcn encoder requires a graph propagation operator")
-    h = x
-    for idx in range(spec.num_layers):
+    for idx in range(layers):
         h = ad.matmul(ad.self_adjoint(propagation, h), params[f"enc_w{idx}"])
         if spec.activation == "relu":
             h = ad.relu(h)
         if dropout_masks is not None:
-            h = ad.multiply(h, tape.constant(dropout_masks[idx]))
+            h = ad.multiply(h, dropout_masks[idx])
     return h
 
 
@@ -409,22 +363,3 @@ def read_feature_file(path) -> np.ndarray:
         )
     values = np.frombuffer(blob, dtype="<f4", offset=12).astype(np.float64)
     return values.reshape(n, d)
-
-
-def read_feature_csv(path) -> np.ndarray:
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "item_id":
-            raise BundleFormatError(f"{path}: expected header starting with item_id")
-        d = len(header) - 1
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != d + 1:
-                raise BundleFormatError(f"{path}:{lineno}: expected {d + 1} cells, got {len(row)}")
-            try:
-                rows.append([float(c) for c in row[1:]])
-            except ValueError as exc:
-                raise BundleFormatError(f"{path}:{lineno}: {exc}") from exc
-    return np.array(rows, dtype=np.float64).reshape(len(rows), d)

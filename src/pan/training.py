@@ -15,7 +15,7 @@ goes through labelled streams from :mod:`pan.rng`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,6 @@ from .encoders import (
     SimilarityGraph,
     drop_edges,
     dropout_masks_for_epoch,
-    encode,
     encode_on_tape,
     init_encoder_weights,
     pair_array,
@@ -81,17 +80,6 @@ class TrainConfig:
             raise ContractError(f"unknown validation metric {self.val_metric!r}")
         if self.pairs_per_epoch is not None and self.pairs_per_epoch < 1:
             raise ContractError("pairs_per_epoch must be >= 1")
-
-
-@dataclass(frozen=True)
-class PairSample:
-    i: int
-    j: int
-    label: int  # ground-truth similarity e_ij
-
-    def __post_init__(self):
-        if self.i == self.j:
-            raise ContractError(f"pair ({self.i}, {self.j}) has identical endpoints")
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +153,6 @@ def _sample_pair_arrays(
     return i, j, e
 
 
-def sample_pairs(g: SimilarityGraph, count_per_class: int, seed: int) -> list[PairSample]:
-    """Equal numbers of positive (uniform over edges) and negative pairs."""
-    rng = generator(seed, "pair-sampling")
-    i, j, e = _sample_pair_arrays(g, count_per_class, rng)
-    return [PairSample(int(a), int(b), int(lbl)) for a, b, lbl in zip(i, j, e)]
-
-
 # ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------
@@ -219,6 +200,40 @@ def adam_step(
 
 
 # ---------------------------------------------------------------------------
+# untaped forwards shared by the models
+# ---------------------------------------------------------------------------
+
+def _encode_untaped(
+    spec: EncoderSpec, weights: EncoderWeights, features, graph: SimilarityGraph | None = None
+) -> ad.Tensor:
+    """Evaluation-mode encoding, no dropout; a GCN without a graph sees
+    self-loops only."""
+    x = ad.Tensor(ad.as_matrix(features))
+    propagation = None
+    if spec.kind == "gcn":
+        propagation = (graph or SimilarityGraph(x.shape[0])).propagation()
+    return encode_on_tape(spec, x, _untaped(weights.as_dict()), propagation)
+
+
+def _untaped(arrays: dict[str, np.ndarray]) -> dict[str, ad.Tensor]:
+    """Parameter arrays as tensors on no tape, wrapped without a copy or the
+    finiteness scan that each primitive would otherwise make per call."""
+    return {name: ad.Tensor(value) for name, value in arrays.items()}
+
+
+def _logistic(x, w, b) -> ad.Tensor:
+    """sigmoid(x w + b): the link and attribute heads of every baseline."""
+    return ad.sigmoid(ad.add_row(ad.matmul(x, w), b))
+
+
+def _pair_concat(values: np.ndarray, idx_i, idx_j) -> np.ndarray:
+    """Row k is [values[idx_i[k]], values[idx_j[k]]]."""
+    return np.concatenate(
+        [ad.gather_rows(values, idx_i).value, ad.gather_rows(values, idx_j).value], axis=1
+    )
+
+
+# ---------------------------------------------------------------------------
 # model bundle
 # ---------------------------------------------------------------------------
 
@@ -245,32 +260,29 @@ class ModelBundle:
     def encode_all(
         self, features: np.ndarray, graph_context: SimilarityGraph | None = None
     ) -> np.ndarray:
-        """Evaluation-mode encoding; a GCN without context sees self-loops only."""
-        features = ad.as_matrix(features)
-        if self.encoder_spec.kind == "gcn":
-            graph = graph_context or SimilarityGraph(features.shape[0])
-            return encode(self.encoder_spec, features, graph=graph, weights=self.encoder_weights)
-        return encode(self.encoder_spec, features, weights=self.encoder_weights)
+        return _encode_untaped(
+            self.encoder_spec, self.encoder_weights, features, graph_context
+        ).value
+
+    def _forward(self, pairs, features, graph_context):
+        """(rho, omega, p) tensors: one encode_all, then the CSM on |h_i - h_j|."""
+        h = ad.Tensor(self.encode_all(features, graph_context))
+        return csm_mod.csm_on_tape(
+            ad.pair_abs_diff(h, *pair_array(pairs).T), _untaped(self.csm_params.as_dict()),
+            self.csm_config,
+        )
 
     def pair_scores(
         self, pairs, features, graph_context: SimilarityGraph | None = None
     ) -> np.ndarray:
-        h = self.encode_all(features, graph_context)
-        idx_i, idx_j = pair_array(pairs).T
-        diff = np.abs(h[idx_i] - h[idx_j])
-        return csm_mod.csm_pair_scores(diff, self.csm_params, self.csm_config)
+        return self._forward(pairs, features, graph_context)[2].value[:, 0]
 
     def pair_conditions(
         self, pairs, features, graph_context: SimilarityGraph | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """(rho, omega) matrices for a batch of pairs."""
-        h = self.encode_all(features, graph_context)
-        idx_i, idx_j = pair_array(pairs).T
-        diff = np.abs(h[idx_i] - h[idx_j])
-        p = self.csm_params
-        rho = ad.sigmoid_values(diff @ p.w1 + p.b1)
-        omega = ad.row_softmax_values(diff @ p.w2 + p.b2)
-        return rho, omega
+        rho, omega, _ = self._forward(pairs, features, graph_context)
+        return rho.value, omega.value
 
 
 def init_model(
@@ -492,11 +504,10 @@ def train_pan(
                 else None
             )
             h = encode_on_tape(
-                encoder_spec, tape, tape.constant(features), tensors, propagation, masks
+                encoder_spec, tape.constant(features), tensors, propagation, masks
             )
-            hi = ad.gather_rows(h, gi[batch])
-            hj = ad.gather_rows(h, gj[batch])
-            rho, p = csm_mod.csm_on_tape(tape, hi, hj, tensors, csm_config)
+            diff = ad.pair_abs_diff(h, gi[batch], gj[batch])
+            rho, _, p = csm_mod.csm_on_tape(diff, tensors, csm_config)
             loss = ad.bce_mean(p, e[batch].reshape(-1, 1).astype(np.float64))
             if labels is not None and mask[batch].any():
                 rho_sup = (
@@ -547,14 +558,10 @@ class SiameseModel:
     link_w: np.ndarray    # e x 1
     link_b: np.ndarray    # 1 x 1
 
-    def embed(self, features: np.ndarray) -> np.ndarray:
-        return ad.as_matrix(features) @ self.embed_w
-
     def pair_scores(self, pairs, features, graph_context=None) -> np.ndarray:
-        h = self.embed(features)
-        idx_i, idx_j = pair_array(pairs).T
-        diff = np.abs(h[idx_i] - h[idx_j])
-        return ad.sigmoid_values(diff @ self.link_w + self.link_b)[:, 0]
+        h = ad.matmul(features, self.embed_w)
+        diff = ad.pair_abs_diff(h, *pair_array(pairs).T)
+        return _logistic(diff, self.link_w, self.link_b).value[:, 0]
 
 
 def _sample_triplets(
@@ -639,12 +646,11 @@ def train_siamese_baseline(
         rng = generator(config.seed, "link-pairs", epoch)
         li, lj, e = _sample_pair_arrays(local, count, rng)
         gi, gj = train_idx[li], train_idx[lj]
-        diff = np.abs(emb_all[gi] - emb_all[gj])
+        diff = ad.pair_abs_diff(emb_all, gi, gj)
         tape = ad.Tape()
         w = tape.parameter(head["link_w"], "link_w")
         b = tape.parameter(head["link_b"], "link_b")
-        logits = ad.add_row(ad.matmul(tape.constant(diff), w), b)
-        loss = ad.bce_mean(ad.sigmoid(logits), e.reshape(-1, 1).astype(np.float64))
+        loss = ad.bce_mean(_logistic(diff, w, b), e.reshape(-1, 1).astype(np.float64))
         grads = ad.backward(tape, loss)
         adam_step(head, grads, head_state, config.learning_rate,
                   config.beta1, config.beta2, config.eps)
@@ -664,26 +670,16 @@ class MultitaskModel:
     attr_w: np.ndarray | None = None
     attr_b: np.ndarray | None = None
 
-    def encode_all(self, features: np.ndarray) -> np.ndarray:
-        features = ad.as_matrix(features)
-        if self.encoder_spec.kind == "gcn":
-            return encode(
-                self.encoder_spec, features,
-                graph=SimilarityGraph(features.shape[0]), weights=self.encoder_weights,
-            )
-        return encode(self.encoder_spec, features, weights=self.encoder_weights)
-
     def pair_scores(self, pairs, features, graph_context=None) -> np.ndarray:
-        h = self.encode_all(features)
-        idx_i, idx_j = pair_array(pairs).T
-        diff = np.abs(h[idx_i] - h[idx_j])
-        return ad.sigmoid_values(diff @ self.link_w + self.link_b)[:, 0]
+        h = _encode_untaped(self.encoder_spec, self.encoder_weights, features)
+        diff = ad.pair_abs_diff(h, *pair_array(pairs).T)
+        return _logistic(diff, self.link_w, self.link_b).value[:, 0]
 
     def attribute_scores(self, features: np.ndarray) -> np.ndarray:
         if self.attr_w is None:
             raise ContractError("model was trained without an attribute head")
-        h = self.encode_all(features)
-        return ad.sigmoid_values(h @ self.attr_w + self.attr_b)
+        h = _encode_untaped(self.encoder_spec, self.encoder_weights, features)
+        return _logistic(h, self.attr_w, self.attr_b).value
 
 
 def train_multitask_baseline(
@@ -728,19 +724,15 @@ def train_multitask_baseline(
         gi, gj = train_idx[li], train_idx[lj]
         tape = ad.Tape()
         tensors = {k: tape.parameter(v, k) for k, v in params.items()}
-        h = encode_on_tape(spec, tape, tape.constant(features), tensors, None, None)
-        hi = ad.gather_rows(h, gi)
-        hj = ad.gather_rows(h, gj)
-        diff = ad.absolute(ad.subtract(hi, hj))
-        logits = ad.add_row(ad.matmul(diff, tensors["link_w"]), tensors["link_b"])
-        loss = ad.bce_mean(ad.sigmoid(logits), e.reshape(-1, 1).astype(np.float64))
+        h = encode_on_tape(spec, tape.constant(features), tensors)
+        diff = ad.pair_abs_diff(h, gi, gj)
+        link = _logistic(diff, tensors["link_w"], tensors["link_b"])
+        loss = ad.bce_mean(link, e.reshape(-1, 1).astype(np.float64))
         if use_attrs and table.mask[train_idx].any():
             h_train = ad.gather_rows(h, train_idx)
-            attr_logits = ad.add_row(
-                ad.matmul(h_train, tensors["attr_w"]), tensors["attr_b"]
-            )
             attr_loss = ad.masked_bce_mean(
-                ad.sigmoid(attr_logits), table.values[train_idx], table.mask[train_idx]
+                _logistic(h_train, tensors["attr_w"], tensors["attr_b"]),
+                table.values[train_idx], table.mask[train_idx],
             )
             loss = ad.add(loss, ad.scale(attr_loss, config.lambda_))
         grads = ad.backward(tape, loss)
@@ -777,13 +769,11 @@ class AttrSimilarityModel:
     def attribute_probs(self, features: np.ndarray) -> np.ndarray:
         if self.true_probs is not None:
             return self.true_probs
-        return ad.sigmoid_values(ad.as_matrix(features) @ self.attr_w + self.attr_b)
+        return _logistic(features, self.attr_w, self.attr_b).value
 
     def pair_scores(self, pairs, features, graph_context=None) -> np.ndarray:
-        probs = self.attribute_probs(features)
-        idx_i, idx_j = pair_array(pairs).T
-        stacked = np.concatenate([probs[idx_i], probs[idx_j]], axis=1)
-        return ad.sigmoid_values(stacked @ self.pair_w + self.pair_b)[:, 0]
+        stacked = _pair_concat(self.attribute_probs(features), *pair_array(pairs).T)
+        return _logistic(stacked, self.pair_w, self.pair_b).value[:, 0]
 
 
 def train_attr_similarity_baseline(
@@ -820,13 +810,12 @@ def train_attr_similarity_baseline(
             tape = ad.Tape()
             w = tape.parameter(stage1["attr_w"], "attr_w")
             b = tape.parameter(stage1["attr_b"], "attr_b")
-            logits = ad.add_row(ad.matmul(tape.constant(x_train), w), b)
-            loss = ad.masked_bce_mean(ad.sigmoid(logits), v_train, m_train)
+            loss = ad.masked_bce_mean(_logistic(x_train, w, b), v_train, m_train)
             grads = ad.backward(tape, loss)
             adam_step(stage1, grads, s1_state, config.learning_rate,
                       config.beta1, config.beta2, config.eps)
         attr_w, attr_b = stage1["attr_w"], stage1["attr_b"]
-        probs = ad.sigmoid_values(features @ attr_w + attr_b)
+        probs = _logistic(features, attr_w, attr_b).value
 
     m2 = 2 * table.m
     stage2 = {
@@ -840,13 +829,11 @@ def train_attr_similarity_baseline(
     for epoch in range(1, config.epochs + 1):
         rng = generator(config.seed, "pairs", epoch)
         li, lj, e = _sample_pair_arrays(local, count, rng)
-        gi, gj = train_idx[li], train_idx[lj]
-        stacked = np.concatenate([probs[gi], probs[gj]], axis=1)
+        stacked = _pair_concat(probs, train_idx[li], train_idx[lj])
         tape = ad.Tape()
         w = tape.parameter(stage2["pair_w"], "pair_w")
         b = tape.parameter(stage2["pair_b"], "pair_b")
-        logits = ad.add_row(ad.matmul(tape.constant(stacked), w), b)
-        loss = ad.bce_mean(ad.sigmoid(logits), e.reshape(-1, 1).astype(np.float64))
+        loss = ad.bce_mean(_logistic(stacked, w, b), e.reshape(-1, 1).astype(np.float64))
         grads = ad.backward(tape, loss)
         adam_step(stage2, grads, s2_state, config.learning_rate,
                   config.beta1, config.beta2, config.eps)
@@ -861,20 +848,27 @@ def train_attr_similarity_baseline(
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_FORMAT = "pan-checkpoint-v1"
+BASELINE_FORMAT = "pan-baseline-v1"
+
+
+def spec_to_dict(spec: EncoderSpec) -> dict:
+    return asdict(spec) | {"layer_dims": list(spec.layer_dims)}
+
+
+def spec_from_dict(obj: dict) -> EncoderSpec:
+    values = {f.name: obj[f.name] for f in fields(EncoderSpec)}
+    return EncoderSpec(**values | {"layer_dims": tuple(values["layer_dims"])})
+
+
+def _write_checkpoint(path, obj: dict) -> None:
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
 def model_to_dict(model: ModelBundle) -> dict:
-    spec = model.encoder_spec
     return {
         "format": CHECKPOINT_FORMAT,
         "encoder": {
-            "kind": spec.kind,
-            "layer_dims": list(spec.layer_dims),
-            "activation": spec.activation,
-            "num_layers": spec.num_layers,
-            "hidden_dim": spec.hidden_dim,
-            "layer_dropout_p": spec.layer_dropout_p,
-            "edge_dropout_p": spec.edge_dropout_p,
+            **spec_to_dict(model.encoder_spec),
             "weights": [csm_mod.matrix_to_hex(w) for w in model.encoder_weights.weights],
             "biases": [csm_mod.matrix_to_hex(b) for b in model.encoder_weights.biases],
         },
@@ -889,15 +883,6 @@ def model_from_dict(obj: dict) -> ModelBundle:
     if obj.get("format") != CHECKPOINT_FORMAT:
         raise ContractError(f"unknown checkpoint format {obj.get('format')!r}")
     enc = obj["encoder"]
-    spec = EncoderSpec(
-        kind=enc["kind"],
-        layer_dims=tuple(enc["layer_dims"]),
-        activation=enc["activation"],
-        num_layers=enc["num_layers"],
-        hidden_dim=enc["hidden_dim"],
-        layer_dropout_p=enc["layer_dropout_p"],
-        edge_dropout_p=enc["edge_dropout_p"],
-    )
     weights = EncoderWeights(
         enc["kind"],
         [csm_mod.matrix_from_hex(w) for w in enc["weights"]],
@@ -905,12 +890,62 @@ def model_from_dict(obj: dict) -> ModelBundle:
     )
     params = csm_mod.params_from_dict(obj["csm"])
     cfg = csm_mod.CsmConfig(m=params.m, relevance_enabled=obj["csm"]["relevance_enabled"])
-    return ModelBundle(spec, weights, params, cfg)
+    return ModelBundle(spec_from_dict(enc), weights, params, cfg)
 
 
 def save_checkpoint(path, model: ModelBundle) -> None:
-    blob = json.dumps(model_to_dict(model), sort_keys=True, indent=1)
-    Path(path).write_text(blob + "\n")
+    _write_checkpoint(path, model_to_dict(model))
+
+
+def save_baseline(path, kind: str, model) -> None:
+    extra = {}
+    if kind == "siamese":
+        matrices = {"embed_w": model.embed_w, "link_w": model.link_w, "link_b": model.link_b}
+    elif kind == "multitask":
+        matrices = {"link_w": model.link_w, "link_b": model.link_b,
+                    **model.encoder_weights.as_dict()}
+        extra = {
+            "encoder": spec_to_dict(model.encoder_spec),
+            "n_enc_layers": len(model.encoder_weights.weights),
+        }
+    else:
+        matrices = {"pair_w": model.pair_w, "pair_b": model.pair_b}
+        if model.true_probs is not None:
+            matrices["true_probs"] = model.true_probs
+    if kind != "siamese" and model.attr_w is not None:
+        matrices |= {"attr_w": model.attr_w, "attr_b": model.attr_b}
+    _write_checkpoint(path, {
+        "format": BASELINE_FORMAT,
+        "kind": kind,
+        "matrices": {k: csm_mod.matrix_to_hex(v) for k, v in matrices.items()},
+        **extra,
+    })
+
+
+def checkpoint_from_dict(obj: dict):
+    """A PAN or baseline model from a checkpoint's JSON object."""
+    if obj.get("format") != BASELINE_FORMAT:
+        return model_from_dict(obj)
+    kind = obj["kind"]
+    mats = {k: csm_mod.matrix_from_hex(v) for k, v in obj["matrices"].items()}
+    if kind == "siamese":
+        return SiameseModel(mats["embed_w"], mats["link_w"], mats["link_b"])
+    if kind == "multitask":
+        spec = spec_from_dict(obj["encoder"])
+        n_layers = obj["n_enc_layers"]
+        weights = EncoderWeights(
+            spec.kind,
+            [mats[f"enc_w{k}"] for k in range(n_layers)],
+            [mats[f"enc_b{k}"] for k in range(n_layers) if f"enc_b{k}" in mats],
+        )
+        return MultitaskModel(
+            spec, weights, mats["link_w"], mats["link_b"],
+            mats.get("attr_w"), mats.get("attr_b"),
+        )
+    return AttrSimilarityModel(
+        mats.get("attr_w"), mats.get("attr_b"), mats["pair_w"], mats["pair_b"],
+        true_probs=mats.get("true_probs"),
+    )
 
 
 def load_checkpoint(path, build=model_from_dict):

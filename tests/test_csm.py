@@ -90,6 +90,7 @@ class TestForward:
             rng.normal(size=(1, 5)), rng.normal(size=(1, 5)), p, make_config(3, relevance=False)
         )
         assert out.p == pytest.approx(out.rho.mean(), abs=1e-15)
+        assert out.p == (out.rho.reshape(1, -1).sum(axis=1) * (1.0 / 3))[0]
 
     def test_p_in_unit_interval(self):
         rng = np.random.default_rng(9)
@@ -118,42 +119,36 @@ class TestForward:
         assert "d=4" in str(err.value)
 
 
+def batch_forward(pairs, feats, p, cfg):
+    """Untaped (rho, omega, p) of csm_on_tape over |h_i - h_j| per index pair."""
+    idx = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return csm.csm_on_tape(ad.pair_abs_diff(feats, idx[:, 0], idx[:, 1]), p.as_dict(), cfg)
+
+
 class TestBatchForward:
     def test_singleton_matches_forward(self):
         rng = np.random.default_rng(11)
         feats = rng.normal(size=(4, 6))
         p = csm.init_params(6, 3, seed=9)
         cfg = make_config(3)
-        batch = csm.csm_batch_forward([(0, 2)], feats, p, cfg)
+        _, _, batch = batch_forward([(0, 2)], feats, p, cfg)
         single = csm.csm_forward(feats[0:1], feats[2:3], p, cfg)
-        assert batch[0].p == single.p
+        assert batch.item() == single.p
 
     def test_flipped_pairs_identical(self):
         rng = np.random.default_rng(12)
         feats = rng.normal(size=(5, 4))
         p = csm.init_params(4, 3, seed=10)
         cfg = make_config(3)
-        fwd = csm.csm_batch_forward([(1, 3), (3, 1)], feats, p, cfg)
-        assert fwd[0].p == fwd[1].p
-
-    def test_random_batch_bit_identical_to_loop(self):
-        rng = np.random.default_rng(13)
-        feats = rng.normal(size=(10, 7))
-        p = csm.init_params(7, 4, seed=11)
-        cfg = make_config(4)
-        pairs = [tuple(rng.integers(0, 10, size=2)) for _ in range(32)]
-        pairs = [(i, j if j != i else (i + 1) % 10) for i, j in pairs]
-        batch = csm.csm_batch_forward(pairs, feats, p, cfg)
-        for (i, j), out in zip(pairs, batch):
-            ref = csm.csm_forward(feats[i : i + 1], feats[j : j + 1], p, cfg)
-            assert out.p == ref.p
-            assert np.array_equal(out.rho, ref.rho)
+        _, _, fwd = batch_forward([(1, 3), (3, 1)], feats, p, cfg)
+        assert fwd.value[0, 0] == fwd.value[1, 0]
 
     def test_out_of_range_index(self):
         feats = np.zeros((3, 2))
         p = csm.init_params(2, 2, seed=0)
-        with pytest.raises(IndexError):
-            csm.csm_batch_forward([(0, 3)], feats, p, make_config(2))
+        for pair in ((0, 3), (0, -1)):
+            with pytest.raises(IndexError):
+                batch_forward([pair], feats, p, make_config(2))
 
 
 class TestGradients:
@@ -170,9 +165,7 @@ class TestGradients:
 
         def loss(tape, params):
             h = params["features"]
-            hi = ad.gather_rows(h, idx_i)
-            hj = ad.gather_rows(h, idx_j)
-            rho, p = csm.csm_on_tape(tape, hi, hj, params, cfg)
+            rho, _, p = csm.csm_on_tape(ad.pair_abs_diff(h, idx_i, idx_j), params, cfg)
             link = ad.bce_mean(p, e)
             attr = ad.masked_bce_mean(rho, labels, mask)
             return ad.add(link, attr)

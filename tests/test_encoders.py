@@ -208,18 +208,24 @@ class TestDropEdges:
             enc.drop_edges(enc.SimilarityGraph(2, [(0, 1)]), 1.0, seed=0)
 
 
+def untaped(spec, x, w, g=None, masks=None):
+    """encode_on_tape on plain arrays: the evaluation forward."""
+    propagation = g.propagation() if g is not None else None
+    return enc.encode_on_tape(spec, x, w.as_dict(), propagation, masks).value
+
+
 class TestEncode:
     def test_identity_returns_input(self):
         x = np.random.default_rng(1).normal(size=(4, 3))
         spec = enc.EncoderSpec(kind="identity")
-        np.testing.assert_array_equal(enc.encode(spec, x), x)
+        np.testing.assert_array_equal(untaped(spec, x, enc.EncoderWeights("identity")), x)
 
     def test_gcn_empty_graph_one_linear_layer_is_matmul(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(5, 4))
         spec = enc.EncoderSpec(kind="gcn", num_layers=1, hidden_dim=3, activation="linear")
         w = enc.init_encoder_weights(spec, 4, seed=4)
-        out = enc.encode(spec, x, graph=enc.SimilarityGraph(5), weights=w)
+        out = untaped(spec, x, w, enc.SimilarityGraph(5))
         np.testing.assert_allclose(out, x @ w.weights[0], atol=1e-14)
 
     def test_gcn_path_graph_hand_computed(self):
@@ -227,14 +233,14 @@ class TestEncode:
         g = enc.SimilarityGraph(3, [(0, 1), (1, 2)])
         spec = enc.EncoderSpec(kind="gcn", num_layers=1, hidden_dim=2, activation="linear")
         w = enc.EncoderWeights("gcn", [np.array([[2.0, 0.0], [0.0, 3.0]])])
-        out = enc.encode(spec, x, graph=g, weights=w)
+        out = untaped(spec, x, w, g)
         expected = (enc.normalize_adjacency(g) @ x) @ w.weights[0]
         np.testing.assert_allclose(out, expected, atol=1e-15)
 
     def test_gcn_zero_weights_give_zero_output(self):
         spec = enc.EncoderSpec(kind="gcn", num_layers=3, hidden_dim=4)
         w = enc.EncoderWeights("gcn", [np.zeros((5, 4)), np.zeros((4, 4)), np.zeros((4, 4))])
-        out = enc.encode(spec, np.ones((6, 5)), graph=enc.SimilarityGraph(6), weights=w)
+        out = untaped(spec, np.ones((6, 5)), w, enc.SimilarityGraph(6))
         np.testing.assert_array_equal(out, np.zeros((6, 4)))
 
     def test_mlp_applies_hidden_activation_only(self):
@@ -247,24 +253,29 @@ class TestEncode:
         x = np.array([[1.0, -2.0]])
         hidden = np.maximum(x @ w.weights[0] + w.biases[0], 0.0)
         expected = hidden @ w.weights[1] + w.biases[1]
-        out = enc.encode(spec, x, weights=w)
+        out = untaped(spec, x, w)
         np.testing.assert_allclose(out, expected, atol=1e-15)
 
     def test_gcn_requires_graph(self):
         spec = enc.EncoderSpec(kind="gcn", num_layers=1, hidden_dim=2)
         w = enc.init_encoder_weights(spec, 3, seed=0)
         with pytest.raises(ContractError):
-            enc.encode(spec, np.ones((2, 3)), weights=w)
+            untaped(spec, np.ones((2, 3)), w)
 
     def test_eval_mode_ignores_seed(self):
+        # evaluation passes no dropout masks: the output is that of the same
+        # weights with dropout off, whatever seed training drew its masks from
         rng = np.random.default_rng(3)
         x = rng.normal(size=(6, 4))
         spec = enc.EncoderSpec(kind="gcn", num_layers=2, hidden_dim=3, layer_dropout_p=0.5)
         w = enc.init_encoder_weights(spec, 4, seed=5)
         g = enc.SimilarityGraph(6, [(0, 1), (2, 3)])
-        a = enc.encode(spec, x, graph=g, weights=w, training=False, seed=1)
-        b = enc.encode(spec, x, graph=g, weights=w, training=False, seed=999)
-        np.testing.assert_array_equal(a, b)
+        plain = enc.EncoderSpec(kind="gcn", num_layers=2, hidden_dim=3)
+        evaluated = untaped(spec, x, w, g)
+        np.testing.assert_array_equal(evaluated, untaped(plain, x, w, g))
+        for seed in (1, 999):
+            masks = enc.dropout_masks_for_epoch(spec, 6, seed)
+            assert not np.array_equal(untaped(spec, x, w, g, masks), evaluated)
 
     def test_inverted_dropout_expectation(self):
         rng = np.random.default_rng(4)
@@ -275,12 +286,12 @@ class TestEncode:
         )
         w = enc.init_encoder_weights(spec, 3, seed=6)
         g = enc.SimilarityGraph(4, [(0, 1), (1, 2), (2, 3)])
-        reference = enc.encode(spec, x, graph=g, weights=w, training=False)
+        reference = untaped(spec, x, w, g)
         draws = 12_000
         acc = np.zeros_like(reference)
         sq = np.zeros_like(reference)
         for k in range(draws):
-            sample = enc.encode(spec, x, graph=g, weights=w, training=True, seed=k)
+            sample = untaped(spec, x, w, g, enc.dropout_masks_for_epoch(spec, 4, seed=k))
             acc += sample
             sq += sample**2
         mean = acc / draws
@@ -292,16 +303,21 @@ class TestEncode:
         x = rng.normal(size=(6, 4))
         g = enc.SimilarityGraph(6, [(0, 1), (1, 2), (4, 5)])
         for spec in (
+            enc.EncoderSpec(kind="identity"),
             enc.EncoderSpec(kind="mlp", layer_dims=(5, 3)),
+            enc.EncoderSpec(kind="mlp", layer_dims=(5, 3), activation="linear"),
             enc.EncoderSpec(kind="gcn", num_layers=2, hidden_dim=3),
+            enc.EncoderSpec(kind="gcn", num_layers=2, hidden_dim=3, layer_dropout_p=0.5),
         ):
             w = enc.init_encoder_weights(spec, 4, seed=7)
-            plain = enc.encode(spec, x, graph=g, weights=w)
+            masks = enc.dropout_masks_for_epoch(spec, 6, seed=8)
+            graph = g if spec.kind == "gcn" else None
+            plain = untaped(spec, x, w, graph, masks)
             tape = ad.Tape()
             params = {k: tape.parameter(v, k) for k, v in w.as_dict().items()}
             propagation = g.propagation() if spec.kind == "gcn" else None
-            taped = enc.encode_on_tape(spec, tape, tape.constant(x), params, propagation)
-            assert np.array_equal(plain, taped.value)
+            taped = enc.encode_on_tape(spec, tape.constant(x), params, propagation, masks)
+            assert plain.tobytes() == taped.value.tobytes()
 
 
 class TestFeatureFiles:
@@ -330,13 +346,6 @@ class TestFeatureFiles:
         with pytest.raises(BundleFormatError):
             enc.read_feature_file(path)
 
-    def test_csv_loader(self, tmp_path):
-        path = tmp_path / "features.csv"
-        path.write_text("item_id,f_0,f_1\n0,1.5,-2.0\n1,0.25,3.0\n")
-        np.testing.assert_array_equal(
-            enc.read_feature_csv(path), [[1.5, -2.0], [0.25, 3.0]]
-        )
-
 
 def test_gradients_flow_through_both_encoders():
     rng = np.random.default_rng(8)
@@ -350,7 +359,7 @@ def test_gradients_flow_through_both_encoders():
         propagation = g.propagation()
 
         def loss(tape, params):
-            h = enc.encode_on_tape(spec, tape, tape.constant(x), params, propagation)
+            h = enc.encode_on_tape(spec, tape.constant(x), params, propagation)
             return ad.mean_all(ad.multiply(h, h))
 
         assert ad.finite_diff_check(loss, w.as_dict(), step=1e-5) < 1e-4

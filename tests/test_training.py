@@ -8,9 +8,11 @@ from pan import training as tr
 from pan.attributes import AttributeTable
 from pan.csm import CsmConfig
 from pan.data import DatasetBundle, SyntheticSpec, generate
-from pan.encoders import EncoderSpec, SimilarityGraph
+from pan.csm import csm_on_tape
+from pan.encoders import EncoderSpec, SimilarityGraph, encode_on_tape, init_encoder_weights
 from pan.errors import ContractError, SamplingError
 from pan.evaluation import average_precision, balanced_pair_accuracy
+from pan.rng import generator
 
 
 @pytest.fixture(scope="module")
@@ -52,42 +54,44 @@ class TestTotalLoss:
         assert got == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
 
 
+def sample(g, count_per_class, seed):
+    return tr._sample_pair_arrays(g, count_per_class, generator(seed, "pair-sampling"))
+
+
 class TestSamplePairs:
     def test_two_node_graph_has_unique_positive_but_no_negative(self):
         g = SimilarityGraph(2, [(0, 1)])
         with pytest.raises(SamplingError):
-            tr.sample_pairs(g, 1, seed=0)
+            sample(g, 1, seed=0)
 
     def test_empty_graph_rejected(self):
         with pytest.raises(SamplingError):
-            tr.sample_pairs(SimilarityGraph(4), 1, seed=0)
+            sample(SimilarityGraph(4), 1, seed=0)
 
     def test_positives_are_edges_negatives_are_not(self):
         g = SimilarityGraph(8, [(0, 1), (2, 3), (4, 5), (0, 7)])
-        samples = tr.sample_pairs(g, 50, seed=1)
-        assert len(samples) == 100
-        pos = [s for s in samples if s.label == 1]
-        neg = [s for s in samples if s.label == 0]
-        assert len(pos) == len(neg) == 50
-        for s in pos:
-            assert g.has_edge(s.i, s.j)
-        for s in neg:
-            assert not g.has_edge(s.i, s.j) and s.i != s.j
+        i, j, e = sample(g, 50, seed=1)
+        assert len(e) == 100
+        pos, neg = e == 1, e == 0
+        assert pos.sum() == neg.sum() == 50
+        assert g.has_edges(i[pos], j[pos]).all()
+        assert not g.has_edges(i[neg], j[neg]).any() and (i[neg] != j[neg]).all()
 
     def test_deterministic(self):
         g = SimilarityGraph(6, [(0, 1), (2, 3)])
-        a = tr.sample_pairs(g, 10, seed=9)
-        b = tr.sample_pairs(g, 10, seed=9)
-        assert a == b
+        a = sample(g, 10, seed=9)
+        b = sample(g, 10, seed=9)
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
 
     def test_positive_frequency_uniform(self):
         edges = [(0, 1), (0, 2), (1, 3), (2, 4)]
         g = SimilarityGraph(5, edges)
         draws = 100_000
-        samples = tr.sample_pairs(g, draws, seed=2)
+        i, j, _ = sample(g, draws, seed=2)
         counts = {e: 0 for e in g.edges}
-        for s in samples[:draws]:
-            counts[(min(s.i, s.j), max(s.i, s.j))] += 1
+        for a, b in zip(i[:draws].tolist(), j[:draws].tolist()):
+            counts[(min(a, b), max(a, b))] += 1
         expected = draws / len(edges)
         sigma = math.sqrt(draws * (1 / len(edges)) * (1 - 1 / len(edges)))
         for e, c in counts.items():
@@ -97,9 +101,8 @@ class TestSamplePairs:
         n = 12
         all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         g = SimilarityGraph(n, all_pairs[:-3])  # only three non-edges
-        samples = tr.sample_pairs(g, 30, seed=3)
-        for s in samples[30:]:
-            assert not g.has_edge(s.i, s.j)
+        i, j, _ = sample(g, 30, seed=3)
+        assert not g.has_edges(i[30:], j[30:]).any()
 
 
 def _list_sample_pair_arrays(g, count_per_class, rng):
@@ -313,6 +316,53 @@ class TestTrainPan:
         cfg = quick_config(epochs=5, mode="minibatch", batch_size=64)
         res = tr.train_pan(separable_bundle, EncoderSpec(kind="identity"), CsmConfig(m=3), cfg)
         assert len(res.history) == 5
+
+
+class TestOneForward:
+    """Training and evaluation score a pair through the same primitives."""
+
+    @pytest.mark.parametrize("relevance", [True, False])
+    def test_training_p_equals_pair_scores_bitwise(self, separable_bundle, relevance):
+        feats = separable_bundle.features
+        spec = EncoderSpec(kind="mlp", layer_dims=(8, 5))
+        cfg = CsmConfig(m=6, relevance_enabled=relevance)
+        model = tr.init_model(spec, cfg, feats.shape[1], seed=2)
+        pairs = np.random.default_rng(3).integers(0, len(feats), size=(2000, 2))
+        tape = ad.Tape()
+        tensors = {k: tape.parameter(v, k) for k, v in model.trainable_params().items()}
+        h = encode_on_tape(spec, tape.constant(feats), tensors)
+        rho, omega, p = csm_on_tape(ad.pair_abs_diff(h, pairs[:, 0], pairs[:, 1]), tensors, cfg)
+        assert p.tape is tape
+        assert model.pair_scores(pairs, feats).tobytes() == p.value[:, 0].tobytes()
+        got_rho, got_omega = model.pair_conditions(pairs, feats)
+        assert got_rho.tobytes() == rho.value.tobytes()
+        assert got_omega.tobytes() == omega.value.tobytes()
+
+
+def _every_model(d, seed=0):
+    rng = np.random.default_rng(seed)
+    spec = EncoderSpec(kind="mlp", layer_dims=(3,))
+    return [
+        tr.init_model(EncoderSpec(kind="mlp", layer_dims=(5, 3)), CsmConfig(m=2), d, seed),
+        tr.SiameseModel(rng.normal(size=(d, 3)), rng.normal(size=(3, 1)), np.zeros((1, 1))),
+        tr.MultitaskModel(
+            spec, init_encoder_weights(spec, d, seed), rng.normal(size=(3, 1)), np.zeros((1, 1))
+        ),
+        tr.AttrSimilarityModel(
+            rng.normal(size=(d, 2)), np.zeros((1, 2)), rng.normal(size=(4, 1)), np.zeros((1, 1))
+        ),
+    ]
+
+
+def test_negative_pair_indices_raise_index_error():
+    feats = np.random.default_rng(1).normal(size=(6, 4))
+    for model in _every_model(4):
+        assert model.pair_scores([(0, 5), (3, 3)], feats).shape == (2,)
+        for pair in ((-1, 2), (2, -6), (0, 6)):
+            with pytest.raises(IndexError):
+                model.pair_scores([pair], feats)
+    with pytest.raises(IndexError):
+        _every_model(4)[0].pair_conditions([(1, -1)], feats)
 
 
 class TestSiameseBaseline:
