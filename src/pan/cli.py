@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -237,18 +238,8 @@ def _train_once(args, bundle, out_dir: Path, seed: int) -> dict:
         "baseline": args.baseline,
         "bundle": str(args.bundle),
         "encoder": tr.spec_to_dict(encoder_spec),
-        "csm": {
-            "m": csm_config.m,
-            "supervision": csm_config.supervision,
-            "m_sup": csm_config.m_sup,
-            "m_unsup": csm_config.m_unsup,
-            "relevance_enabled": csm_config.relevance_enabled,
-        },
-        "train": {k: getattr(config, k) for k in (
-            "lambda_", "learning_rate", "epochs", "mode", "batch_size", "seed",
-            "beta1", "beta2", "eps", "fa", "validation_every", "val_metric",
-            "pairs_per_epoch",
-        )},
+        "csm": asdict(csm_config),
+        "train": asdict(config),
         "randomize_labels": bool(args.randomize_labels),
         "margin": args.margin,
     }
@@ -287,14 +278,8 @@ def _train_baseline(args, bundle, config: tr.TrainConfig, table):
     if args.baseline == "siamese":
         return tr.train_siamese_baseline(bundle, args.margin, config)
     if args.baseline == "multitask":
-        return tr.train_multitask_baseline(bundle, config)
-    patched = bundle
-    if table is not bundle.attributes:
-        patched = data_mod.DatasetBundle(
-            bundle.features, bundle.graph, dict(bundle.splits), table,
-            bundle.categories, bundle.sets, task=bundle.task,
-        )
-    return tr.train_attr_similarity_baseline(patched, config)
+        return tr.train_multitask_baseline(bundle, config, attribute_table=table)
+    return tr.train_attr_similarity_baseline(bundle, config, attribute_table=table)
 
 
 def load_any_checkpoint(path):

@@ -154,7 +154,7 @@ def _sample_pair_arrays(
 
 
 # ---------------------------------------------------------------------------
-# Adam
+# Adam and the one training step every trainer takes
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -197,6 +197,51 @@ def adam_step(
         v *= beta2
         v += (1.0 - beta2) * (g * g)
         p -= learning_rate * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+def _step(
+    params: dict[str, np.ndarray], state: AdamState, config: TrainConfig,
+    loss_fn: ad.LossFn, epoch: int,
+) -> float:
+    """One step of every trainer: ``loss_fn`` on a fresh tape over ``params``,
+    backward, and Adam in place. Returns the loss; a non-finite one raises."""
+    tape = ad.Tape()
+    loss = loss_fn(tape, {k: tape.parameter(v, k) for k, v in params.items()})
+    adam_step(
+        params, ad.backward(tape, loss), state, config.learning_rate,
+        config.beta1, config.beta2, config.eps,
+    )
+    value = loss.item()
+    if not np.isfinite(value):
+        raise NumericError(f"non-finite training loss at epoch {epoch}")
+    return value
+
+
+def _fit(params: dict[str, np.ndarray], config: TrainConfig, epoch_loss) -> None:
+    """Full-batch training from fresh Adam moments: one step per epoch on the
+    LossFn that ``epoch_loss(epoch)`` returns."""
+    state = adam_init(params)
+    for epoch in range(1, config.epochs + 1):
+        _step(params, state, config, epoch_loss(epoch), epoch)
+
+
+def _fit_link_head(
+    pair_features, width: int, local: SimilarityGraph, train_idx: np.ndarray,
+    config: TrainConfig, init_label: str, pairs_label: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(w, b) of a logistic link head over frozen ``pair_features(i, j)`` rows of
+    ``width`` columns, trained on balanced pairs drawn afresh each epoch."""
+    head = {"w": _uniform(config.seed, init_label, width, 1), "b": np.zeros((1, 1))}
+
+    def epoch_loss(epoch):
+        rng = generator(config.seed, pairs_label, epoch)
+        li, lj, e = _sample_pair_arrays(local, local.num_edges, rng)
+        x = pair_features(train_idx[li], train_idx[lj])
+        y = e.reshape(-1, 1).astype(np.float64)
+        return lambda tape, t: ad.bce_mean(_logistic(x, t["w"], t["b"]), y)
+
+    _fit(head, config, epoch_loss)
+    return head["w"], head["b"]
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +358,22 @@ class TrainResult:
     best_metric: float | None = None
 
 
-def _split_key(splits: dict, names: tuple[str, ...]) -> str | None:
-    for name in names:
-        if name in splits:
-            return name
-    return None
+def _train_split(bundle) -> tuple[np.ndarray, SimilarityGraph]:
+    """The train (else base) split's item indices and the links among them."""
+    train_key = next((k for k in ("train", "base") if k in bundle.splits), None)
+    if train_key is None:
+        raise ContractError("bundle has no train/base split")
+    train_idx = np.asarray(bundle.splits[train_key], dtype=np.int64)
+    local = _local_graph(bundle.graph, train_idx)
+    if local.num_edges == 0:
+        raise SamplingError("training split has no linked pairs")
+    return train_idx, local
+
+
+def _uniform(seed: int, label: str, rows: int, cols: int) -> np.ndarray:
+    """A rows x cols init, uniform in +-1/sqrt(rows), from its own stream."""
+    bound = 1.0 / np.sqrt(rows)
+    return generator(seed, label).uniform(-bound, bound, size=(rows, cols))
 
 
 def _local_graph(graph: SimilarityGraph, indices: np.ndarray) -> SimilarityGraph:
@@ -363,11 +419,9 @@ class _Validator:
         self.pairs = None
         self.labels = None
         self.episodes = None
-        splits = bundle.splits
-        val_key = _split_key(splits, ("val",))
-        if val_key is None:
+        if "val" not in bundle.splits:
             return
-        val_idx = np.asarray(splits[val_key], dtype=np.int64)
+        val_idx = np.asarray(bundle.splits["val"], dtype=np.int64)
         if self.metric == "fewshot":
             from .data import build_episodes  # deferred: avoids import at module load
 
@@ -378,7 +432,7 @@ class _Validator:
                 try:
                     self.episodes = build_episodes(
                         bundle, n_way=5, k_shot=5, n_query=8, count=20,
-                        seed=derive_seed(config.seed, "val-episodes"), split=val_key,
+                        seed=derive_seed(config.seed, "val-episodes"), split="val",
                     )
                     return
                 except Exception:
@@ -447,11 +501,7 @@ def train_pan(
                 f"{config.fa} label dimension {expected}"
             )
 
-    train_key = _split_key(bundle.splits, ("train", "base"))
-    if train_key is None:
-        raise ContractError("bundle has no train/base split")
-    train_idx = np.asarray(bundle.splits[train_key], dtype=np.int64)
-    local = _local_graph(bundle.graph, train_idx)
+    train_idx, local = _train_split(bundle)
     global_graph = bundle.graph.subgraph_edges(train_idx)
 
     model = init_model(encoder_spec, csm_config, d, config.seed)
@@ -460,9 +510,7 @@ def train_pan(
     validator = _Validator(bundle, config)
 
     history: list[HistoryRow] = []
-    best_metric: float | None = None
-    best_epoch = 0
-    best_params = {k: v.copy() for k, v in params.items()}
+    best, best_metric, best_epoch = model, None, config.epochs
     count_per_class = local.num_edges
     if config.pairs_per_epoch is not None:
         count_per_class = min(count_per_class, config.pairs_per_epoch)
@@ -489,60 +537,39 @@ def train_pan(
             labels, mask = pair_label_matrix(table, gi, gj, config.fa)
 
         batch_rng = generator(config.seed, "batch-order", epoch)
-        batches = _epoch_batches(len(e), config, batch_rng)
         epoch_loss = 0.0
-        for step, batch in enumerate(batches):
-            if batch.size == 0:
-                continue
-            tape = ad.Tape()
-            tensors = {k: tape.parameter(v, k) for k, v in params.items()}
-            masks = (
-                dropout_masks_for_epoch(
-                    encoder_spec, n, derive_seed(config.seed, "layer-drop", epoch, step)
+        for step, batch in enumerate(_epoch_batches(len(e), config, batch_rng)):
+            masks = dropout_masks_for_epoch(
+                encoder_spec, n, derive_seed(config.seed, "layer-drop", epoch, step)
+            )
+
+            def loss_fn(tape, tensors):
+                h = encode_on_tape(
+                    encoder_spec, tape.constant(features), tensors, propagation, masks
                 )
-                if encoder_spec.kind == "gcn"
-                else None
-            )
-            h = encode_on_tape(
-                encoder_spec, tape.constant(features), tensors, propagation, masks
-            )
-            diff = ad.pair_abs_diff(h, gi[batch], gj[batch])
-            rho, _, p = csm_mod.csm_on_tape(diff, tensors, csm_config)
-            loss = ad.bce_mean(p, e[batch].reshape(-1, 1).astype(np.float64))
-            if labels is not None and mask[batch].any():
-                rho_sup = (
-                    ad.slice_cols(rho, 0, supervised_count)
-                    if supervised_count < csm_config.m
-                    else rho
-                )
-                attr_term = ad.masked_bce_mean(rho_sup, labels[batch], mask[batch])
-                loss = ad.add(loss, ad.scale(attr_term, config.lambda_))
-            grads = ad.backward(tape, loss)
-            adam_step(
-                params, grads, state, config.learning_rate,
-                config.beta1, config.beta2, config.eps,
-            )
-            epoch_loss += loss.item() * batch.size
+                diff = ad.pair_abs_diff(h, gi[batch], gj[batch])
+                rho, _, p = csm_mod.csm_on_tape(diff, tensors, csm_config)
+                loss = ad.bce_mean(p, e[batch].reshape(-1, 1).astype(np.float64))
+                if labels is not None and mask[batch].any():
+                    rho_sup = (
+                        ad.slice_cols(rho, 0, supervised_count)
+                        if supervised_count < csm_config.m
+                        else rho
+                    )
+                    attr_term = ad.masked_bce_mean(rho_sup, labels[batch], mask[batch])
+                    loss = ad.add(loss, ad.scale(attr_term, config.lambda_))
+                return loss
+
+            epoch_loss += _step(params, state, config, loss_fn, epoch) * batch.size
         epoch_loss /= len(e)
-        if not np.isfinite(epoch_loss):
-            raise NumericError(f"non-finite training loss at epoch {epoch}")
 
         val_value = None
         if epoch % config.validation_every == 0 or epoch == config.epochs:
             val_value = validator(model)
             if val_value is not None and (best_metric is None or val_value > best_metric):
-                best_metric = val_value
-                best_epoch = epoch
-                best_params = {k: v.copy() for k, v in params.items()}
+                best, best_metric, best_epoch = model.copy(), val_value, epoch
         history.append(HistoryRow(epoch, epoch_loss, val_value))
 
-    if best_metric is None:
-        best_params = params
-        best_epoch = config.epochs
-    best = model.copy()
-    best_refs = best.trainable_params()
-    for name, value in best_params.items():
-        best_refs[name][:] = value
     return TrainResult(model=best, history=history, best_epoch=best_epoch, best_metric=best_metric)
 
 
@@ -568,8 +595,6 @@ def _sample_triplets(
     local: SimilarityGraph, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All positive pairs as (anchor, positive), one random unlinked negative each."""
-    if local.num_edges == 0:
-        raise SamplingError("no linked pairs to build triplets from")
     edges = local.pairs
     anchors, positives = edges[:, 0], edges[:, 1]
     negatives = np.empty(len(edges), dtype=np.int64)
@@ -599,62 +624,35 @@ def train_siamese_baseline(
     if margin < 0:
         raise ContractError(f"margin must be nonnegative, got {margin}")
     features = ad.as_matrix(bundle.features)
-    n, d = features.shape
+    d = features.shape[1]
     e_dim = embed_dim or d
-    train_key = _split_key(bundle.splits, ("train", "base"))
-    train_idx = np.asarray(bundle.splits[train_key], dtype=np.int64)
-    local = _local_graph(bundle.graph, train_idx)
-    if local.num_edges == 0:
-        raise SamplingError("training split has no linked pairs")
-
-    init_rng = generator(config.seed, "siamese-init")
-    bound = 1.0 / np.sqrt(d)
-    params = {"embed_w": init_rng.uniform(-bound, bound, size=(d, e_dim))}
-    state = adam_init(params)
+    train_idx, local = _train_split(bundle)
     x_train = features[train_idx]
+    params = {"embed_w": _uniform(config.seed, "siamese-init", d, e_dim)}
 
-    for epoch in range(1, config.epochs + 1):
-        rng = generator(config.seed, "triplets", epoch)
-        a_idx, p_idx, n_idx = _sample_triplets(local, rng)
-        tape = ad.Tape()
-        w = tape.parameter(params["embed_w"], "embed_w")
-        emb = ad.matmul(tape.constant(x_train), w)
-        anc = ad.gather_rows(emb, a_idx)
-        pos = ad.gather_rows(emb, p_idx)
-        neg = ad.gather_rows(emb, n_idx)
-        d_pos = _l2_rows(tape, anc, pos)
-        d_neg = _l2_rows(tape, anc, neg)
-        margins = tape.constant(np.full(d_pos.shape, float(margin)))
-        loss = ad.mean_all(ad.relu(ad.add(ad.subtract(d_pos, d_neg), margins)))
-        grads = ad.backward(tape, loss)
-        adam_step(params, grads, state, config.learning_rate,
-                  config.beta1, config.beta2, config.eps)
-        if not np.isfinite(loss.item()):
-            raise NumericError(f"non-finite triplet loss at epoch {epoch}")
+    def triplet_loss(epoch):
+        a_idx, p_idx, n_idx = _sample_triplets(local, generator(config.seed, "triplets", epoch))
 
+        def loss_fn(tape, tensors):
+            emb = ad.matmul(tape.constant(x_train), tensors["embed_w"])
+            anc = ad.gather_rows(emb, a_idx)
+            pos = ad.gather_rows(emb, p_idx)
+            neg = ad.gather_rows(emb, n_idx)
+            d_pos = _l2_rows(tape, anc, pos)
+            d_neg = _l2_rows(tape, anc, neg)
+            margins = tape.constant(np.full(d_pos.shape, float(margin)))
+            return ad.mean_all(ad.relu(ad.add(ad.subtract(d_pos, d_neg), margins)))
+
+        return loss_fn
+
+    _fit(params, config, triplet_loss)
     # stage 2: frozen embedding, logistic link prediction on |f_i - f_j|
     emb_all = features @ params["embed_w"]
-    head = {
-        "link_w": generator(config.seed, "link-init").uniform(
-            -1.0 / np.sqrt(e_dim), 1.0 / np.sqrt(e_dim), size=(e_dim, 1)
-        ),
-        "link_b": np.zeros((1, 1)),
-    }
-    head_state = adam_init(head)
-    count = local.num_edges
-    for epoch in range(1, config.epochs + 1):
-        rng = generator(config.seed, "link-pairs", epoch)
-        li, lj, e = _sample_pair_arrays(local, count, rng)
-        gi, gj = train_idx[li], train_idx[lj]
-        diff = ad.pair_abs_diff(emb_all, gi, gj)
-        tape = ad.Tape()
-        w = tape.parameter(head["link_w"], "link_w")
-        b = tape.parameter(head["link_b"], "link_b")
-        loss = ad.bce_mean(_logistic(diff, w, b), e.reshape(-1, 1).astype(np.float64))
-        grads = ad.backward(tape, loss)
-        adam_step(head, grads, head_state, config.learning_rate,
-                  config.beta1, config.beta2, config.eps)
-    return SiameseModel(params["embed_w"], head["link_w"], head["link_b"])
+    link_w, link_b = _fit_link_head(
+        lambda i, j: ad.pair_abs_diff(emb_all, i, j), e_dim, local, train_idx, config,
+        "link-init", "link-pairs",
+    )
+    return SiameseModel(params["embed_w"], link_w, link_b)
 
 
 # ---------------------------------------------------------------------------
@@ -683,71 +681,59 @@ class MultitaskModel:
 
 
 def train_multitask_baseline(
-    bundle, config: TrainConfig, encoder_spec: EncoderSpec | None = None
+    bundle,
+    config: TrainConfig,
+    encoder_spec: EncoderSpec | None = None,
+    attribute_table: AttributeTable | None = None,
 ) -> MultitaskModel:
     """Shared encoder; link head on |h_i - h_j| plus a per-image attribute head.
 
     The attribute loss is weighted by lambda and skipped entirely when lambda
-    is 0 or the bundle has no attributes, which makes those runs bit-identical
-    to a link-only model under the same seed.
-    """
+    is 0 or there are no attributes, which makes those runs bit-identical to a
+    link-only model under the same seed. ``attribute_table`` overrides the
+    bundle's table."""
     features = ad.as_matrix(bundle.features)
-    n, d = features.shape
+    d = features.shape[1]
     spec = encoder_spec or EncoderSpec(kind="mlp", layer_dims=(d,))
-    table = getattr(bundle, "attributes", None)
-    train_key = _split_key(bundle.splits, ("train", "base"))
-    train_idx = np.asarray(bundle.splits[train_key], dtype=np.int64)
-    local = _local_graph(bundle.graph, train_idx)
+    table = attribute_table if attribute_table is not None else getattr(bundle, "attributes", None)
+    train_idx, local = _train_split(bundle)
 
     weights = init_encoder_weights(spec, d, config.seed)
     h_dim = spec.output_dim(d)
-    params = dict(weights.as_dict())
-    params["link_w"] = generator(config.seed, "link-init").uniform(
-        -1.0 / np.sqrt(h_dim), 1.0 / np.sqrt(h_dim), size=(h_dim, 1)
-    )
+    params = weights.as_dict()
+    params["link_w"] = _uniform(config.seed, "link-init", h_dim, 1)
     params["link_b"] = np.zeros((1, 1))
-    use_attrs = table is not None and config.lambda_ > 0.0
+    use_attrs = table is not None and config.lambda_ > 0.0 and table.mask[train_idx].any()
     if table is not None:
         # drawn from its own stream so presence never shifts the link-path init
-        params["attr_w"] = generator(config.seed, "attr-head-init").uniform(
-            -1.0 / np.sqrt(h_dim), 1.0 / np.sqrt(h_dim), size=(h_dim, table.m)
-        )
+        params["attr_w"] = _uniform(config.seed, "attr-head-init", h_dim, table.m)
         params["attr_b"] = np.zeros((1, table.m))
-    state = adam_init(params)
-    count = local.num_edges
-    if count == 0:
-        raise SamplingError("training split has no linked pairs")
 
-    for epoch in range(1, config.epochs + 1):
+    def pair_loss(epoch):
         rng = generator(config.seed, "pairs", epoch)
-        li, lj, e = _sample_pair_arrays(local, count, rng)
+        li, lj, e = _sample_pair_arrays(local, local.num_edges, rng)
         gi, gj = train_idx[li], train_idx[lj]
-        tape = ad.Tape()
-        tensors = {k: tape.parameter(v, k) for k, v in params.items()}
-        h = encode_on_tape(spec, tape.constant(features), tensors)
-        diff = ad.pair_abs_diff(h, gi, gj)
-        link = _logistic(diff, tensors["link_w"], tensors["link_b"])
-        loss = ad.bce_mean(link, e.reshape(-1, 1).astype(np.float64))
-        if use_attrs and table.mask[train_idx].any():
-            h_train = ad.gather_rows(h, train_idx)
-            attr_loss = ad.masked_bce_mean(
-                _logistic(h_train, tensors["attr_w"], tensors["attr_b"]),
-                table.values[train_idx], table.mask[train_idx],
-            )
-            loss = ad.add(loss, ad.scale(attr_loss, config.lambda_))
-        grads = ad.backward(tape, loss)
-        adam_step(params, grads, state, config.learning_rate,
-                  config.beta1, config.beta2, config.eps)
-        if not np.isfinite(loss.item()):
-            raise NumericError(f"non-finite multitask loss at epoch {epoch}")
 
-    enc_weights = EncoderWeights(
-        spec.kind,
-        [params[f"enc_w{k}"] for k in range(len(weights.weights))],
-        [params[f"enc_b{k}"] for k in range(len(weights.biases))],
-    )
+        def loss_fn(tape, tensors):
+            h = encode_on_tape(spec, tape.constant(features), tensors)
+            diff = ad.pair_abs_diff(h, gi, gj)
+            link = _logistic(diff, tensors["link_w"], tensors["link_b"])
+            loss = ad.bce_mean(link, e.reshape(-1, 1).astype(np.float64))
+            if use_attrs:
+                h_train = ad.gather_rows(h, train_idx)
+                attr_loss = ad.masked_bce_mean(
+                    _logistic(h_train, tensors["attr_w"], tensors["attr_b"]),
+                    table.values[train_idx], table.mask[train_idx],
+                )
+                loss = ad.add(loss, ad.scale(attr_loss, config.lambda_))
+            return loss
+
+        return loss_fn
+
+    _fit(params, config, pair_loss)
+    # Adam updated the arrays of ``weights`` in place
     return MultitaskModel(
-        spec, enc_weights, params["link_w"], params["link_b"],
+        spec, weights, params["link_w"], params["link_b"],
         params.get("attr_w"), params.get("attr_b"),
     )
 
@@ -777,68 +763,47 @@ class AttrSimilarityModel:
 
 
 def train_attr_similarity_baseline(
-    bundle, config: TrainConfig, use_true_attributes: bool = False
+    bundle,
+    config: TrainConfig,
+    use_true_attributes: bool = False,
+    attribute_table: AttributeTable | None = None,
 ) -> AttrSimilarityModel:
-    """Stage 1 predicts attributes per image; stage 2 maps the concatenated
-    attribute vectors of a pair to a similarity logit."""
+    """Stage 1 predicts attributes per image (from ``attribute_table`` if given,
+    else the bundle's); stage 2 maps the concatenated attribute vectors of a
+    pair to a similarity logit."""
     features = ad.as_matrix(bundle.features)
-    table = getattr(bundle, "attributes", None)
+    table = attribute_table if attribute_table is not None else getattr(bundle, "attributes", None)
     if table is None:
         raise ContractError("attribute-similarity baseline requires an attribute table")
-    n, d = features.shape
-    train_key = _split_key(bundle.splits, ("train", "base"))
-    train_idx = np.asarray(bundle.splits[train_key], dtype=np.int64)
-    local = _local_graph(bundle.graph, train_idx)
-    if local.num_edges == 0:
-        raise SamplingError("training split has no linked pairs")
+    d = features.shape[1]
+    train_idx, local = _train_split(bundle)
 
     attr_w = attr_b = None
     if use_true_attributes:
         probs = np.where(table.mask == 1.0, table.values, 0.5)
     else:
         stage1 = {
-            "attr_w": generator(config.seed, "attr-stage1-init").uniform(
-                -1.0 / np.sqrt(d), 1.0 / np.sqrt(d), size=(d, table.m)
-            ),
+            "attr_w": _uniform(config.seed, "attr-stage1-init", d, table.m),
             "attr_b": np.zeros((1, table.m)),
         }
-        s1_state = adam_init(stage1)
         x_train = features[train_idx]
         v_train = table.values[train_idx]
         m_train = table.mask[train_idx]
-        for epoch in range(1, config.epochs + 1):
-            tape = ad.Tape()
-            w = tape.parameter(stage1["attr_w"], "attr_w")
-            b = tape.parameter(stage1["attr_b"], "attr_b")
-            loss = ad.masked_bce_mean(_logistic(x_train, w, b), v_train, m_train)
-            grads = ad.backward(tape, loss)
-            adam_step(stage1, grads, s1_state, config.learning_rate,
-                      config.beta1, config.beta2, config.eps)
+
+        def attribute_loss(tape, tensors):
+            predicted = _logistic(x_train, tensors["attr_w"], tensors["attr_b"])
+            return ad.masked_bce_mean(predicted, v_train, m_train)
+
+        _fit(stage1, config, lambda epoch: attribute_loss)
         attr_w, attr_b = stage1["attr_w"], stage1["attr_b"]
         probs = _logistic(features, attr_w, attr_b).value
 
-    m2 = 2 * table.m
-    stage2 = {
-        "pair_w": generator(config.seed, "attr-stage2-init").uniform(
-            -1.0 / np.sqrt(m2), 1.0 / np.sqrt(m2), size=(m2, 1)
-        ),
-        "pair_b": np.zeros((1, 1)),
-    }
-    s2_state = adam_init(stage2)
-    count = local.num_edges
-    for epoch in range(1, config.epochs + 1):
-        rng = generator(config.seed, "pairs", epoch)
-        li, lj, e = _sample_pair_arrays(local, count, rng)
-        stacked = _pair_concat(probs, train_idx[li], train_idx[lj])
-        tape = ad.Tape()
-        w = tape.parameter(stage2["pair_w"], "pair_w")
-        b = tape.parameter(stage2["pair_b"], "pair_b")
-        loss = ad.bce_mean(_logistic(stacked, w, b), e.reshape(-1, 1).astype(np.float64))
-        grads = ad.backward(tape, loss)
-        adam_step(stage2, grads, s2_state, config.learning_rate,
-                  config.beta1, config.beta2, config.eps)
+    pair_w, pair_b = _fit_link_head(
+        lambda i, j: _pair_concat(probs, i, j), 2 * table.m, local, train_idx, config,
+        "attr-stage2-init", "pairs",
+    )
     return AttrSimilarityModel(
-        attr_w, attr_b, stage2["pair_w"], stage2["pair_b"],
+        attr_w, attr_b, pair_w, pair_b,
         true_probs=probs if use_true_attributes else None,
     )
 

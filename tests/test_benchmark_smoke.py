@@ -29,3 +29,19 @@ def test_training_workload_passes_its_checks(workload):
     assert result["correct"] is True, proc.stderr
     assert result["failed"] == 0, proc.stderr
     assert result["attempted"] >= 1
+
+
+def test_traced_run_attributes_time_to_each_training_layer():
+    # the tracer patches module globals, so a trainer that binds one of these
+    # names early would read 0 here
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/run.py", "--workload", "train-mlp", "--seed", "1",
+         "--seconds", "1", "--trace", "1", "--smoke"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, proc.stderr
+    for layer in ("training.adam_ms", "training.sample_pairs_ms", "encoders.encode_tape_ms",
+                  "csm.tape_forward_ms", "autodiff.backward_ms"):
+        assert result["metrics"][layer]["value"] > 0, layer

@@ -108,12 +108,16 @@ class TestTrain:
         np.testing.assert_allclose(scores, rho.mean(axis=1), atol=1e-12)
 
     def test_randomize_labels_flag_changes_training(self, bundle_dir, tmp_path):
-        base = tmp_path / "plain"
-        rand = tmp_path / "rand"
-        common = ["--bundle", bundle_dir, "--epochs", 20, "--seed", 4]
-        assert run_cli("train", *common, "--out", base) == 0
-        assert run_cli("train", *common, "--out", rand, "--randomize-labels") == 0
-        assert (base / "checkpoint.json").read_bytes() != (rand / "checkpoint.json").read_bytes()
+        # every trainer that reads attributes; the Siamese baseline uses none
+        for baseline in ("none", "multitask", "attr-sim"):
+            base = tmp_path / baseline / "plain"
+            rand = tmp_path / baseline / "rand"
+            common = ["--bundle", bundle_dir, "--epochs", 20, "--seed", 4, "--baseline", baseline]
+            assert run_cli("train", *common, "--out", base) == 0
+            assert run_cli("train", *common, "--out", rand, "--randomize-labels") == 0
+            assert (base / "checkpoint.json").read_bytes() != (
+                rand / "checkpoint.json"
+            ).read_bytes(), baseline
 
     def test_baseline_checkpoints_round_trip(self, bundle_dir, tmp_path):
         for baseline in ("siamese", "multitask", "attr-sim"):

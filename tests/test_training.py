@@ -318,6 +318,26 @@ class TestTrainPan:
         assert len(res.history) == 5
 
 
+@pytest.mark.parametrize("train", [
+    lambda b, cfg: tr.train_pan(b, EncoderSpec(kind="identity"), CsmConfig(m=3), cfg),
+    lambda b, cfg: tr.train_siamese_baseline(b, margin=0.2, config=cfg),
+    lambda b, cfg: tr.train_multitask_baseline(b, cfg),
+    lambda b, cfg: tr.train_attr_similarity_baseline(b, cfg),
+], ids=["pan", "siamese", "multitask", "attr-sim"])
+def test_every_trainer_rejects_a_bundle_it_cannot_train_on(separable_bundle, train):
+    b = separable_bundle
+    splits = {k: v for k, v in b.splits.items() if k not in ("train", "base")}
+    no_split = DatasetBundle(b.features, b.graph, splits, b.attributes, None, None)
+    with pytest.raises(ContractError, match="no train/base split"):
+        train(no_split, quick_config(epochs=2))
+    # a train split without links fails before the first epoch, even with none
+    no_links = DatasetBundle(
+        b.features, SimilarityGraph(b.n), dict(b.splits), b.attributes, None, None
+    )
+    with pytest.raises(SamplingError, match="no linked pairs"):
+        train(no_links, quick_config(epochs=0))
+
+
 class TestOneForward:
     """Training and evaluation score a pair through the same primitives."""
 
