@@ -26,7 +26,7 @@ from . import data as data_mod
 from . import evaluation as ev
 from . import training as tr
 from .attributes import label_dimension, randomize_labels
-from .encoders import EncoderSpec, SimilarityGraph, within_pairs
+from .encoders import EncoderSpec, SimilarityGraph, layer_count, within_pairs
 from .errors import (
     BundleFormatError,
     ContractError,
@@ -60,10 +60,6 @@ def _config_fingerprint(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
-
-
 def _write_run_manifest(out_dir: Path, command: str, config: dict) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -71,14 +67,14 @@ def _write_run_manifest(out_dir: Path, command: str, config: dict) -> dict:
         "config": config,
         "fingerprint": _config_fingerprint(config),
     }
-    _write_json(out_dir / "run.json", manifest)
+    tr.write_json(out_dir / "run.json", manifest)
     return manifest
 
 
 def _write_metric_files(out_dir: Path, report: ev.MetricReport, fingerprint: str) -> None:
     payload = report.to_dict()
     payload["config_fingerprint"] = fingerprint
-    _write_json(out_dir / "metrics.json", payload)
+    tr.write_json(out_dir / "metrics.json", payload)
     low = "" if report.interval is None else repr(float(report.interval[0]))
     high = "" if report.interval is None else repr(float(report.interval[1]))
     lines = [
@@ -127,7 +123,7 @@ def _cmd_gen(args) -> int:
     _write_run_manifest(out_dir, "gen", config)
     bundle, report = data_mod.generate(spec, seed)
     data_mod.save_bundle(out_dir, bundle)
-    _write_json(out_dir / "oracle_report.json", report)
+    tr.write_json(out_dir / "oracle_report.json", report)
     print(f"wrote bundle with {bundle.n} items, {bundle.graph.num_edges} edges to {out_dir}")
     return 0
 
@@ -260,7 +256,7 @@ def _train_once(args, bundle, out_dir: Path, seed: int) -> dict:
         manifest["history"] = [
             [row.epoch, row.train_loss, row.val_metric] for row in result.history
         ]
-        _write_json(out_dir / "run.json", manifest)
+        tr.write_json(out_dir / "run.json", manifest)
         summary = {
             "best_epoch": result.best_epoch,
             "best_val_metric": result.best_metric,
@@ -270,7 +266,7 @@ def _train_once(args, bundle, out_dir: Path, seed: int) -> dict:
         model = _train_baseline(args, bundle, config, table)
         tr.save_baseline(out_dir / "checkpoint.json", args.baseline, model)
         summary = {"baseline": args.baseline}
-    _write_json(out_dir / "summary.json", summary)
+    tr.write_json(out_dir / "summary.json", summary)
     return {"summary": summary, "fingerprint": manifest["fingerprint"]}
 
 
@@ -280,10 +276,6 @@ def _train_baseline(args, bundle, config: tr.TrainConfig, table):
     if args.baseline == "multitask":
         return tr.train_multitask_baseline(bundle, config, attribute_table=table)
     return tr.train_attr_similarity_baseline(bundle, config, attribute_table=table)
-
-
-def load_any_checkpoint(path):
-    return tr.load_checkpoint(path, tr.checkpoint_from_dict)
 
 
 def _cmd_train(args) -> int:
@@ -331,15 +323,10 @@ def _eval_split(args, bundle) -> str:
 
 
 def _check_dims(model, bundle) -> None:
-    if isinstance(model, tr.ModelBundle):
-        if model.encoder_spec.kind == "identity":
-            expected = model.csm_params.d
-        else:
-            expected = model.encoder_weights.weights[0].shape[0]
-        if expected != bundle.d:
-            raise DimensionError(
-                f"checkpoint expects {expected}-dimensional features, bundle has {bundle.d}"
-            )
+    if isinstance(model, tr.ModelBundle) and model.input_dim != bundle.d:
+        raise DimensionError(
+            f"checkpoint expects {model.input_dim}-dimensional features, bundle has {bundle.d}"
+        )
 
 
 def _sampled_split_pairs(bundle, split: str, seed: int, cap: int) -> np.ndarray:
@@ -368,7 +355,7 @@ def _cmd_eval(args) -> int:
     }
     manifest = _write_run_manifest(out_dir, "eval", config)
     fingerprint = manifest["fingerprint"]
-    models = [load_any_checkpoint(c) for c in args.checkpoint]
+    models = [tr.load_checkpoint(c) for c in args.checkpoint]
     for model in models:
         _check_dims(model, bundle)
     model = models[0]
@@ -474,32 +461,23 @@ def _parse_dims(text: str) -> tuple[int, int]:
     return out.get("d", 6), out.get("m", 4)
 
 
-def _kink_margin(kind, spec, params, feats, idx_i, idx_j, propagate) -> float:
+def _kink_margin(kind, params, feats, idx_i, idx_j, propagate) -> float:
     """Distance of the nearest relu/abs kink from its argument.
 
     Central differences are only valid away from non-differentiable points,
     so compositions that land too close to one are redrawn.
     """
-    if kind == "csm":
-        h = feats
-        margin = np.inf
-    else:
-        weights = tr.EncoderWeights(
-            spec.kind,
-            [params[f"enc_w{k}"] for k in range(sum(1 for p in params if p.startswith("enc_w")))],
-            [params[f"enc_b{k}"] for k in range(sum(1 for p in params if p.startswith("enc_b")))],
-        )
-        margin = np.inf
-        if spec.kind == "mlp":
-            pre = feats @ weights.weights[0] + weights.biases[0]
+    h = feats
+    margin = np.inf
+    if kind == "mlp":
+        pre = feats @ params["enc_w0"] + params["enc_b0"]
+        margin = float(np.abs(pre).min())
+        h = np.maximum(pre, 0.0) @ params["enc_w1"] + params["enc_b1"]
+    elif kind == "gcn":
+        for k in range(layer_count(params)):
+            pre = propagate(h) @ params[f"enc_w{k}"]
             margin = min(margin, float(np.abs(pre).min()))
-            h = np.maximum(pre, 0.0) @ weights.weights[1] + weights.biases[1]
-        else:
-            h = feats
-            for w in weights.weights:
-                pre = propagate(h) @ w
-                margin = min(margin, float(np.abs(pre).min()))
-                h = np.maximum(pre, 0.0)
+            h = np.maximum(pre, 0.0)
     # an exactly-zero abs argument is symmetric under central differences and
     # matches the subgradient 0; only near-zero nonzero entries are unsafe
     diff = h[idx_i] - h[idx_j]
@@ -520,6 +498,12 @@ def gradcheck_composition(seed: int, d: int, m: int, step: float = 1e-5):
     kind = ("csm", "mlp", "gcn")[seed % 3]
     n, n_pairs = 8, 6
     cfg = csm_mod.CsmConfig(m=m)
+    if kind == "csm":
+        spec = EncoderSpec(kind="identity")
+    elif kind == "mlp":
+        spec = EncoderSpec(kind="mlp", layer_dims=(d + 1, d))
+    else:
+        spec = EncoderSpec(kind="gcn", num_layers=2, hidden_dim=d, activation="relu")
     from .encoders import encode_on_tape, init_encoder_weights
 
     for attempt in range(64):
@@ -530,17 +514,11 @@ def gradcheck_composition(seed: int, d: int, m: int, step: float = 1e-5):
         e = rng.integers(0, 2, size=(n_pairs, 1)).astype(float)
         labels = rng.integers(0, 2, size=(n_pairs, m)).astype(float)
         mask = rng.integers(0, 2, size=(n_pairs, m)).astype(float)
-        params = dict(csm_mod.init_params(d, m, derive_seed(seed, attempt)).as_dict())
-
+        draw_seed = derive_seed(seed, attempt)
+        # the identity encoder has no parameters: the features themselves are checked
+        params = csm_mod.init_params(d, m, draw_seed) | init_encoder_weights(spec, d, draw_seed)
         if kind == "csm":
-            spec = EncoderSpec(kind="identity")
             params["features"] = feats
-        elif kind == "mlp":
-            spec = EncoderSpec(kind="mlp", layer_dims=(d + 1, d))
-            params.update(init_encoder_weights(spec, d, derive_seed(seed, attempt)).as_dict())
-        else:
-            spec = EncoderSpec(kind="gcn", num_layers=2, hidden_dim=d, activation="relu")
-            params.update(init_encoder_weights(spec, d, derive_seed(seed, attempt)).as_dict())
         edges = set()
         while len(edges) < n:
             a, b = rng.integers(0, n, size=2)
@@ -565,7 +543,7 @@ def gradcheck_composition(seed: int, d: int, m: int, step: float = 1e-5):
             node = ad.scale(ad.mean_all(ad.sigmoid(h)), 0.25)
             return ad.add(ad.add(link, attr), node)
 
-        if _kink_margin(kind, spec, params, feats, idx_i, idx_j, propagate) <= 64 * step:
+        if _kink_margin(kind, params, feats, idx_i, idx_j, propagate) <= 64 * step:
             continue
         probe = ad.Tape()
         tensors = {k: probe.parameter(v, k) for k, v in params.items()}
@@ -651,7 +629,7 @@ def _sweep_one(packed) -> tuple[str, int, float | None, str | None]:
         seed = derive_seed(args.seed if args.seed is not None else _default_seed(),
                            "sweep", value, run)
         _train_once(args, bundle, run_dir, seed)
-        model = load_any_checkpoint(run_dir / "checkpoint.json")
+        model = tr.load_checkpoint(run_dir / "checkpoint.json")
         split = args.eval_split
         if split is None:
             split = "test" if "test" in bundle.splits else "novel"

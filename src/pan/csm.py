@@ -52,45 +52,15 @@ class CsmConfig:
 
 
 @dataclass
-class CsmParameters:
-    """w1/b1 produce condition scores, w2/b2 produce relevance logits."""
-
-    w1: np.ndarray  # d x M
-    b1: np.ndarray  # 1 x M
-    w2: np.ndarray  # d x M
-    b2: np.ndarray  # 1 x M
-
-    def __post_init__(self):
-        self.w1 = ad.as_matrix(self.w1)
-        self.w2 = ad.as_matrix(self.w2, *self.w1.shape)
-        m = self.w1.shape[1]
-        self.b1 = ad.as_matrix(self.b1, 1, m)
-        self.b2 = ad.as_matrix(self.b2, 1, m)
-
-    @property
-    def d(self) -> int:
-        return self.w1.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.w1.shape[1]
-
-    def copy(self) -> "CsmParameters":
-        return CsmParameters(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        return {"csm_w1": self.w1, "csm_b1": self.b1, "csm_w2": self.w2, "csm_b2": self.b2}
-
-
-@dataclass
 class CsmOutput:
     rho: np.ndarray    # (M,)
     omega: np.ndarray  # (M,)
     p: float
 
 
-def init_params(d: int, m: int, seed: int) -> CsmParameters:
-    """Weights uniform in [-1/sqrt(d), 1/sqrt(d)], biases zero.
+def init_params(d: int, m: int, seed: int) -> dict[str, np.ndarray]:
+    """csm_w1/csm_b1 produce condition scores, csm_w2/csm_b2 relevance logits:
+    d x M weights uniform in [-1/sqrt(d), 1/sqrt(d)], 1 x M biases zero.
 
     With zero biases an untrained model scores identical inputs at exactly 0.5.
     """
@@ -100,21 +70,22 @@ def init_params(d: int, m: int, seed: int) -> CsmParameters:
     bound = 1.0 / np.sqrt(d)
     w1 = rng.uniform(-bound, bound, size=(d, m))
     w2 = rng.uniform(-bound, bound, size=(d, m))
-    return CsmParameters(w1, np.zeros((1, m)), w2, np.zeros((1, m)))
+    return {"csm_w1": w1, "csm_b1": np.zeros((1, m)), "csm_w2": w2, "csm_b2": np.zeros((1, m))}
 
 
-def csm_forward(h_i, h_j, params: CsmParameters, config: CsmConfig) -> CsmOutput:
+def csm_forward(h_i, h_j, params: dict, config: CsmConfig) -> CsmOutput:
     """Score one pair. Symmetric in its two feature arguments bit-for-bit."""
-    if config.m != params.m:
-        raise ContractError(f"config m={config.m} does not match parameters m={params.m}")
+    d, m = params["csm_w1"].shape
+    if config.m != m:
+        raise ContractError(f"config m={config.m} does not match parameters m={m}")
     h_i = ad.as_matrix(h_i)
     h_j = ad.as_matrix(h_j)
-    if h_i.shape != (1, params.d) or h_j.shape != (1, params.d):
+    if h_i.shape != (1, d) or h_j.shape != (1, d):
         raise DimensionError(
-            f"feature vectors must have length d={params.d}, got {h_i.shape} and {h_j.shape}"
+            f"feature vectors must have length d={d}, got {h_i.shape} and {h_j.shape}"
         )
     diff = ad.pair_abs_diff(np.concatenate([h_i, h_j]), [0], [1])
-    rho, omega, p = csm_on_tape(diff, params.as_dict(), config)
+    rho, omega, p = csm_on_tape(diff, params, config)
     return CsmOutput(rho=rho.value[0], omega=omega.value[0], p=p.item())
 
 
@@ -150,30 +121,28 @@ def matrix_to_hex(arr: np.ndarray) -> dict:
 
 
 def matrix_from_hex(obj: dict) -> np.ndarray:
+    """The matrix of ``matrix_to_hex``; a wrong value count or non-finite entry raises."""
     rows, cols = int(obj["rows"]), int(obj["cols"])
     values = [float.fromhex(v) for v in obj["values"]]
     if len(values) != rows * cols:
         raise ContractError(
             f"matrix payload has {len(values)} values for shape ({rows}, {cols})"
         )
-    return np.array(values, dtype=np.float64).reshape(rows, cols)
+    return ad.as_matrix(np.reshape(values, (rows, cols)))
 
 
-def params_to_dict(params: CsmParameters) -> dict:
-    return {
-        "d": params.d,
-        "m": params.m,
-        "w1": matrix_to_hex(params.w1),
-        "b1": matrix_to_hex(params.b1),
-        "w2": matrix_to_hex(params.w2),
-        "b2": matrix_to_hex(params.b2),
-    }
+def params_to_dict(params: dict) -> dict:
+    """The checkpoint's csm block: d, m and w1, b1, w2, b2 as hex matrices."""
+    d, m = params["csm_w1"].shape
+    hexed = {name: matrix_to_hex(params[f"csm_{name}"]) for name in ("w1", "b1", "w2", "b2")}
+    return {"d": d, "m": m, **hexed}
 
 
-def params_from_dict(obj: dict) -> CsmParameters:
-    return CsmParameters(
-        matrix_from_hex(obj["w1"]),
-        matrix_from_hex(obj["b1"]),
-        matrix_from_hex(obj["w2"]),
-        matrix_from_hex(obj["b2"]),
-    )
+def params_from_dict(obj: dict) -> dict[str, np.ndarray]:
+    """The parameter dict of a csm block, with b1, w2, b2 shaped to match w1."""
+    w1 = matrix_from_hex(obj["w1"])
+    d, m = w1.shape
+    params = {"csm_w1": w1}
+    for name, shape in (("b1", (1, m)), ("w2", (d, m)), ("b2", (1, m))):
+        params[f"csm_{name}"] = ad.as_matrix(matrix_from_hex(obj[name]), *shape)
+    return params

@@ -9,7 +9,7 @@ feature dimension, then n*d float32 values (widened to float64 on load).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -205,7 +205,7 @@ def drop_edges(g: SimilarityGraph, p: float, seed: int) -> SimilarityGraph:
 
 
 # ---------------------------------------------------------------------------
-# encoder specifications and weights
+# encoder specifications and parameters
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -239,47 +239,27 @@ class EncoderSpec:
         return self.hidden_dim
 
 
-@dataclass
-class EncoderWeights:
-    kind: str
-    weights: list[np.ndarray] = field(default_factory=list)
-    biases: list[np.ndarray] = field(default_factory=list)  # mlp only
-
-    def copy(self) -> "EncoderWeights":
-        return EncoderWeights(
-            self.kind,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        out = {}
-        for idx, w in enumerate(self.weights):
-            out[f"enc_w{idx}"] = w
-        for idx, b in enumerate(self.biases):
-            out[f"enc_b{idx}"] = b
-        return out
-
-
-def init_encoder_weights(spec: EncoderSpec, d_in: int, seed: int) -> EncoderWeights:
-    """Per-layer uniform(+-1/sqrt(fan_in)) weights; zero biases for the MLP."""
-    rng = generator(seed, "encoder-init")
+def init_encoder_weights(spec: EncoderSpec, d_in: int, seed: int) -> dict[str, np.ndarray]:
+    """enc_w{k} per layer, uniform(+-1/sqrt(fan_in)), and zero enc_b{k} for an
+    MLP; the identity encoder has no parameters."""
     if spec.kind == "identity":
-        return EncoderWeights("identity")
-    weights, biases = [], []
+        return {}
+    rng = generator(seed, "encoder-init")
+    params = {}
+    dims = spec.layer_dims if spec.kind == "mlp" else (spec.hidden_dim,) * spec.num_layers
     fan_in = d_in
-    if spec.kind == "mlp":
-        for dim in spec.layer_dims:
-            bound = 1.0 / np.sqrt(fan_in)
-            weights.append(rng.uniform(-bound, bound, size=(fan_in, dim)))
-            biases.append(np.zeros((1, dim)))
-            fan_in = dim
-        return EncoderWeights("mlp", weights, biases)
-    for _ in range(spec.num_layers):
+    for idx, dim in enumerate(dims):
         bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, spec.hidden_dim)))
-        fan_in = spec.hidden_dim
-    return EncoderWeights("gcn", weights)
+        params[f"enc_w{idx}"] = rng.uniform(-bound, bound, size=(fan_in, dim))
+        if spec.kind == "mlp":
+            params[f"enc_b{idx}"] = np.zeros((1, dim))
+        fan_in = dim
+    return params
+
+
+def layer_count(params: dict) -> int:
+    """How many encoder layers a parameter dict holds (its enc_w{k} entries)."""
+    return sum(1 for k in params if k.startswith("enc_w"))
 
 
 def dropout_masks_for_epoch(
@@ -315,7 +295,7 @@ def encode_on_tape(
     x = x if isinstance(x, ad.Tensor) else ad.Tensor(ad.as_matrix(x))
     if spec.kind == "identity":
         return x
-    layers = sum(1 for k in params if k.startswith("enc_w"))
+    layers = layer_count(params)
     h = x
     if spec.kind == "mlp":
         for idx in range(layers):

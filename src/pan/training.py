@@ -25,12 +25,12 @@ from . import csm as csm_mod
 from .attributes import AttributeTable, FA_CHOICES, label_dimension, pair_label_matrix
 from .encoders import (
     EncoderSpec,
-    EncoderWeights,
     SimilarityGraph,
     drop_edges,
     dropout_masks_for_epoch,
     encode_on_tape,
     init_encoder_weights,
+    layer_count,
     pair_array,
     within_pairs,
 )
@@ -249,7 +249,7 @@ def _fit_link_head(
 # ---------------------------------------------------------------------------
 
 def _encode_untaped(
-    spec: EncoderSpec, weights: EncoderWeights, features, graph: SimilarityGraph | None = None
+    spec: EncoderSpec, params: dict, features, graph: SimilarityGraph | None = None
 ) -> ad.Tensor:
     """Evaluation-mode encoding, no dropout; a GCN without a graph sees
     self-loops only."""
@@ -257,7 +257,7 @@ def _encode_untaped(
     propagation = None
     if spec.kind == "gcn":
         propagation = (graph or SimilarityGraph(x.shape[0])).propagation()
-    return encode_on_tape(spec, x, _untaped(weights.as_dict()), propagation)
+    return encode_on_tape(spec, x, _untaped(params), propagation)
 
 
 def _untaped(arrays: dict[str, np.ndarray]) -> dict[str, ad.Tensor]:
@@ -284,37 +284,33 @@ def _pair_concat(values: np.ndarray, idx_i, idx_j) -> np.ndarray:
 
 @dataclass
 class ModelBundle:
+    """PAN: an encoder and the CSM, with every trainable matrix in ``params``
+    (enc_w{k}, enc_b{k}, csm_w1, csm_b1, csm_w2, csm_b2)."""
+
     encoder_spec: EncoderSpec
-    encoder_weights: EncoderWeights
-    csm_params: csm_mod.CsmParameters
     csm_config: csm_mod.CsmConfig
+    params: dict[str, np.ndarray]
 
     def copy(self) -> "ModelBundle":
         return ModelBundle(
-            self.encoder_spec,
-            self.encoder_weights.copy(),
-            self.csm_params.copy(),
-            self.csm_config,
+            self.encoder_spec, self.csm_config, {k: v.copy() for k, v in self.params.items()}
         )
 
-    def trainable_params(self) -> dict[str, np.ndarray]:
-        out = dict(self.encoder_weights.as_dict())
-        out.update(self.csm_params.as_dict())
-        return out
+    @property
+    def input_dim(self) -> int:
+        first = "csm_w1" if self.encoder_spec.kind == "identity" else "enc_w0"
+        return self.params[first].shape[0]
 
     def encode_all(
         self, features: np.ndarray, graph_context: SimilarityGraph | None = None
     ) -> np.ndarray:
-        return _encode_untaped(
-            self.encoder_spec, self.encoder_weights, features, graph_context
-        ).value
+        return _encode_untaped(self.encoder_spec, self.params, features, graph_context).value
 
     def _forward(self, pairs, features, graph_context):
         """(rho, omega, p) tensors: one encode_all, then the CSM on |h_i - h_j|."""
         h = ad.Tensor(self.encode_all(features, graph_context))
         return csm_mod.csm_on_tape(
-            ad.pair_abs_diff(h, *pair_array(pairs).T), _untaped(self.csm_params.as_dict()),
-            self.csm_config,
+            ad.pair_abs_diff(h, *pair_array(pairs).T), _untaped(self.params), self.csm_config
         )
 
     def pair_scores(
@@ -333,10 +329,11 @@ class ModelBundle:
 def init_model(
     encoder_spec: EncoderSpec, csm_config: csm_mod.CsmConfig, d_in: int, seed: int
 ) -> ModelBundle:
-    weights = init_encoder_weights(encoder_spec, d_in, seed)
     d_out = encoder_spec.output_dim(d_in)
-    params = csm_mod.init_params(d_out, csm_config.m, seed)
-    return ModelBundle(encoder_spec, weights, params, csm_config)
+    params = init_encoder_weights(encoder_spec, d_in, seed) | csm_mod.init_params(
+        d_out, csm_config.m, seed
+    )
+    return ModelBundle(encoder_spec, csm_config, params)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +502,7 @@ def train_pan(
     global_graph = bundle.graph.subgraph_edges(train_idx)
 
     model = init_model(encoder_spec, csm_config, d, config.seed)
-    params = model.trainable_params()
+    params = model.params
     state = adam_init(params)
     validator = _Validator(bundle, config)
 
@@ -579,16 +576,16 @@ def train_pan(
 
 @dataclass
 class SiameseModel:
-    """Linear embedding trained with a triplet loss, plus a dense link head."""
+    """Linear embedding trained with a triplet loss, plus a dense link head:
+    ``params`` holds embed_w (d x e), link_w (e x 1) and link_b (1 x 1)."""
 
-    embed_w: np.ndarray   # d x e
-    link_w: np.ndarray    # e x 1
-    link_b: np.ndarray    # 1 x 1
+    params: dict[str, np.ndarray]
 
     def pair_scores(self, pairs, features, graph_context=None) -> np.ndarray:
-        h = ad.matmul(features, self.embed_w)
+        p = self.params
+        h = ad.matmul(features, p["embed_w"])
         diff = ad.pair_abs_diff(h, *pair_array(pairs).T)
-        return _logistic(diff, self.link_w, self.link_b).value[:, 0]
+        return _logistic(diff, p["link_w"], p["link_b"]).value[:, 0]
 
 
 def _sample_triplets(
@@ -648,11 +645,11 @@ def train_siamese_baseline(
     _fit(params, config, triplet_loss)
     # stage 2: frozen embedding, logistic link prediction on |f_i - f_j|
     emb_all = features @ params["embed_w"]
-    link_w, link_b = _fit_link_head(
+    params["link_w"], params["link_b"] = _fit_link_head(
         lambda i, j: ad.pair_abs_diff(emb_all, i, j), e_dim, local, train_idx, config,
         "link-init", "link-pairs",
     )
-    return SiameseModel(params["embed_w"], link_w, link_b)
+    return SiameseModel(params)
 
 
 # ---------------------------------------------------------------------------
@@ -661,23 +658,22 @@ def train_siamese_baseline(
 
 @dataclass
 class MultitaskModel:
+    """A shared encoder with a link head (link_w, link_b) and, when trained
+    with attributes, a per-image attribute head (attr_w, attr_b)."""
+
     encoder_spec: EncoderSpec
-    encoder_weights: EncoderWeights
-    link_w: np.ndarray
-    link_b: np.ndarray
-    attr_w: np.ndarray | None = None
-    attr_b: np.ndarray | None = None
+    params: dict[str, np.ndarray]
 
     def pair_scores(self, pairs, features, graph_context=None) -> np.ndarray:
-        h = _encode_untaped(self.encoder_spec, self.encoder_weights, features)
+        h = _encode_untaped(self.encoder_spec, self.params, features)
         diff = ad.pair_abs_diff(h, *pair_array(pairs).T)
-        return _logistic(diff, self.link_w, self.link_b).value[:, 0]
+        return _logistic(diff, self.params["link_w"], self.params["link_b"]).value[:, 0]
 
     def attribute_scores(self, features: np.ndarray) -> np.ndarray:
-        if self.attr_w is None:
+        if "attr_w" not in self.params:
             raise ContractError("model was trained without an attribute head")
-        h = _encode_untaped(self.encoder_spec, self.encoder_weights, features)
-        return _logistic(h, self.attr_w, self.attr_b).value
+        h = _encode_untaped(self.encoder_spec, self.params, features)
+        return _logistic(h, self.params["attr_w"], self.params["attr_b"]).value
 
 
 def train_multitask_baseline(
@@ -698,9 +694,8 @@ def train_multitask_baseline(
     table = attribute_table if attribute_table is not None else getattr(bundle, "attributes", None)
     train_idx, local = _train_split(bundle)
 
-    weights = init_encoder_weights(spec, d, config.seed)
     h_dim = spec.output_dim(d)
-    params = weights.as_dict()
+    params = init_encoder_weights(spec, d, config.seed)
     params["link_w"] = _uniform(config.seed, "link-init", h_dim, 1)
     params["link_b"] = np.zeros((1, 1))
     use_attrs = table is not None and config.lambda_ > 0.0 and table.mask[train_idx].any()
@@ -731,11 +726,7 @@ def train_multitask_baseline(
         return loss_fn
 
     _fit(params, config, pair_loss)
-    # Adam updated the arrays of ``weights`` in place
-    return MultitaskModel(
-        spec, weights, params["link_w"], params["link_b"],
-        params.get("attr_w"), params.get("attr_b"),
-    )
+    return MultitaskModel(spec, params)
 
 
 # ---------------------------------------------------------------------------
@@ -744,22 +735,19 @@ def train_multitask_baseline(
 
 @dataclass
 class AttrSimilarityModel:
-    """The lossy two-stage pipeline: per-image attributes, then a dense pair head."""
+    """The lossy two-stage pipeline: per-image attributes (attr_w, attr_b, or
+    fed-through ground-truth true_probs), then a dense pair head (pair_w, pair_b)."""
 
-    attr_w: np.ndarray | None   # None when ground-truth attributes are fed through
-    attr_b: np.ndarray | None
-    pair_w: np.ndarray          # 2m x 1
-    pair_b: np.ndarray
-    true_probs: np.ndarray | None = None
+    params: dict[str, np.ndarray]
 
     def attribute_probs(self, features: np.ndarray) -> np.ndarray:
-        if self.true_probs is not None:
-            return self.true_probs
-        return _logistic(features, self.attr_w, self.attr_b).value
+        if "true_probs" in self.params:
+            return self.params["true_probs"]
+        return _logistic(features, self.params["attr_w"], self.params["attr_b"]).value
 
     def pair_scores(self, pairs, features, graph_context=None) -> np.ndarray:
         stacked = _pair_concat(self.attribute_probs(features), *pair_array(pairs).T)
-        return _logistic(stacked, self.pair_w, self.pair_b).value[:, 0]
+        return _logistic(stacked, self.params["pair_w"], self.params["pair_b"]).value[:, 0]
 
 
 def train_attr_similarity_baseline(
@@ -778,11 +766,11 @@ def train_attr_similarity_baseline(
     d = features.shape[1]
     train_idx, local = _train_split(bundle)
 
-    attr_w = attr_b = None
     if use_true_attributes:
         probs = np.where(table.mask == 1.0, table.values, 0.5)
+        params = {"true_probs": probs}
     else:
-        stage1 = {
+        params = {
             "attr_w": _uniform(config.seed, "attr-stage1-init", d, table.m),
             "attr_b": np.zeros((1, table.m)),
         }
@@ -794,18 +782,14 @@ def train_attr_similarity_baseline(
             predicted = _logistic(x_train, tensors["attr_w"], tensors["attr_b"])
             return ad.masked_bce_mean(predicted, v_train, m_train)
 
-        _fit(stage1, config, lambda epoch: attribute_loss)
-        attr_w, attr_b = stage1["attr_w"], stage1["attr_b"]
-        probs = _logistic(features, attr_w, attr_b).value
+        _fit(params, config, lambda epoch: attribute_loss)
+        probs = _logistic(features, params["attr_w"], params["attr_b"]).value
 
-    pair_w, pair_b = _fit_link_head(
+    params["pair_w"], params["pair_b"] = _fit_link_head(
         lambda i, j: _pair_concat(probs, i, j), 2 * table.m, local, train_idx, config,
         "attr-stage2-init", "pairs",
     )
-    return AttrSimilarityModel(
-        attr_w, attr_b, pair_w, pair_b,
-        true_probs=probs if use_true_attributes else None,
-    )
+    return AttrSimilarityModel(params)
 
 
 # ---------------------------------------------------------------------------
@@ -825,64 +809,66 @@ def spec_from_dict(obj: dict) -> EncoderSpec:
     return EncoderSpec(**values | {"layer_dims": tuple(values["layer_dims"])})
 
 
-def _write_checkpoint(path, obj: dict) -> None:
+def write_json(path, obj) -> None:
+    """The one JSON writer of every checkpoint, manifest and metrics file:
+    sorted keys, one-space indent, a final newline."""
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
 def model_to_dict(model: ModelBundle) -> dict:
+    params = model.params
+    layers = range(layer_count(params))
     return {
         "format": CHECKPOINT_FORMAT,
         "encoder": {
             **spec_to_dict(model.encoder_spec),
-            "weights": [csm_mod.matrix_to_hex(w) for w in model.encoder_weights.weights],
-            "biases": [csm_mod.matrix_to_hex(b) for b in model.encoder_weights.biases],
+            "weights": [csm_mod.matrix_to_hex(params[f"enc_w{k}"]) for k in layers],
+            "biases": [csm_mod.matrix_to_hex(params[f"enc_b{k}"])
+                       for k in layers if f"enc_b{k}" in params],
         },
         "csm": {
-            **csm_mod.params_to_dict(model.csm_params),
+            **csm_mod.params_to_dict(params),
             "relevance_enabled": model.csm_config.relevance_enabled,
         },
     }
 
 
 def model_from_dict(obj: dict) -> ModelBundle:
+    """The model of a checkpoint object, after one forward through it, so a
+    checkpoint whose matrices do not chain fails here rather than at scoring."""
     if obj.get("format") != CHECKPOINT_FORMAT:
         raise ContractError(f"unknown checkpoint format {obj.get('format')!r}")
     enc = obj["encoder"]
-    weights = EncoderWeights(
-        enc["kind"],
-        [csm_mod.matrix_from_hex(w) for w in enc["weights"]],
-        [csm_mod.matrix_from_hex(b) for b in enc["biases"]],
-    )
-    params = csm_mod.params_from_dict(obj["csm"])
-    cfg = csm_mod.CsmConfig(m=params.m, relevance_enabled=obj["csm"]["relevance_enabled"])
-    return ModelBundle(spec_from_dict(enc), weights, params, cfg)
+    params = {}
+    for prefix, key in (("enc_w", "weights"), ("enc_b", "biases")):
+        for k, matrix in enumerate(enc[key]):
+            params[f"{prefix}{k}"] = csm_mod.matrix_from_hex(matrix)
+    params |= csm_mod.params_from_dict(obj["csm"])
+    relevance = obj["csm"]["relevance_enabled"]
+    cfg = csm_mod.CsmConfig(m=params["csm_w1"].shape[1], relevance_enabled=relevance)
+    model = ModelBundle(spec_from_dict(enc), cfg, params)
+    model.pair_scores([(0, 0)], np.zeros((1, model.input_dim)))
+    return model
 
 
 def save_checkpoint(path, model: ModelBundle) -> None:
-    _write_checkpoint(path, model_to_dict(model))
+    write_json(path, model_to_dict(model))
+
+
+BASELINES = {
+    "siamese": SiameseModel, "multitask": MultitaskModel, "attr-sim": AttrSimilarityModel,
+}
 
 
 def save_baseline(path, kind: str, model) -> None:
     extra = {}
-    if kind == "siamese":
-        matrices = {"embed_w": model.embed_w, "link_w": model.link_w, "link_b": model.link_b}
-    elif kind == "multitask":
-        matrices = {"link_w": model.link_w, "link_b": model.link_b,
-                    **model.encoder_weights.as_dict()}
-        extra = {
-            "encoder": spec_to_dict(model.encoder_spec),
-            "n_enc_layers": len(model.encoder_weights.weights),
-        }
-    else:
-        matrices = {"pair_w": model.pair_w, "pair_b": model.pair_b}
-        if model.true_probs is not None:
-            matrices["true_probs"] = model.true_probs
-    if kind != "siamese" and model.attr_w is not None:
-        matrices |= {"attr_w": model.attr_w, "attr_b": model.attr_b}
-    _write_checkpoint(path, {
+    if kind == "multitask":  # n_enc_layers is not read back; it keeps the file layout
+        extra = {"encoder": spec_to_dict(model.encoder_spec),
+                 "n_enc_layers": layer_count(model.params)}
+    write_json(path, {
         "format": BASELINE_FORMAT,
         "kind": kind,
-        "matrices": {k: csm_mod.matrix_to_hex(v) for k, v in matrices.items()},
+        "matrices": {k: csm_mod.matrix_to_hex(v) for k, v in model.params.items()},
         **extra,
     })
 
@@ -891,34 +877,20 @@ def checkpoint_from_dict(obj: dict):
     """A PAN or baseline model from a checkpoint's JSON object."""
     if obj.get("format") != BASELINE_FORMAT:
         return model_from_dict(obj)
-    kind = obj["kind"]
-    mats = {k: csm_mod.matrix_from_hex(v) for k, v in obj["matrices"].items()}
-    if kind == "siamese":
-        return SiameseModel(mats["embed_w"], mats["link_w"], mats["link_b"])
-    if kind == "multitask":
-        spec = spec_from_dict(obj["encoder"])
-        n_layers = obj["n_enc_layers"]
-        weights = EncoderWeights(
-            spec.kind,
-            [mats[f"enc_w{k}"] for k in range(n_layers)],
-            [mats[f"enc_b{k}"] for k in range(n_layers) if f"enc_b{k}" in mats],
-        )
-        return MultitaskModel(
-            spec, weights, mats["link_w"], mats["link_b"],
-            mats.get("attr_w"), mats.get("attr_b"),
-        )
-    return AttrSimilarityModel(
-        mats.get("attr_w"), mats.get("attr_b"), mats["pair_w"], mats["pair_b"],
-        true_probs=mats.get("true_probs"),
-    )
+    model_class = BASELINES[obj["kind"]]
+    params = {k: csm_mod.matrix_from_hex(v) for k, v in obj["matrices"].items()}
+    if model_class is MultitaskModel:
+        return model_class(spec_from_dict(obj["encoder"]), params)
+    return model_class(params)
 
 
-def load_checkpoint(path, build=model_from_dict):
-    """``build`` applied to a checkpoint file's JSON object; a file that is not
-    JSON, lacks a key or holds a wrong type raises ContractError naming it."""
+def load_checkpoint(path):
+    """The PAN or baseline model in a checkpoint file; a file that is not JSON,
+    lacks a key, holds a wrong type, a non-finite matrix entry or matrices that
+    do not chain raises ContractError naming it."""
     try:
-        return build(json.loads(Path(path).read_text()))
-    except (ValueError, KeyError, TypeError, AttributeError, IndexError) as exc:
+        return checkpoint_from_dict(json.loads(Path(path).read_text()))
+    except (ValueError, KeyError, TypeError, AttributeError, IndexError, NumericError) as exc:
         raise ContractError(f"{path}: not a valid checkpoint ({type(exc).__name__}: {exc})") from exc
 
 

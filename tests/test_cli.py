@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pan import cli
+from pan import training as tr
 from pan.rng import derive_seed
 
 
@@ -100,7 +101,7 @@ class TestTrain:
         ) == 0
         from pan.data import load_bundle
 
-        model = cli.load_any_checkpoint(out / "checkpoint.json")
+        model = tr.load_checkpoint(out / "checkpoint.json")
         bundle = load_bundle(bundle_dir)
         pairs = [(0, 1), (3, 9), (10, 40)]
         scores = model.pair_scores(pairs, bundle.features)
@@ -126,7 +127,7 @@ class TestTrain:
                 "train", "--bundle", bundle_dir, "--out", out, "--epochs", 15,
                 "--seed", 5, "--baseline", baseline,
             ) == 0
-            model = cli.load_any_checkpoint(out / "checkpoint.json")
+            model = tr.load_checkpoint(out / "checkpoint.json")
             from pan.data import load_bundle
 
             bundle = load_bundle(bundle_dir)
@@ -205,7 +206,7 @@ class TestEval:
             value = json.loads((out / "metrics.json").read_text())["value"]
             expected = ev.recall_at_k(
                 bundle.features[q_idx], bundle.features[g_idx], bundle.categories[q_idx],
-                bundle.categories[g_idx], 1, model=cli.load_any_checkpoint(ckpt),
+                bundle.categories[g_idx], 1, model=tr.load_checkpoint(ckpt),
             ).value
             assert value == expected
             values.append(value)
@@ -322,8 +323,16 @@ class TestCleanFailures:
         return run_cli("eval", "--checkpoint", checkpoint, "--bundle", bundle_dir,
                        "--task", "pair-acc", "--out", out)
 
-    @pytest.mark.parametrize("case", ["not-json", "missing-key", "wrong-type"])
+    @pytest.mark.parametrize("case", [
+        "not-json", "missing-key", "wrong-type", "non-finite", "wrong-shape",
+        "non-finite-baseline",
+    ])
     def test_malformed_checkpoint(self, bundle_dir, trained_dir, tmp_path, capsys, case):
+        if case == "non-finite-baseline":
+            trained_dir = tmp_path / "siamese"
+            assert run_cli("train", "--bundle", bundle_dir, "--out", trained_dir,
+                           "--epochs", 2, "--seed", 1, "--baseline", "siamese") == 0
+            capsys.readouterr()
         obj = json.loads((trained_dir / "checkpoint.json").read_text())
         bad = tmp_path / f"{case}.json"
         if case == "not-json":
@@ -331,8 +340,18 @@ class TestCleanFailures:
         elif case == "missing-key":
             del obj["encoder"]
             bad.write_text(json.dumps(obj))
-        else:
+        elif case == "wrong-type":
             obj["encoder"]["weights"] = 5
+            bad.write_text(json.dumps(obj))
+        elif case == "non-finite":
+            obj["encoder"]["weights"][0]["values"][0] = "inf"
+            bad.write_text(json.dumps(obj))
+        elif case == "wrong-shape":
+            layer = obj["encoder"]["weights"][1]
+            layer["rows"], layer["cols"] = layer["cols"], layer["rows"]
+            bad.write_text(json.dumps(obj))
+        else:
+            obj["matrices"]["embed_w"]["values"][0] = "inf"
             bad.write_text(json.dumps(obj))
         assert self._eval(bundle_dir, bad, tmp_path / "out") == 1
         err = capsys.readouterr().err

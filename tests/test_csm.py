@@ -17,19 +17,20 @@ class TestInitParams:
     def test_same_seed_bit_identical(self):
         a = csm.init_params(5, 3, seed=11)
         b = csm.init_params(5, 3, seed=11)
-        for x, y in ((a.w1, b.w1), (a.b1, b.b1), (a.w2, b.w2), (a.b2, b.b2)):
+        for k in ("csm_w1", "csm_b1", "csm_w2", "csm_b2"):
+            x, y = a[k], b[k]
             assert np.array_equal(x, y)
 
     def test_biases_exactly_zero(self):
         p = csm.init_params(4, 6, seed=0)
-        assert not p.b1.any() and not p.b2.any()
+        assert not p["csm_b1"].any() and not p["csm_b2"].any()
 
     def test_entry_mean_within_three_sigma(self):
         d, m = 50, 100  # 10^4 draws total in w1
         p = csm.init_params(d, m, seed=3)
         bound = 1.0 / math.sqrt(d)
         sigma_mean = (2 * bound / math.sqrt(12.0)) / math.sqrt(d * m)
-        assert abs(p.w1.mean()) < 3 * sigma_mean
+        assert abs(p["csm_w1"].mean()) < 3 * sigma_mean
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ContractError):
@@ -49,21 +50,22 @@ class TestForward:
 
     def test_identical_inputs_general_biases(self):
         p = csm.init_params(3, 4, seed=2)
-        p.b1[:] = np.array([[0.5, -1.0, 2.0, 0.0]])
-        p.b2[:] = np.array([[1.0, 0.0, -0.5, 0.25]])
+        p["csm_b1"][:] = np.array([[0.5, -1.0, 2.0, 0.0]])
+        p["csm_b2"][:] = np.array([[1.0, 0.0, -0.5, 0.25]])
         h1 = np.array([[9.0, -3.0, 0.1]])
         h2 = np.array([[-2.0, 7.0, 4.4]])
         out1 = csm.csm_forward(h1, h1, p, make_config(4))
         out2 = csm.csm_forward(h2, h2, p, make_config(4))
-        np.testing.assert_array_equal(out1.rho, ad.sigmoid_values(p.b1)[0])
-        np.testing.assert_array_equal(out1.omega, ad.row_softmax_values(p.b2)[0])
+        np.testing.assert_array_equal(out1.rho, ad.sigmoid_values(p["csm_b1"])[0])
+        np.testing.assert_array_equal(out1.omega, ad.row_softmax_values(p["csm_b2"])[0])
         np.testing.assert_array_equal(out1.rho, out2.rho)
         np.testing.assert_array_equal(out1.omega, out2.omega)
 
     def test_hand_arithmetic(self):
-        params = csm.CsmParameters(
-            w1=np.eye(2), b1=np.zeros((1, 2)), w2=np.zeros((2, 2)), b2=np.zeros((1, 2))
-        )
+        params = {
+            "csm_w1": np.eye(2), "csm_b1": np.zeros((1, 2)),
+            "csm_w2": np.zeros((2, 2)), "csm_b2": np.zeros((1, 2)),
+        }
         out = csm.csm_forward([[1.0, 0.0]], [[0.0, 0.0]], params, make_config(2))
         sig1 = 1.0 / (1.0 + math.exp(-1.0))
         np.testing.assert_allclose(out.rho, [sig1, 0.5], atol=1e-12)
@@ -105,8 +107,8 @@ class TestForward:
     def test_logit_shift_leaves_omega_unchanged(self):
         rng = np.random.default_rng(10)
         p = csm.init_params(5, 4, seed=8)
-        shifted = p.copy()
-        shifted.b2 += 3.7  # common constant on every relevance logit
+        shifted = dict(p)
+        shifted["csm_b2"] = p["csm_b2"] + 3.7  # common constant on every relevance logit
         h_i, h_j = rng.normal(size=(1, 5)), rng.normal(size=(1, 5))
         a = csm.csm_forward(h_i, h_j, p, make_config(4))
         b = csm.csm_forward(h_i, h_j, shifted, make_config(4))
@@ -122,7 +124,7 @@ class TestForward:
 def batch_forward(pairs, feats, p, cfg):
     """Untaped (rho, omega, p) of csm_on_tape over |h_i - h_j| per index pair."""
     idx = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    return csm.csm_on_tape(ad.pair_abs_diff(feats, idx[:, 0], idx[:, 1]), p.as_dict(), cfg)
+    return csm.csm_on_tape(ad.pair_abs_diff(feats, idx[:, 0], idx[:, 1]), p, cfg)
 
 
 class TestBatchForward:
@@ -171,7 +173,7 @@ class TestGradients:
             return ad.add(link, attr)
 
         init = csm.init_params(d, m, seed=15)
-        params = dict(init.as_dict())
+        params = dict(init)
         params["features"] = feats
         assert ad.finite_diff_check(loss, params, step=1e-5) < 1e-4
 
@@ -179,10 +181,11 @@ class TestGradients:
 class TestCheckpointRoundTrip:
     def test_bit_identical_via_hex_floats(self):
         p = csm.init_params(6, 5, seed=21)
-        p.w1[0, 0] = 1.0 / 3.0  # not exactly representable in decimal
+        p["csm_w1"][0, 0] = 1.0 / 3.0  # not exactly representable in decimal
         blob = json.dumps(csm.params_to_dict(p), sort_keys=True)
         q = csm.params_from_dict(json.loads(blob))
-        for x, y in ((p.w1, q.w1), (p.b1, q.b1), (p.w2, q.w2), (p.b2, q.b2)):
+        for k in ("csm_w1", "csm_b1", "csm_w2", "csm_b2"):
+            x, y = p[k], q[k]
             assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 

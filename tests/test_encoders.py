@@ -211,14 +211,14 @@ class TestDropEdges:
 def untaped(spec, x, w, g=None, masks=None):
     """encode_on_tape on plain arrays: the evaluation forward."""
     propagation = g.propagation() if g is not None else None
-    return enc.encode_on_tape(spec, x, w.as_dict(), propagation, masks).value
+    return enc.encode_on_tape(spec, x, w, propagation, masks).value
 
 
 class TestEncode:
     def test_identity_returns_input(self):
         x = np.random.default_rng(1).normal(size=(4, 3))
         spec = enc.EncoderSpec(kind="identity")
-        np.testing.assert_array_equal(untaped(spec, x, enc.EncoderWeights("identity")), x)
+        np.testing.assert_array_equal(untaped(spec, x, {}), x)
 
     def test_gcn_empty_graph_one_linear_layer_is_matmul(self):
         rng = np.random.default_rng(2)
@@ -226,33 +226,32 @@ class TestEncode:
         spec = enc.EncoderSpec(kind="gcn", num_layers=1, hidden_dim=3, activation="linear")
         w = enc.init_encoder_weights(spec, 4, seed=4)
         out = untaped(spec, x, w, enc.SimilarityGraph(5))
-        np.testing.assert_allclose(out, x @ w.weights[0], atol=1e-14)
+        np.testing.assert_allclose(out, x @ w["enc_w0"], atol=1e-14)
 
     def test_gcn_path_graph_hand_computed(self):
         x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         g = enc.SimilarityGraph(3, [(0, 1), (1, 2)])
         spec = enc.EncoderSpec(kind="gcn", num_layers=1, hidden_dim=2, activation="linear")
-        w = enc.EncoderWeights("gcn", [np.array([[2.0, 0.0], [0.0, 3.0]])])
+        w = {"enc_w0": np.array([[2.0, 0.0], [0.0, 3.0]])}
         out = untaped(spec, x, w, g)
-        expected = (enc.normalize_adjacency(g) @ x) @ w.weights[0]
+        expected = (enc.normalize_adjacency(g) @ x) @ w["enc_w0"]
         np.testing.assert_allclose(out, expected, atol=1e-15)
 
     def test_gcn_zero_weights_give_zero_output(self):
         spec = enc.EncoderSpec(kind="gcn", num_layers=3, hidden_dim=4)
-        w = enc.EncoderWeights("gcn", [np.zeros((5, 4)), np.zeros((4, 4)), np.zeros((4, 4))])
+        w = {"enc_w0": np.zeros((5, 4)), "enc_w1": np.zeros((4, 4)), "enc_w2": np.zeros((4, 4))}
         out = untaped(spec, np.ones((6, 5)), w, enc.SimilarityGraph(6))
         np.testing.assert_array_equal(out, np.zeros((6, 4)))
 
     def test_mlp_applies_hidden_activation_only(self):
         spec = enc.EncoderSpec(kind="mlp", layer_dims=(3, 2), activation="relu")
-        w = enc.EncoderWeights(
-            "mlp",
-            [np.array([[1.0, -1.0, 0.5], [0.0, 1.0, 1.0]]), np.full((3, 2), 0.5)],
-            [np.zeros((1, 3)), np.array([[-0.25, 0.25]])],
-        )
+        w = {
+            "enc_w0": np.array([[1.0, -1.0, 0.5], [0.0, 1.0, 1.0]]), "enc_w1": np.full((3, 2), 0.5),
+            "enc_b0": np.zeros((1, 3)), "enc_b1": np.array([[-0.25, 0.25]]),
+        }
         x = np.array([[1.0, -2.0]])
-        hidden = np.maximum(x @ w.weights[0] + w.biases[0], 0.0)
-        expected = hidden @ w.weights[1] + w.biases[1]
+        hidden = np.maximum(x @ w["enc_w0"] + w["enc_b0"], 0.0)
+        expected = hidden @ w["enc_w1"] + w["enc_b1"]
         out = untaped(spec, x, w)
         np.testing.assert_allclose(out, expected, atol=1e-15)
 
@@ -314,7 +313,7 @@ class TestEncode:
             graph = g if spec.kind == "gcn" else None
             plain = untaped(spec, x, w, graph, masks)
             tape = ad.Tape()
-            params = {k: tape.parameter(v, k) for k, v in w.as_dict().items()}
+            params = {k: tape.parameter(v, k) for k, v in w.items()}
             propagation = g.propagation() if spec.kind == "gcn" else None
             taped = enc.encode_on_tape(spec, tape.constant(x), params, propagation, masks)
             assert plain.tobytes() == taped.value.tobytes()
@@ -362,4 +361,4 @@ def test_gradients_flow_through_both_encoders():
             h = enc.encode_on_tape(spec, tape.constant(x), params, propagation)
             return ad.mean_all(ad.multiply(h, h))
 
-        assert ad.finite_diff_check(loss, w.as_dict(), step=1e-5) < 1e-4
+        assert ad.finite_diff_check(loss, w, step=1e-5) < 1e-4

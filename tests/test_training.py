@@ -195,8 +195,8 @@ class TestAdam:
         enc = EncoderSpec(kind="identity")
         a = tr.train_pan(separable_bundle, enc, CsmConfig(m=3), cfg)
         b = tr.train_pan(separable_bundle, enc, CsmConfig(m=3), cfg)
-        for k, v in a.model.trainable_params().items():
-            assert np.array_equal(v, b.model.trainable_params()[k]), k
+        for k, v in a.model.params.items():
+            assert np.array_equal(v, b.model.params[k]), k
         assert [(h.epoch, h.train_loss) for h in a.history] == [
             (h.epoch, h.train_loss) for h in b.history
         ]
@@ -208,8 +208,8 @@ class TestTrainPan:
         enc = EncoderSpec(kind="identity")
         res = tr.train_pan(separable_bundle, enc, CsmConfig(m=4), cfg)
         init = tr.init_model(enc, CsmConfig(m=4), separable_bundle.d, cfg.seed)
-        for k, v in res.model.trainable_params().items():
-            assert np.array_equal(v, init.trainable_params()[k])
+        for k, v in res.model.params.items():
+            assert np.array_equal(v, init.params[k])
         assert res.history == []
 
     def test_lambda_zero_supervised_equals_unsupervised_bitwise(self, separable_bundle):
@@ -219,8 +219,8 @@ class TestTrainPan:
             separable_bundle, enc, CsmConfig(m=4, supervision="supervised"), cfg
         )
         unsup = tr.train_pan(separable_bundle, enc, CsmConfig(m=4), cfg)
-        for k, v in sup.model.trainable_params().items():
-            assert np.array_equal(v, unsup.model.trainable_params()[k]), k
+        for k, v in sup.model.params.items():
+            assert np.array_equal(v, unsup.model.params[k]), k
         assert [h.train_loss for h in sup.history] == [h.train_loss for h in unsup.history]
 
     def test_all_masked_supervision_equals_unsupervised_bitwise(self, separable_bundle):
@@ -233,8 +233,8 @@ class TestTrainPan:
             attribute_table=masked,
         )
         unsup = tr.train_pan(separable_bundle, enc, CsmConfig(m=4), quick_config(epochs=25))
-        for k, v in sup.model.trainable_params().items():
-            assert np.array_equal(v, unsup.model.trainable_params()[k]), k
+        for k, v in sup.model.params.items():
+            assert np.array_equal(v, unsup.model.params[k]), k
 
     def test_masked_positions_never_affect_training(self, separable_bundle):
         rng = np.random.default_rng(0)
@@ -248,8 +248,8 @@ class TestTrainPan:
         enc = EncoderSpec(kind="identity")
         a = tr.train_pan(separable_bundle, enc, CsmConfig(m=4, supervision="supervised"), cfg, table_a)
         b = tr.train_pan(separable_bundle, enc, CsmConfig(m=4, supervision="supervised"), cfg, table_b)
-        for k, v in a.model.trainable_params().items():
-            assert np.array_equal(v, b.model.trainable_params()[k]), k
+        for k, v in a.model.params.items():
+            assert np.array_equal(v, b.model.params[k]), k
 
     def test_loss_decreases_on_separable_task(self, separable_bundle):
         cfg = quick_config(epochs=40)
@@ -293,14 +293,14 @@ class TestTrainPan:
         enc = EncoderSpec(kind="identity")
         a = tr.train_pan(separable_bundle, enc, hybrid_cfg, quick_config(epochs=15))
         b = tr.train_pan(separable_bundle, enc, CsmConfig(m=6), quick_config(epochs=15))
-        for k, v in a.model.trainable_params().items():
-            assert np.array_equal(v, b.model.trainable_params()[k]), k
+        for k, v in a.model.params.items():
+            assert np.array_equal(v, b.model.params[k]), k
         # with supervision on, the attribute term only touches the prefix path
         c = tr.train_pan(
             separable_bundle, enc, hybrid_cfg, quick_config(epochs=15, lambda_=1.0, fa="or")
         )
         assert not np.array_equal(
-            c.model.trainable_params()["csm_w1"], b.model.trainable_params()["csm_w1"]
+            c.model.params["csm_w1"], b.model.params["csm_w1"]
         )
 
     def test_gcn_training_runs_with_dropout(self, separable_bundle):
@@ -349,7 +349,7 @@ class TestOneForward:
         model = tr.init_model(spec, cfg, feats.shape[1], seed=2)
         pairs = np.random.default_rng(3).integers(0, len(feats), size=(2000, 2))
         tape = ad.Tape()
-        tensors = {k: tape.parameter(v, k) for k, v in model.trainable_params().items()}
+        tensors = {k: tape.parameter(v, k) for k, v in model.params.items()}
         h = encode_on_tape(spec, tape.constant(feats), tensors)
         rho, omega, p = csm_on_tape(ad.pair_abs_diff(h, pairs[:, 0], pairs[:, 1]), tensors, cfg)
         assert p.tape is tape
@@ -364,13 +364,18 @@ def _every_model(d, seed=0):
     spec = EncoderSpec(kind="mlp", layer_dims=(3,))
     return [
         tr.init_model(EncoderSpec(kind="mlp", layer_dims=(5, 3)), CsmConfig(m=2), d, seed),
-        tr.SiameseModel(rng.normal(size=(d, 3)), rng.normal(size=(3, 1)), np.zeros((1, 1))),
+        tr.SiameseModel({
+            "embed_w": rng.normal(size=(d, 3)), "link_w": rng.normal(size=(3, 1)),
+            "link_b": np.zeros((1, 1)),
+        }),
         tr.MultitaskModel(
-            spec, init_encoder_weights(spec, d, seed), rng.normal(size=(3, 1)), np.zeros((1, 1))
+            spec, init_encoder_weights(spec, d, seed)
+            | {"link_w": rng.normal(size=(3, 1)), "link_b": np.zeros((1, 1))},
         ),
-        tr.AttrSimilarityModel(
-            rng.normal(size=(d, 2)), np.zeros((1, 2)), rng.normal(size=(4, 1)), np.zeros((1, 1))
-        ),
+        tr.AttrSimilarityModel({
+            "attr_w": rng.normal(size=(d, 2)), "attr_b": np.zeros((1, 2)),
+            "pair_w": rng.normal(size=(4, 1)), "pair_b": np.zeros((1, 1)),
+        }),
     ]
 
 
@@ -451,8 +456,8 @@ class TestMultitaskBaseline:
             None, task=separable_bundle.task,
         )
         without = tr.train_multitask_baseline(stripped, cfg)
-        assert np.array_equal(with_attrs.link_w, without.link_w)
-        assert np.array_equal(with_attrs.encoder_weights.weights[0], without.encoder_weights.weights[0])
+        assert np.array_equal(with_attrs.params["link_w"], without.params["link_w"])
+        assert np.array_equal(with_attrs.params["enc_w0"], without.params["enc_w0"])
         pairs = [(0, 1), (5, 9)]
         np.testing.assert_array_equal(
             with_attrs.pair_scores(pairs, separable_bundle.features),
@@ -476,8 +481,15 @@ class TestMultitaskBaseline:
         cfg = quick_config(epochs=10, lambda_=1.0)
         a = tr.train_multitask_baseline(separable_bundle, cfg)
         b = tr.train_multitask_baseline(separable_bundle, cfg)
-        assert np.array_equal(a.link_w, b.link_w)
-        assert np.array_equal(a.attr_w, b.attr_w)
+        assert np.array_equal(a.params["link_w"], b.params["link_w"])
+        assert np.array_equal(a.params["attr_w"], b.params["attr_w"])
+
+
+def _without_attributes(bundle):
+    return DatasetBundle(
+        bundle.features, bundle.graph, dict(bundle.splits), None, bundle.categories,
+        None, task=bundle.task,
+    )
 
 
 def make_linear_pair_task(seed=0):
@@ -519,8 +531,8 @@ class TestAttrSimilarityBaseline:
         cfg = quick_config(epochs=10)
         a = tr.train_attr_similarity_baseline(separable_bundle, cfg)
         b = tr.train_attr_similarity_baseline(separable_bundle, cfg)
-        assert np.array_equal(a.pair_w, b.pair_w)
-        assert np.array_equal(a.attr_w, b.attr_w)
+        assert np.array_equal(a.params["pair_w"], b.params["pair_w"])
+        assert np.array_equal(a.params["attr_w"], b.params["attr_w"])
 
     def test_requires_attributes(self, separable_bundle):
         bundle = DatasetBundle(
@@ -540,15 +552,35 @@ class TestCheckpointAndHistory:
         path = tmp_path / "model.json"
         tr.save_checkpoint(path, res.model)
         loaded = tr.load_checkpoint(path)
-        for k, v in res.model.trainable_params().items():
+        for k, v in res.model.params.items():
             assert np.array_equal(
-                v.view(np.uint64), loaded.trainable_params()[k].view(np.uint64)
+                v.view(np.uint64), loaded.params[k].view(np.uint64)
             ), k
         assert loaded.encoder_spec == res.model.encoder_spec
         # saving the loaded model reproduces the file byte for byte
         path2 = tmp_path / "model2.json"
         tr.save_checkpoint(path2, loaded)
         assert path.read_bytes() == path2.read_bytes()
+
+    @pytest.mark.parametrize("kind,train", [
+        ("siamese", lambda b, cfg: tr.train_siamese_baseline(b, margin=0.2, config=cfg)),
+        ("multitask", lambda b, cfg: tr.train_multitask_baseline(b, cfg)),
+        ("multitask", lambda b, cfg: tr.train_multitask_baseline(_without_attributes(b), cfg)),
+        ("attr-sim", lambda b, cfg: tr.train_attr_similarity_baseline(b, cfg)),
+        ("attr-sim", lambda b, cfg: tr.train_attr_similarity_baseline(
+            b, cfg, use_true_attributes=True)),
+    ], ids=["siamese", "multitask", "multitask-no-attributes", "attr-sim", "attr-sim-true"])
+    def test_baseline_round_trip_bit_identical(self, tmp_path, separable_bundle, kind, train):
+        model = train(separable_bundle, quick_config(epochs=5, lambda_=1.0))
+        path, again = tmp_path / "model.json", tmp_path / "model2.json"
+        tr.save_baseline(path, kind, model)
+        loaded = tr.load_checkpoint(path)
+        assert type(loaded) is type(model)
+        tr.save_baseline(again, kind, loaded)
+        assert path.read_bytes() == again.read_bytes()
+        pairs = [(0, 1), (2, 3), (5, 9), (7, 7)]
+        feats = separable_bundle.features
+        assert loaded.pair_scores(pairs, feats).tobytes() == model.pair_scores(pairs, feats).tobytes()
 
     def test_history_csv_layout(self, tmp_path):
         rows = [tr.HistoryRow(1, 0.5, None), tr.HistoryRow(2, 0.25, 0.75)]
