@@ -473,10 +473,8 @@ def finite_diff_errors(
         if not np.isfinite(value):
             raise NumericError(f"non-finite probe value {value!r} for {name}[{flat}]")
         work[name].flat[flat] = value
-        probe = Tape()
-        for key, v in work.items():
-            probe.parameters[key] = Tensor(v, tape=probe, name=key)
-        return loss_fn(probe, dict(probe.parameters)).item()
+        # untaped parameters record nothing; the tape only serves tape.constant
+        return loss_fn(Tape(), {key: Tensor(v) for key, v in work.items()}).item()
 
     work = {name: v.copy() for name, v in arrays.items()}
     errors: dict[str, Array] = {}

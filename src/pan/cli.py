@@ -323,7 +323,7 @@ def _eval_split(args, bundle) -> str:
 
 
 def _check_dims(model, bundle) -> None:
-    if isinstance(model, tr.ModelBundle) and model.input_dim != bundle.d:
+    if model.input_dim not in (None, bundle.d):
         raise DimensionError(
             f"checkpoint expects {model.input_dim}-dimensional features, bundle has {bundle.d}"
         )

@@ -196,7 +196,10 @@ def _sample_positive_sets(
     """Mutually-linked item sets of size 2..5, grown greedily from a random edge."""
     # candidates are drawn in the iteration order of the set of indices
     pool = np.fromiter(set(int(i) for i in indices), dtype=np.int64)
-    local_edges = graph.subgraph_edges(pool).pairs
+    if not len(pool):
+        return []
+    ordered = np.sort(pool)
+    local_edges = ordered[graph.subgraph(ordered).pairs]
     if not len(local_edges):
         return []
     sets: list[list[int]] = []

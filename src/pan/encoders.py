@@ -115,14 +115,13 @@ class SimilarityGraph:
         a[self.pairs[:, 1], self.pairs[:, 0]] = 1.0
         return a
 
-    def subgraph_edges(self, keep) -> "SimilarityGraph":
-        """Same node set, only edges with both endpoints in ``keep``."""
-        keep = np.asarray(list(keep) if not isinstance(keep, np.ndarray) else keep,
-                          dtype=np.int64).ravel()
-        member = np.zeros(self.n, dtype=bool)
-        member[keep[(keep >= 0) & (keep < self.n)]] = True
-        mask = member[self.pairs[:, 0]] & member[self.pairs[:, 1]]
-        return SimilarityGraph._from_keys(self.n, self._keys[mask])
+    def subgraph(self, indices: np.ndarray) -> "SimilarityGraph":
+        """The edges among ``indices``, renumbered to positions in ``indices``;
+        for ascending ``indices`` the edges keep their order."""
+        position = np.full(self.n, -1, dtype=np.int64)
+        position[indices] = np.arange(len(indices))
+        local = position[self.pairs]
+        return SimilarityGraph(len(indices), local[(local >= 0).all(axis=1)])
 
     def propagation(self) -> "Propagation":
         """The GCN operator D^{-1/2} (A + I) D^{-1/2} of this graph, cached."""

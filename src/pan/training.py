@@ -34,7 +34,7 @@ from .encoders import (
     pair_array,
     within_pairs,
 )
-from .errors import ContractError, DimensionError, NumericError, SamplingError
+from .errors import ContractError, DimensionError, GenerationError, NumericError, SamplingError
 from .rng import derive_seed, generator
 
 TRAIN_MODES = ("single_batch", "minibatch")
@@ -226,8 +226,8 @@ def _fit(params: dict[str, np.ndarray], config: TrainConfig, epoch_loss) -> None
 
 
 def _fit_link_head(
-    pair_features, width: int, local: SimilarityGraph, train_idx: np.ndarray,
-    config: TrainConfig, init_label: str, pairs_label: str,
+    pair_features, width: int, local: SimilarityGraph, config: TrainConfig,
+    init_label: str, pairs_label: str,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(w, b) of a logistic link head over frozen ``pair_features(i, j)`` rows of
     ``width`` columns, trained on balanced pairs drawn afresh each epoch."""
@@ -236,7 +236,7 @@ def _fit_link_head(
     def epoch_loss(epoch):
         rng = generator(config.seed, pairs_label, epoch)
         li, lj, e = _sample_pair_arrays(local, local.num_edges, rng)
-        x = pair_features(train_idx[li], train_idx[lj])
+        x = pair_features(li, lj)
         y = e.reshape(-1, 1).astype(np.float64)
         return lambda tape, t: ad.bce_mean(_logistic(x, t["w"], t["b"]), y)
 
@@ -355,16 +355,23 @@ class TrainResult:
     best_metric: float | None = None
 
 
-def _train_split(bundle) -> tuple[np.ndarray, SimilarityGraph]:
-    """The train (else base) split's item indices and the links among them."""
+def _train_split(
+    bundle, attribute_table: AttributeTable | None = None
+) -> tuple[np.ndarray, np.ndarray, SimilarityGraph, AttributeTable | None]:
+    """All a trainer reads of the bundle: the train (else base) split's item
+    ids, their feature rows, the links among them numbered by position in the
+    split, and the attribute table of every item (``attribute_table``, else the
+    bundle's own, else None)."""
+    features = ad.as_matrix(bundle.features)
     train_key = next((k for k in ("train", "base") if k in bundle.splits), None)
     if train_key is None:
         raise ContractError("bundle has no train/base split")
-    train_idx = np.asarray(bundle.splits[train_key], dtype=np.int64)
-    local = _local_graph(bundle.graph, train_idx)
+    idx = np.asarray(bundle.splits[train_key], dtype=np.int64)
+    local = bundle.graph.subgraph(idx)
     if local.num_edges == 0:
         raise SamplingError("training split has no linked pairs")
-    return train_idx, local
+    table = attribute_table if attribute_table is not None else getattr(bundle, "attributes", None)
+    return idx, features[idx], local, table
 
 
 def _uniform(seed: int, label: str, rows: int, cols: int) -> np.ndarray:
@@ -373,19 +380,8 @@ def _uniform(seed: int, label: str, rows: int, cols: int) -> np.ndarray:
     return generator(seed, label).uniform(-bound, bound, size=(rows, cols))
 
 
-def _local_graph(graph: SimilarityGraph, indices: np.ndarray) -> SimilarityGraph:
-    """The edges among ``indices``, renumbered to positions in ``indices``."""
-    position = np.full(graph.n, -1, dtype=np.int64)
-    position[indices] = np.arange(len(indices))
-    local = position[graph.pairs]
-    return SimilarityGraph(len(indices), local[(local >= 0).all(axis=1)])
-
-
-def _balanced_eval_pairs(
-    graph: SimilarityGraph, indices: np.ndarray, seed: int, cap: int = 2000
-):
-    """Balanced (pairs, labels) within one split, or None when impossible."""
-    local = _local_graph(graph, indices)
+def _balanced_eval_pairs(local: SimilarityGraph, seed: int, cap: int = 2000):
+    """Balanced (pairs, labels) of one split's graph, or None when impossible."""
     total = local.n * (local.n - 1) // 2
     if local.num_edges == 0 or local.num_edges == total:
         return None
@@ -396,9 +392,8 @@ def _balanced_eval_pairs(
     count = len(edges)
     i_neg, j_neg, _ = _sample_pair_arrays(local, count, rng)
     neg = np.stack([i_neg[count:], j_neg[count:]], axis=1)
-    local_pairs = np.concatenate([edges, neg])
     labels = np.concatenate([np.ones(count), np.zeros(count)])
-    return indices[local_pairs], labels
+    return np.concatenate([edges, neg]), labels
 
 
 def _resolve_val_metric(config: TrainConfig, task: str | None) -> str:
@@ -412,7 +407,7 @@ class _Validator:
 
     def __init__(self, bundle, config: TrainConfig):
         self.metric = _resolve_val_metric(config, getattr(bundle, "task", None))
-        self.features = bundle.features
+        self.features = bundle.features  # few-shot episodes hold bundle ids
         self.pairs = None
         self.labels = None
         self.episodes = None
@@ -432,13 +427,14 @@ class _Validator:
                         seed=derive_seed(config.seed, "val-episodes"), split="val",
                     )
                     return
-                except Exception:
+                except GenerationError:  # too few val classes for an episode
                     self.metric = "pair_accuracy"
         sampled = _balanced_eval_pairs(
-            bundle.graph, val_idx, derive_seed(config.seed, "val-pairs")
+            bundle.graph.subgraph(val_idx), derive_seed(config.seed, "val-pairs")
         )
         if sampled is not None:
             self.pairs, self.labels = sampled
+            self.features = bundle.features[val_idx]
 
     def __call__(self, model: ModelBundle) -> float | None:
         if self.episodes is not None:
@@ -483,10 +479,7 @@ def train_pan(
     randomization); by default the bundle's own attributes are used whenever
     the configuration calls for supervision.
     """
-    features = ad.as_matrix(bundle.features)
-    n, d = features.shape
-    table = attribute_table if attribute_table is not None else getattr(bundle, "attributes", None)
-
+    idx, x_train, local, table = _train_split(bundle, attribute_table)
     supervised_count = csm_config.supervised_count
     if supervised_count > 0:
         if table is None:
@@ -497,11 +490,9 @@ def train_pan(
                 f"supervised condition count {supervised_count} does not match the "
                 f"{config.fa} label dimension {expected}"
             )
+        table = AttributeTable(table.values[idx], table.mask[idx])
 
-    train_idx, local = _train_split(bundle)
-    global_graph = bundle.graph.subgraph_edges(train_idx)
-
-    model = init_model(encoder_spec, csm_config, d, config.seed)
+    model = init_model(encoder_spec, csm_config, x_train.shape[1], config.seed)
     params = model.params
     state = adam_init(params)
     validator = _Validator(bundle, config)
@@ -515,13 +506,12 @@ def train_pan(
     for epoch in range(1, config.epochs + 1):
         pair_rng = generator(config.seed, "pairs", epoch)
         li, lj, e = _sample_pair_arrays(local, count_per_class, pair_rng)
-        gi, gj = train_idx[li], train_idx[lj]
 
         if encoder_spec.kind == "gcn":
-            g_epoch = global_graph
+            g_epoch = local
             if encoder_spec.edge_dropout_p > 0.0:
                 g_epoch = drop_edges(
-                    global_graph,
+                    local,
                     encoder_spec.edge_dropout_p,
                     derive_seed(config.seed, "edge-drop", epoch),
                 )
@@ -531,20 +521,22 @@ def train_pan(
 
         labels = mask = None
         if supervised_count > 0 and config.lambda_ > 0.0:
-            labels, mask = pair_label_matrix(table, gi, gj, config.fa)
+            labels, mask = pair_label_matrix(table, li, lj, config.fa)
 
         batch_rng = generator(config.seed, "batch-order", epoch)
         epoch_loss = 0.0
         for step, batch in enumerate(_epoch_batches(len(e), config, batch_rng)):
             masks = dropout_masks_for_epoch(
-                encoder_spec, n, derive_seed(config.seed, "layer-drop", epoch, step)
+                encoder_spec, bundle.graph.n, derive_seed(config.seed, "layer-drop", epoch, step)
             )
+            if masks is not None:  # drawn for every item, so no mask depends on the split
+                masks = [item_masks[idx] for item_masks in masks]
 
             def loss_fn(tape, tensors):
                 h = encode_on_tape(
-                    encoder_spec, tape.constant(features), tensors, propagation, masks
+                    encoder_spec, tape.constant(x_train), tensors, propagation, masks
                 )
-                diff = ad.pair_abs_diff(h, gi[batch], gj[batch])
+                diff = ad.pair_abs_diff(h, li[batch], lj[batch])
                 rho, _, p = csm_mod.csm_on_tape(diff, tensors, csm_config)
                 loss = ad.bce_mean(p, e[batch].reshape(-1, 1).astype(np.float64))
                 if labels is not None and mask[batch].any():
@@ -580,6 +572,10 @@ class SiameseModel:
     ``params`` holds embed_w (d x e), link_w (e x 1) and link_b (1 x 1)."""
 
     params: dict[str, np.ndarray]
+
+    @property
+    def input_dim(self) -> int:
+        return self.params["embed_w"].shape[0]
 
     def pair_scores(self, pairs, features, graph_context=None) -> np.ndarray:
         p = self.params
@@ -620,11 +616,9 @@ def train_siamese_baseline(
     """Triplet-loss embedding over frozen features, then a logistic link head."""
     if margin < 0:
         raise ContractError(f"margin must be nonnegative, got {margin}")
-    features = ad.as_matrix(bundle.features)
-    d = features.shape[1]
+    _, x_train, local, _ = _train_split(bundle)
+    d = x_train.shape[1]
     e_dim = embed_dim or d
-    train_idx, local = _train_split(bundle)
-    x_train = features[train_idx]
     params = {"embed_w": _uniform(config.seed, "siamese-init", d, e_dim)}
 
     def triplet_loss(epoch):
@@ -644,9 +638,9 @@ def train_siamese_baseline(
 
     _fit(params, config, triplet_loss)
     # stage 2: frozen embedding, logistic link prediction on |f_i - f_j|
-    emb_all = features @ params["embed_w"]
+    emb = x_train @ params["embed_w"]
     params["link_w"], params["link_b"] = _fit_link_head(
-        lambda i, j: ad.pair_abs_diff(emb_all, i, j), e_dim, local, train_idx, config,
+        lambda i, j: ad.pair_abs_diff(emb, i, j), e_dim, local, config,
         "link-init", "link-pairs",
     )
     return SiameseModel(params)
@@ -663,6 +657,11 @@ class MultitaskModel:
 
     encoder_spec: EncoderSpec
     params: dict[str, np.ndarray]
+
+    @property
+    def input_dim(self) -> int:
+        first = "link_w" if self.encoder_spec.kind == "identity" else "enc_w0"
+        return self.params[first].shape[0]
 
     def pair_scores(self, pairs, features, graph_context=None) -> np.ndarray:
         h = _encode_untaped(self.encoder_spec, self.params, features)
@@ -688,17 +687,15 @@ def train_multitask_baseline(
     is 0 or there are no attributes, which makes those runs bit-identical to a
     link-only model under the same seed. ``attribute_table`` overrides the
     bundle's table."""
-    features = ad.as_matrix(bundle.features)
-    d = features.shape[1]
+    idx, x_train, local, table = _train_split(bundle, attribute_table)
+    d = x_train.shape[1]
     spec = encoder_spec or EncoderSpec(kind="mlp", layer_dims=(d,))
-    table = attribute_table if attribute_table is not None else getattr(bundle, "attributes", None)
-    train_idx, local = _train_split(bundle)
 
     h_dim = spec.output_dim(d)
     params = init_encoder_weights(spec, d, config.seed)
     params["link_w"] = _uniform(config.seed, "link-init", h_dim, 1)
     params["link_b"] = np.zeros((1, 1))
-    use_attrs = table is not None and config.lambda_ > 0.0 and table.mask[train_idx].any()
+    use_attrs = table is not None and config.lambda_ > 0.0 and table.mask[idx].any()
     if table is not None:
         # drawn from its own stream so presence never shifts the link-path init
         params["attr_w"] = _uniform(config.seed, "attr-head-init", h_dim, table.m)
@@ -707,18 +704,16 @@ def train_multitask_baseline(
     def pair_loss(epoch):
         rng = generator(config.seed, "pairs", epoch)
         li, lj, e = _sample_pair_arrays(local, local.num_edges, rng)
-        gi, gj = train_idx[li], train_idx[lj]
 
         def loss_fn(tape, tensors):
-            h = encode_on_tape(spec, tape.constant(features), tensors)
-            diff = ad.pair_abs_diff(h, gi, gj)
+            h = encode_on_tape(spec, tape.constant(x_train), tensors)
+            diff = ad.pair_abs_diff(h, li, lj)
             link = _logistic(diff, tensors["link_w"], tensors["link_b"])
             loss = ad.bce_mean(link, e.reshape(-1, 1).astype(np.float64))
             if use_attrs:
-                h_train = ad.gather_rows(h, train_idx)
                 attr_loss = ad.masked_bce_mean(
-                    _logistic(h_train, tensors["attr_w"], tensors["attr_b"]),
-                    table.values[train_idx], table.mask[train_idx],
+                    _logistic(h, tensors["attr_w"], tensors["attr_b"]),
+                    table.values[idx], table.mask[idx],
                 )
                 loss = ad.add(loss, ad.scale(attr_loss, config.lambda_))
             return loss
@@ -740,6 +735,11 @@ class AttrSimilarityModel:
 
     params: dict[str, np.ndarray]
 
+    @property
+    def input_dim(self) -> int | None:
+        """None for true_probs, which reads no features."""
+        return None if "true_probs" in self.params else self.params["attr_w"].shape[0]
+
     def attribute_probs(self, features: np.ndarray) -> np.ndarray:
         if "true_probs" in self.params:
             return self.params["true_probs"]
@@ -759,34 +759,31 @@ def train_attr_similarity_baseline(
     """Stage 1 predicts attributes per image (from ``attribute_table`` if given,
     else the bundle's); stage 2 maps the concatenated attribute vectors of a
     pair to a similarity logit."""
-    features = ad.as_matrix(bundle.features)
-    table = attribute_table if attribute_table is not None else getattr(bundle, "attributes", None)
+    idx, x_train, local, table = _train_split(bundle, attribute_table)
     if table is None:
         raise ContractError("attribute-similarity baseline requires an attribute table")
-    d = features.shape[1]
-    train_idx, local = _train_split(bundle)
 
     if use_true_attributes:
-        probs = np.where(table.mask == 1.0, table.values, 0.5)
-        params = {"true_probs": probs}
+        # the model scores any pair, so it keeps every item's probabilities
+        params = {"true_probs": np.where(table.mask == 1.0, table.values, 0.5)}
+        probs = params["true_probs"][idx]
     else:
         params = {
-            "attr_w": _uniform(config.seed, "attr-stage1-init", d, table.m),
+            "attr_w": _uniform(config.seed, "attr-stage1-init", x_train.shape[1], table.m),
             "attr_b": np.zeros((1, table.m)),
         }
-        x_train = features[train_idx]
-        v_train = table.values[train_idx]
-        m_train = table.mask[train_idx]
+        v_train = table.values[idx]
+        m_train = table.mask[idx]
 
         def attribute_loss(tape, tensors):
             predicted = _logistic(x_train, tensors["attr_w"], tensors["attr_b"])
             return ad.masked_bce_mean(predicted, v_train, m_train)
 
         _fit(params, config, lambda epoch: attribute_loss)
-        probs = _logistic(features, params["attr_w"], params["attr_b"]).value
+        probs = _logistic(x_train, params["attr_w"], params["attr_b"]).value
 
     params["pair_w"], params["pair_b"] = _fit_link_head(
-        lambda i, j: _pair_concat(probs, i, j), 2 * table.m, local, train_idx, config,
+        lambda i, j: _pair_concat(probs, i, j), 2 * table.m, local, config,
         "attr-stage2-init", "pairs",
     )
     return AttrSimilarityModel(params)
@@ -834,8 +831,6 @@ def model_to_dict(model: ModelBundle) -> dict:
 
 
 def model_from_dict(obj: dict) -> ModelBundle:
-    """The model of a checkpoint object, after one forward through it, so a
-    checkpoint whose matrices do not chain fails here rather than at scoring."""
     if obj.get("format") != CHECKPOINT_FORMAT:
         raise ContractError(f"unknown checkpoint format {obj.get('format')!r}")
     enc = obj["encoder"]
@@ -846,9 +841,7 @@ def model_from_dict(obj: dict) -> ModelBundle:
     params |= csm_mod.params_from_dict(obj["csm"])
     relevance = obj["csm"]["relevance_enabled"]
     cfg = csm_mod.CsmConfig(m=params["csm_w1"].shape[1], relevance_enabled=relevance)
-    model = ModelBundle(spec_from_dict(enc), cfg, params)
-    model.pair_scores([(0, 0)], np.zeros((1, model.input_dim)))
-    return model
+    return ModelBundle(spec_from_dict(enc), cfg, params)
 
 
 def save_checkpoint(path, model: ModelBundle) -> None:
@@ -874,14 +867,18 @@ def save_baseline(path, kind: str, model) -> None:
 
 
 def checkpoint_from_dict(obj: dict):
-    """A PAN or baseline model from a checkpoint's JSON object."""
+    """A PAN or baseline model from a checkpoint's JSON object, after one
+    forward through it, so a checkpoint whose matrices do not chain fails here
+    rather than at scoring."""
     if obj.get("format") != BASELINE_FORMAT:
-        return model_from_dict(obj)
-    model_class = BASELINES[obj["kind"]]
-    params = {k: csm_mod.matrix_from_hex(v) for k, v in obj["matrices"].items()}
-    if model_class is MultitaskModel:
-        return model_class(spec_from_dict(obj["encoder"]), params)
-    return model_class(params)
+        model = model_from_dict(obj)
+    else:
+        model_class = BASELINES[obj["kind"]]
+        params = {k: csm_mod.matrix_from_hex(v) for k, v in obj["matrices"].items()}
+        model = (model_class(spec_from_dict(obj["encoder"]), params)
+                 if model_class is MultitaskModel else model_class(params))
+    model.pair_scores([(0, 0)], np.zeros((1, model.input_dim or 0)))
+    return model
 
 
 def load_checkpoint(path):

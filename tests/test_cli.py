@@ -172,17 +172,23 @@ class TestEval:
         )
         assert code == 2
 
-    def test_dimension_mismatch_exits_one_and_prints_both(self, trained_dir, tmp_path, capsys):
+    def test_dimension_mismatch_exits_one_and_prints_both(self, bundle_dir, trained_dir,
+                                                          tmp_path, capsys):
         other = tmp_path / "otherdim"
         run_cli("gen", "--task", "compat-manifest", "--items", 60, "--dim", 8,
                 "--attrs", 4, "--seed", 1, "--out", other)
-        code = run_cli(
-            "eval", "--checkpoint", trained_dir / "checkpoint.json",
-            "--bundle", other, "--task", "pair-acc", "--out", tmp_path / "y",
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "12" in err and "8" in err
+        siamese = tmp_path / "siamese"
+        assert run_cli("train", "--bundle", bundle_dir, "--out", siamese,
+                       "--epochs", 2, "--seed", 1, "--baseline", "siamese") == 0
+        capsys.readouterr()
+        for run in (trained_dir, siamese):
+            code = run_cli(
+                "eval", "--checkpoint", run / "checkpoint.json",
+                "--bundle", other, "--task", "pair-acc", "--out", tmp_path / "y",
+            )
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "12-dimensional" in err and "has 8" in err
 
     def test_recall_ranks_with_the_given_checkpoint(self, bundle_dir, trained_dir, tmp_path):
         other = tmp_path / "other"
@@ -325,10 +331,10 @@ class TestCleanFailures:
 
     @pytest.mark.parametrize("case", [
         "not-json", "missing-key", "wrong-type", "non-finite", "wrong-shape",
-        "non-finite-baseline",
+        "non-finite-baseline", "wrong-shape-baseline",
     ])
     def test_malformed_checkpoint(self, bundle_dir, trained_dir, tmp_path, capsys, case):
-        if case == "non-finite-baseline":
+        if case.endswith("-baseline"):
             trained_dir = tmp_path / "siamese"
             assert run_cli("train", "--bundle", bundle_dir, "--out", trained_dir,
                            "--epochs", 2, "--seed", 1, "--baseline", "siamese") == 0
@@ -349,6 +355,10 @@ class TestCleanFailures:
         elif case == "wrong-shape":
             layer = obj["encoder"]["weights"][1]
             layer["rows"], layer["cols"] = layer["cols"], layer["rows"]
+            bad.write_text(json.dumps(obj))
+        elif case == "wrong-shape-baseline":
+            link = obj["matrices"]["link_w"]
+            link["rows"], link["cols"] = link["cols"], link["rows"]
             bad.write_text(json.dumps(obj))
         else:
             obj["matrices"]["embed_w"]["values"][0] = "inf"

@@ -52,12 +52,6 @@ class TestSimilarityGraph:
             g = enc.SimilarityGraph(4, edges)
             assert g.num_edges == 0 and g.edges == [] and g.pairs.shape == (0, 2)
 
-    def test_subgraph_edges_keeps_edges_inside(self):
-        g = enc.SimilarityGraph(6, [(0, 1), (1, 2), (2, 5), (3, 4), (0, 5)])
-        sub = g.subgraph_edges([0, 1, 5, 9])
-        assert sub.n == 6
-        assert sub.edges == [(0, 1), (0, 5)]
-
     def test_adjacency_is_symmetric_zero_one(self):
         g = enc.SimilarityGraph(4, [(0, 1), (2, 3)])
         a = g.adjacency()

@@ -163,7 +163,7 @@ class TestSamplerMatchesListReference:
         expected = SimilarityGraph(25, [
             (position[i], position[j]) for i, j in g.edges if i in position and j in position
         ])
-        assert tr._local_graph(g, indices) == expected
+        assert g.subgraph(indices) == expected
 
 
 class TestAdam:
@@ -336,6 +336,78 @@ def test_every_trainer_rejects_a_bundle_it_cannot_train_on(separable_bundle, tra
     )
     with pytest.raises(SamplingError, match="no linked pairs"):
         train(no_links, quick_config(epochs=0))
+
+
+def _pan_checkpoint(spec, csm_config):
+    def train(b, cfg, path):
+        tr.save_checkpoint(path, tr.train_pan(b, spec, csm_config, cfg).model)
+    return train
+
+
+def _baseline_checkpoint(kind, fit):
+    def train(b, cfg, path):
+        tr.save_baseline(path, kind, fit(b, cfg))
+    return train
+
+
+@pytest.mark.parametrize("train,change_table", [
+    (_pan_checkpoint(EncoderSpec(kind="mlp", layer_dims=(8, 5)),
+                     CsmConfig(m=4, supervision="supervised")), True),
+    (_pan_checkpoint(EncoderSpec(kind="gcn", num_layers=2, hidden_dim=8,
+                                 layer_dropout_p=0.5, edge_dropout_p=0.15),
+                     CsmConfig(m=4, supervision="supervised")), True),
+    (_baseline_checkpoint("siamese", lambda b, cfg: tr.train_siamese_baseline(b, 0.2, cfg)),
+     True),
+    (_baseline_checkpoint("multitask", tr.train_multitask_baseline), True),
+    (_baseline_checkpoint("attr-sim", tr.train_attr_similarity_baseline), True),
+    # ground-truth probabilities are kept for every item: only features may change
+    (_baseline_checkpoint("attr-sim", lambda b, cfg: tr.train_attr_similarity_baseline(
+        b, cfg, use_true_attributes=True)), False),
+], ids=["pan-mlp", "pan-gcn", "siamese", "multitask", "attr-sim", "attr-sim-true"])
+def test_training_reads_only_its_split(separable_bundle, tmp_path, train, change_table):
+    b = separable_bundle
+    test = b.splits["test"]
+    rng = np.random.default_rng(4)
+    features = b.features.copy()
+    features[test] = rng.normal(size=(len(test), b.d))
+    table = b.attributes
+    if change_table:
+        values, mask = table.values.copy(), table.mask.copy()
+        values[test] = 1.0 - values[test]
+        mask[test] = rng.integers(0, 2, size=mask[test].shape)
+        table = AttributeTable(values, mask)
+    other = DatasetBundle(features, b.graph, dict(b.splits), table, b.categories, None,
+                          task=b.task)
+    cfg = quick_config(epochs=6, lambda_=1.0, validation_every=3)
+    train(b, cfg, tmp_path / "a.json")
+    train(other, cfg, tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+class TestValidator:
+    def small_fewshot_bundle(self):
+        # 10 items per class: no val class has the 13 a 5-shot, 8-query episode needs
+        spec = SyntheticSpec(n_items=120, d=24, m_attributes=4, noise_sd=0.1,
+                             task_kind="fewshot_clusters", n_classes=12)
+        return generate(spec, seed=2)[0]
+
+    def test_too_few_val_classes_fall_back_to_pair_accuracy(self):
+        bundle = self.small_fewshot_bundle()
+        validator = tr._Validator(bundle, quick_config())
+        assert validator.metric == "pair_accuracy" and validator.episodes is None
+        res = tr.train_pan(bundle, EncoderSpec(kind="identity"), CsmConfig(m=3),
+                           quick_config(epochs=4, validation_every=2))
+        assert all(0.0 <= row.val_metric <= 1.0 for row in res.history[1::2])
+
+    def test_an_episode_bug_is_not_swallowed(self, monkeypatch):
+        import pan.data
+
+        def broken(*args, **kwargs):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(pan.data, "build_episodes", broken)
+        with pytest.raises(KeyError, match="bug"):
+            tr._Validator(self.small_fewshot_bundle(), quick_config())
 
 
 class TestOneForward:
