@@ -114,14 +114,6 @@ def label_dimension(m: int, fa: str) -> int:
     return 2 * m if fa == "and_xor" else m
 
 
-def threshold_by_confidence(table: AttributeTable, min_conf: int) -> AttributeTable:
-    """Unlabel every entry whose confidence is <= min_conf; values untouched."""
-    if table.confidence is None:
-        raise ContractError("threshold_by_confidence requires a confidence table")
-    mask = np.where(table.confidence <= min_conf, 0.0, table.mask)
-    return AttributeTable(table.values.copy(), mask, table.confidence.copy())
-
-
 def randomize_labels(table: AttributeTable, seed: int) -> AttributeTable:
     """Replace labelled values by fair coin flips; the mask is untouched."""
     rng = generator(seed, "randomize-labels")

@@ -170,11 +170,6 @@ def self_adjoint(op: Callable[[Array], Array], a) -> Tensor:
     return _emit(op(a.value), (a,), lambda g: (op(g),))
 
 
-def transpose(a) -> Tensor:
-    a = _as_tensor(a)
-    return _emit(a.value.T.copy(), (a,), lambda g: (g.T.copy(),))
-
-
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _require_same_shape(a, b, "add")
@@ -459,7 +454,7 @@ def finite_diff_errors(
     lets a caller corrupt the analytic gradients first (negative-control hook).
     """
     if step <= 0:
-        raise ContractError("finite_diff_check: step must be positive")
+        raise ContractError("finite_diff_errors: step must be positive")
     arrays = {name: as_matrix(v) for name, v in params.items()}
 
     tape = Tape()
@@ -494,10 +489,3 @@ def finite_diff_errors(
         errors[name] = err
     return errors
 
-
-def finite_diff_check(
-    loss_fn: LossFn, params: Mapping[str, Array], step: float = 1e-5
-) -> float:
-    """Worst relative error between analytic and central-difference gradients."""
-    errors = finite_diff_errors(loss_fn, params, step)
-    return max((float(e.max()) for e in errors.values()), default=0.0)

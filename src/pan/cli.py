@@ -192,22 +192,19 @@ def _resolve_model_config(args, bundle) -> tuple[EncoderSpec, csm_mod.CsmConfig,
         supervision = "supervised" if bundle.attributes is not None else "unsupervised"
     if supervision in ("supervised", "hybrid") and bundle.attributes is None:
         raise ContractError(f"{supervision} training requires a bundle with attributes")
+    relevance = args.relevance == "on"
     if supervision == "unsupervised":
         m = args.conditions if args.conditions is not None else 16
-        cfg = csm_mod.CsmConfig(m=m, relevance_enabled=args.relevance == "on")
+        cfg = csm_mod.CsmConfig(m=m, relevance_enabled=relevance)
     elif supervision == "supervised":
         label_dim = label_dimension(bundle.attributes.m, fa)
         m = args.conditions if args.conditions is not None else label_dim
-        cfg = csm_mod.CsmConfig(
-            m=m, supervision="supervised", relevance_enabled=args.relevance == "on"
-        )
+        cfg = csm_mod.CsmConfig(m=m, supervision="supervised", relevance_enabled=relevance)
     else:
         label_dim = label_dimension(bundle.attributes.m, fa)
         total = args.conditions if args.conditions is not None else 2 * label_dim
-        cfg = csm_mod.CsmConfig(
-            m=total, supervision="hybrid", m_sup=label_dim, m_unsup=total - label_dim,
-            relevance_enabled=args.relevance == "on",
-        )
+        cfg = csm_mod.CsmConfig(m=total, supervision="hybrid", m_sup=label_dim,
+                                m_unsup=total - label_dim, relevance_enabled=relevance)
     return _encoder_spec_from_args(args), cfg, fa
 
 
@@ -311,19 +308,18 @@ def _add_eval_parser(sub) -> None:
     p.add_argument("--seed", type=int, default=None)
 
 
-def _eval_split(args, bundle) -> str:
-    if args.split is not None:
-        if args.split not in bundle.splits:
-            raise ContractError(f"bundle has no split {args.split!r}")
-        return args.split
-    for name in ("test", "novel"):
-        if name in bundle.splits:
-            return name
-    raise ContractError("bundle has neither a test nor a novel split")
+def _split_name(bundle, name: str | None) -> str:
+    """``name``, or for None the bundle's test (else novel) split, once the
+    bundle is known to have it."""
+    if name is None:
+        name = next((s for s in ("test", "novel") if s in bundle.splits), "test")
+    if name not in bundle.splits:
+        raise ContractError(f"bundle has no split {name!r}")
+    return name
 
 
 def _check_dims(model, bundle) -> None:
-    if model.input_dim not in (None, bundle.d):
+    if model.input_dim != bundle.d:
         raise DimensionError(
             f"checkpoint expects {model.input_dim}-dimensional features, bundle has {bundle.d}"
         )
@@ -344,6 +340,14 @@ def _cmd_eval(args) -> int:
         raise UsageError("--k must be >= 1")
     seed = _default_seed() if args.seed is None else args.seed
     bundle = data_mod.load_bundle(args.bundle)
+    # every split name is checked before any work
+    if args.task == "recall":
+        q_idx = bundle.splits[_split_name(bundle, args.query_split)]
+        g_idx = bundle.splits[_split_name(bundle, args.gallery_split)]
+    elif args.task != "fewshot":
+        split = _split_name(bundle, args.split)
+        if args.task in ("fitb", "auc") and not (bundle.sets or {}).get(split):
+            raise ContractError(f"bundle has no item sets for split {split!r}")
     out_dir = Path(args.out)
     config = {
         "task": args.task, "checkpoints": [str(c) for c in args.checkpoint],
@@ -361,14 +365,10 @@ def _cmd_eval(args) -> int:
     model = models[0]
 
     if args.task == "pair-acc":
-        split = _eval_split(args, bundle)
         report = ev.balanced_pair_accuracy(
             model, bundle.features, bundle.graph, bundle.splits[split]
         )
     elif args.task == "fitb":
-        split = _eval_split(args, bundle)
-        if not bundle.sets or not bundle.sets.get(split):
-            raise ContractError(f"bundle has no item sets for split {split!r}")
         if bundle.categories is None:
             raise ContractError("fitb needs item categories")
         questions = data_mod.build_fitb_questions(
@@ -377,9 +377,6 @@ def _cmd_eval(args) -> int:
         )
         report = ev.fitb_accuracy(model, questions, bundle.features)
     elif args.task == "auc":
-        split = _eval_split(args, bundle)
-        if not bundle.sets or not bundle.sets.get(split):
-            raise ContractError(f"bundle has no item sets for split {split!r}")
         positives = [s for s in bundle.sets[split] if len(s) >= 2]
         negatives = data_mod.resample_negative_sets(
             positives, bundle.categories, derive_seed(seed, "neg-sets"),
@@ -398,17 +395,12 @@ def _cmd_eval(args) -> int:
             raise ContractError("recall needs item categories as labels")
         if args.query_split == args.gallery_split:
             # retrieval within one split: disjoint query/gallery halves
-            idx = np.asarray(bundle.splits[args.query_split], dtype=np.int64)
-            q_idx, g_idx = idx[0::2], idx[1::2]
-        else:
-            q_idx = np.asarray(bundle.splits[args.query_split], dtype=np.int64)
-            g_idx = np.asarray(bundle.splits[args.gallery_split], dtype=np.int64)
+            q_idx, g_idx = q_idx[0::2], q_idx[1::2]
         report = ev.recall_at_k(
             bundle.features[q_idx], bundle.features[g_idx],
             bundle.categories[q_idx], bundle.categories[g_idx], args.k, model=model,
         )
     elif args.task == "attr-map":
-        split = _eval_split(args, bundle)
         if bundle.attributes is None:
             raise ContractError("attr-map needs a bundle with attributes")
         pairs = _sampled_split_pairs(bundle, split, seed, args.max_pairs)
@@ -420,7 +412,6 @@ def _cmd_eval(args) -> int:
             ap_rows.append(f"{a},{'' if np.isnan(val) else repr(float(val))}")
         (out_dir / "per_attribute_ap.csv").write_text("\n".join(ap_rows) + "\n")
     else:  # rank-report
-        split = _eval_split(args, bundle)
         pairs = _sampled_split_pairs(bundle, split, seed, args.max_pairs)
         rows = ev.attribute_rank_report(models, pairs, bundle.features)
         header = ("attribute,mean_rank_relevance,sd_rank_relevance,"
@@ -625,14 +616,12 @@ def _sweep_one(packed) -> tuple[str, int, float | None, str | None]:
                 raise ContractError(f"unknown fa value {value!r}")
             args.fa = value
         bundle = data_mod.load_bundle(bundle_dir)
+        split = _split_name(bundle, args.eval_split)  # before any training
         run_dir = Path(out_dir) / "runs" / f"{axis}-{value}-run{run}"
         seed = derive_seed(args.seed if args.seed is not None else _default_seed(),
                            "sweep", value, run)
         _train_once(args, bundle, run_dir, seed)
         model = tr.load_checkpoint(run_dir / "checkpoint.json")
-        split = args.eval_split
-        if split is None:
-            split = "test" if "test" in bundle.splits else "novel"
         report = ev.balanced_pair_accuracy(
             model, bundle.features, bundle.graph, bundle.splits[split]
         )
@@ -646,10 +635,9 @@ def _cmd_sweep(args) -> int:
     if args.runs < 1:
         raise UsageError("--runs must be >= 1")
     out_dir = Path(args.out)
-    config = {k: v for k, v in vars(args).items() if k != "func"}
-    _write_run_manifest(out_dir, "sweep", {k: str(v) for k, v in sorted(config.items())})
-    jobs = []
     args_dict = {k: v for k, v in vars(args).items() if k != "func"}
+    _write_run_manifest(out_dir, "sweep", {k: str(v) for k, v in sorted(args_dict.items())})
+    jobs = []
     for value in values:
         for run in range(args.runs):
             jobs.append((args_dict, args.axis, value, run, str(args.bundle), str(out_dir)))
@@ -717,6 +705,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flag_accepts(action: argparse.Action, value) -> bool:
+    """Whether a config value is one the flag itself could give: a JSON
+    boolean for a switch, else a value its ``type`` returns unchanged, and one
+    of its ``choices``."""
+    if action.nargs == 0:  # store_true
+        return isinstance(value, bool)
+    try:
+        return (not isinstance(value, bool) and (action.type or str)(value) == value
+                and (action.choices is None or value in action.choices))
+    except (TypeError, ValueError):
+        return False
+
+
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Load --config JSON into parser defaults; explicit flags still win."""
     if "--config" not in argv:
@@ -734,9 +735,12 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     if not isinstance(defaults, dict):
         parser.error(f"config file {path} must hold a JSON object")
     parsers = [parser, *parser._pan_subparsers.values()]  # noqa: SLF001
-    known = {action.dest for p in parsers for action in p._actions}  # noqa: SLF001
-    if unknown := sorted(set(defaults) - known):
+    actions = [action for p in parsers for action in p._actions]  # noqa: SLF001
+    if unknown := sorted(set(defaults) - {action.dest for action in actions}):
         parser.error(f"config file {path}: unknown key(s) {', '.join(unknown)}")
+    for key, value in defaults.items():
+        if not any(_flag_accepts(a, value) for a in actions if a.dest == key):
+            parser.error(f"config file {path}: key {key}: no flag takes the value {value!r}")
     for p in parsers:
         p.set_defaults(**defaults)
     return argv[:pos] + argv[pos + 2 :]

@@ -74,24 +74,15 @@ class DatasetBundle:
         n = self.features.shape[0]
         if self.graph.n != n:
             raise ContractError(f"graph has {self.graph.n} nodes, features have {n}")
-        split_of: dict[int, str] = {}
         for name, idx in self.splits.items():
-            idx = np.asarray(idx, dtype=np.int64)
-            self.splits[name] = idx
-            for i in idx.tolist():
-                if not 0 <= i < n:
-                    raise ContractError(f"split {name!r} index {i} out of range")
-                if i in split_of:
-                    raise ContractError(
-                        f"index {i} appears in splits {split_of[i]!r} and {name!r}"
-                    )
-                split_of[i] = name
-        for i, j in self.graph.edges:
-            if split_of.get(i) != split_of.get(j):
-                raise ContractError(
-                    f"edge ({i}, {j}) crosses splits "
-                    f"{split_of.get(i)!r} and {split_of.get(j)!r}"
-                )
+            self.splits[name] = np.asarray(idx, dtype=np.int64)
+        split_of = _split_of(n, self.splits)
+        crosses = split_of[self.graph.pairs[:, 0]] != split_of[self.graph.pairs[:, 1]]
+        if crosses.any():
+            i, j = self.graph.pairs[np.argmax(crosses)].tolist()
+            names = [*self.splits, None]  # split_of -1 (no split) reads None
+            raise ContractError(f"edge ({i}, {j}) crosses splits "
+                                f"{names[split_of[i]]!r} and {names[split_of[j]]!r}")
         if self.attributes is not None and self.attributes.n != n:
             raise ContractError(
                 f"attribute table has {self.attributes.n} rows, features have {n}"
@@ -183,10 +174,29 @@ def _row_edges(partners: list[np.ndarray]) -> np.ndarray:
     return np.stack([rows, np.concatenate([np.zeros(0, np.int64), *partners])], axis=1)
 
 
-def _within_split_edges(n: int, edges: np.ndarray, splits) -> np.ndarray:
+def _split_of(n: int, splits: dict[str, np.ndarray]) -> np.ndarray:
+    """Each item's split as its position in ``splits``, -1 for an item in none;
+    the first index, in split order, out of range or seen before raises."""
+    names = list(splits)
+    ids = np.concatenate([np.zeros(0, np.int64), *splits.values()])
+    owner = np.repeat(np.arange(len(names)), [len(v) for v in splits.values()])
+    bad = np.ones(len(ids), dtype=bool)
+    bad[np.unique(ids, return_index=True)[1]] = False  # first sight of each id
+    bad |= (ids < 0) | (ids >= n)
+    if bad.any():
+        at = int(np.argmax(bad))
+        i, name = int(ids[at]), names[owner[at]]
+        if not 0 <= i < n:
+            raise ContractError(f"split {name!r} index {i} out of range")
+        first = names[owner[np.argmax(ids == i)]]
+        raise ContractError(f"index {i} appears in splits {first!r} and {name!r}")
     split_of = np.full(n, -1)
-    for k, idx in enumerate(splits.values()):
-        split_of[idx] = k
+    split_of[ids] = owner
+    return split_of
+
+
+def _within_split_edges(n: int, edges: np.ndarray, splits) -> np.ndarray:
+    split_of = _split_of(n, splits)
     return edges[split_of[edges[:, 0]] == split_of[edges[:, 1]]]
 
 
@@ -477,15 +487,17 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _write_int_pairs(path: Path, header: tuple[str, str], rows: np.ndarray) -> None:
+    """A header and (N, 2) integer rows as CSV, with the \r\n row ends that
+    the csv module writes; ``_read_int_pairs`` reads it back."""
+    path.write_text("".join(f"{a},{b}\r\n" for a, b in [header, *rows.tolist()]), newline="")
+
+
 def save_bundle(directory, bundle: DatasetBundle) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_feature_file(directory / "features.bin", bundle.features)
-    with (directory / "edges.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j"])
-        for i, j in bundle.graph.edges:
-            writer.writerow([i, j])
+    _write_int_pairs(directory / "edges.csv", ("i", "j"), bundle.graph.pairs)
     (directory / "splits.json").write_text(
         json.dumps({k: v.tolist() for k, v in bundle.splits.items()}, sort_keys=True) + "\n"
     )
@@ -496,11 +508,8 @@ def save_bundle(directory, bundle: DatasetBundle) -> None:
         if bundle.attributes.confidence is not None:
             files.append("confidence.csv")
     if bundle.categories is not None:
-        with (directory / "categories.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["item_id", "category"])
-            for i, cat in enumerate(bundle.categories.tolist()):
-                writer.writerow([i, cat])
+        _write_int_pairs(directory / "categories.csv", ("item_id", "category"),
+                         np.stack([np.arange(bundle.n), bundle.categories], axis=1))
         files.append("categories.csv")
     if bundle.sets is not None:
         (directory / "sets.json").write_text(json.dumps(bundle.sets, sort_keys=True) + "\n")
@@ -531,12 +540,33 @@ def _read_int_pairs(path: Path) -> tuple[list[str] | None, list[tuple[int, int]]
     return header, rows
 
 
+def _int_lists(value, depth: int) -> bool:
+    """Whether ``value`` is a list of integers nested ``depth`` lists deep."""
+    if depth == 0:
+        return type(value) is int
+    return isinstance(value, list) and all(_int_lists(v, depth - 1) for v in value)
+
+
+def _read_json(path: Path, valid):
+    """The JSON value in ``path``; a file that is not JSON, or whose value
+    ``valid`` rejects, raises BundleFormatError naming it."""
+    try:
+        value = json.loads(path.read_text())
+    except ValueError as exc:
+        raise BundleFormatError(f"{path}: not valid JSON ({exc})") from exc
+    if not valid(value):
+        raise BundleFormatError(f"{path}: a key is missing or holds a wrong type")
+    return value
+
+
 def load_bundle(directory) -> DatasetBundle:
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise BundleFormatError(f"{manifest_path} does not exist")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = _read_json(manifest_path, lambda m: isinstance(m, dict)
+                          and isinstance(m.get("files"), dict)
+                          and type(m.get("n")) is int and type(m.get("d")) is int)
     if manifest.get("format") != BUNDLE_FORMAT:
         raise BundleFormatError(f"unknown bundle format {manifest.get('format')!r}")
     for name, digest in manifest["files"].items():
@@ -555,16 +585,16 @@ def load_bundle(directory) -> DatasetBundle:
             f"({manifest['n']}, {manifest['d']})"
         )
     edges_path = directory / "edges.csv"
-    header, edges = _read_int_pairs(edges_path)
+    header, rows = _read_int_pairs(edges_path)
     if header != ["i", "j"]:
         raise BundleFormatError(f"{edges_path}: bad header {header}")
-    for lineno, (i, j) in enumerate(edges, start=2):
-        if not (0 <= i < n and 0 <= j < n):
-            raise BundleFormatError(f"{edges_path}:{lineno}: index out of range for n={n}")
-    splits = {
-        k: np.asarray(v, dtype=np.int64)
-        for k, v in json.loads((directory / "splits.json").read_text()).items()
-    }
+    edges = np.array(rows, dtype=np.float64).reshape(-1, 2)  # float: huge ids cannot overflow
+    bad = ((edges < 0) | (edges >= n)).any(axis=1)
+    if bad.any():
+        raise BundleFormatError(f"{edges_path}:{np.argmax(bad) + 2}: index out of range for n={n}")
+    splits = _read_json(directory / "splits.json", lambda v: isinstance(v, dict) and all(
+        _int_lists(s, 1) for s in v.values()))
+    splits = {k: np.array(v, dtype=np.int64) for k, v in splits.items()}
     attributes = None
     if (directory / "attributes.csv").exists():
         attributes = read_attribute_csv(
@@ -584,10 +614,11 @@ def load_bundle(directory) -> DatasetBundle:
             )
     sets = None
     if (directory / "sets.json").exists():
-        sets = json.loads((directory / "sets.json").read_text())
+        sets = _read_json(directory / "sets.json", lambda v: isinstance(v, dict) and all(
+            _int_lists(s, 2) for s in v.values()))
     try:
         return DatasetBundle(
-            features, SimilarityGraph(n, edges), splits, attributes, categories,
+            features, SimilarityGraph(n, edges.astype(np.int64)), splits, attributes, categories,
             sets, task=manifest.get("task"),
         )
     except ContractError as exc:

@@ -39,11 +39,11 @@ class SimilarityGraph:
     """Undirected graph over n nodes; edges are unordered index pairs, no self-edges.
 
     Edges live in ``pairs``, one read-only (E, 2) int64 array with i < j in each
-    row, sorted and free of duplicates. ``edges``, ``edge_set`` and the GCN
-    ``propagation`` operator are built from it on first use and cached.
+    row, sorted and free of duplicates; it is the only edge representation. The
+    GCN ``propagation`` operator is built from it on first use and cached.
     """
 
-    __slots__ = ("n", "pairs", "_keys", "_edges", "_edge_set", "_propagation")
+    __slots__ = ("n", "pairs", "_keys", "_propagation")
 
     def __init__(self, n: int, edges=()):
         if n < 1:
@@ -75,45 +75,25 @@ class SimilarityGraph:
         self.pairs = np.stack([keys // n, keys % n], axis=1)
         self._keys.flags.writeable = False
         self.pairs.flags.writeable = False
-        self._edges = self._edge_set = self._propagation = None
+        self._propagation = None
 
     @property
     def edges(self) -> list[tuple[int, int]]:
-        if self._edges is None:
-            self._edges = list(zip(self.pairs[:, 0].tolist(), self.pairs[:, 1].tolist()))
-        return self._edges
-
-    @property
-    def edge_set(self) -> frozenset:
-        if self._edge_set is None:
-            self._edge_set = frozenset(self.edges)
-        return self._edge_set
+        """``pairs`` as a list of tuples, built on each call."""
+        return list(map(tuple, self.pairs.tolist()))
 
     @property
     def num_edges(self) -> int:
         return len(self.pairs)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edge_set
-
-    def contains_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Boolean mask: which keys i*n + j (i < j) are edges."""
+    def has_edges(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Whether i and j are linked, elementwise over index arrays (or scalars)."""
+        keys = np.minimum(i, j) * self.n + np.maximum(i, j)
         pos = np.searchsorted(self._keys, keys)
         found = np.zeros(np.shape(keys), dtype=bool)
         inside = pos < len(self._keys)
         found[inside] = self._keys[pos[inside]] == keys[inside]
         return found
-
-    def has_edges(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """``has_edge`` elementwise over index arrays."""
-        return self.contains_keys(np.minimum(i, j) * self.n + np.maximum(i, j))
-
-    def adjacency(self) -> np.ndarray:
-        """Dense 0/1 adjacency; a test reference, never built on a hot path."""
-        a = np.zeros((self.n, self.n))
-        a[self.pairs[:, 0], self.pairs[:, 1]] = 1.0
-        a[self.pairs[:, 1], self.pairs[:, 0]] = 1.0
-        return a
 
     def subgraph(self, indices: np.ndarray) -> "SimilarityGraph":
         """The edges among ``indices``, renumbered to positions in ``indices``;
@@ -146,11 +126,11 @@ class Propagation:
     within a row) with one weight d_i^{-1/2} d_j^{-1/2} per stored entry.
 
     Applying it costs O((E + n) d): each output column is a segment sum of
-    weighted gathered entries, one segment per row of A + I. The entries are exactly
-    those of ``normalize_adjacency``; only the order of the sums differs from
-    a dense product. Entry (i, j) and entry (j, i) carry the same weight bit
-    for bit, so the operator is its own adjoint. An edgeless graph applies the
-    identity.
+    weighted gathered entries, one segment per row of A + I. The entries are
+    exactly those of the dense matrix that the tests build as a reference; only
+    the order of the sums differs from a dense product. Entry (i, j) and entry
+    (j, i) carry the same weight bit for bit, so the operator is its own
+    adjoint. An edgeless graph applies the identity.
     """
 
     __slots__ = ("n", "cols", "weights", "starts")
@@ -179,19 +159,6 @@ class Propagation:
         entries = h.T.take(self.cols, axis=1)  # one row per column of h
         entries *= self.weights
         return np.ascontiguousarray(np.add.reduceat(entries, self.starts, axis=1).T)
-
-
-def normalize_adjacency(g: SimilarityGraph) -> np.ndarray:
-    """Dense symmetric renormalization with self-loops: D^{-1/2} (A + I) D^{-1/2}.
-
-    The n x n reference that tests compare ``Propagation`` against; nothing in
-    the package builds it. Computed from an outer product of the inverse
-    square-root degrees so the result is bit-exactly symmetric. An edgeless
-    graph maps to the identity.
-    """
-    a = g.adjacency() + np.eye(g.n)
-    inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
-    return np.outer(inv_sqrt, inv_sqrt) * a
 
 
 def drop_edges(g: SimilarityGraph, p: float, seed: int) -> SimilarityGraph:

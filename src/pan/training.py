@@ -86,29 +86,16 @@ class TrainConfig:
 # objective
 # ---------------------------------------------------------------------------
 
-def total_loss(e, p, pair_labels, pair_mask, rho, lam: float) -> float:
-    """Reference per-pair objective value (non-taped).
-
-    ``rho`` may be longer than the labels; only the prefix is supervised.
-    The attribute term is exactly 0 when lam == 0 or the mask is all zero.
-    """
-    if lam < 0:
-        raise ContractError(f"lambda must be nonnegative, got {lam}")
-    rho = np.asarray(rho, dtype=np.float64).ravel()
-    labels = np.asarray(pair_labels, dtype=np.float64).ravel()
-    mask = np.asarray(pair_mask, dtype=np.float64).ravel()
-    if labels.shape != mask.shape:
-        raise DimensionError(f"labels {labels.shape} and mask {mask.shape} differ")
-    if rho.size < labels.size:
-        raise DimensionError(
-            f"rho has {rho.size} conditions but labels need {labels.size}"
-        )
-    link = float(ad.bce_values(np.array([[float(p)]]), np.array([[float(e)]]))[0, 0])
-    if lam == 0.0 or not mask.any():
-        return link
-    prefix = rho[: labels.size].reshape(1, -1)
-    attr = ad.masked_bce_mean(prefix, labels.reshape(1, -1), mask.reshape(1, -1)).item()
-    return link + lam * attr
+def _objective(rho: ad.Tensor, p: ad.Tensor, e, labels, mask, lam: float) -> ad.Tensor:
+    """Mean BCE(e, p) + lam * masked mean BCE(labels, the first label-count
+    columns of rho). The attribute term is left out, not added as 0, when lam
+    is 0 or every label is masked (or there are none)."""
+    loss = ad.bce_mean(p, np.asarray(e, dtype=np.float64).reshape(-1, 1))
+    if lam == 0.0 or not np.any(mask):
+        return loss
+    if labels.shape[1] < rho.shape[1]:
+        rho = ad.slice_cols(rho, 0, labels.shape[1])
+    return ad.add(loss, ad.scale(ad.masked_bce_mean(rho, labels, mask), lam))
 
 
 # ---------------------------------------------------------------------------
@@ -140,17 +127,13 @@ def _sample_pair_arrays(
             a = rng.integers(0, g.n, size=draw)
             b = rng.integers(0, g.n, size=draw)
             lo, hi = np.minimum(a, b), np.maximum(a, b)
-            keep = np.flatnonzero((lo != hi) & ~g.contains_keys(lo * g.n + hi))[:needed]
+            keep = np.flatnonzero((lo != hi) & ~g.has_edges(lo, hi))[:needed]
             chunks.append(np.stack([lo[keep], hi[keep]], axis=1))
             needed -= len(keep)
         neg = np.concatenate(chunks)
 
-    i = np.concatenate([pos[:, 0], neg[:, 0]])
-    j = np.concatenate([pos[:, 1], neg[:, 1]])
-    e = np.concatenate(
-        [np.ones(count_per_class, dtype=np.int64), np.zeros(count_per_class, dtype=np.int64)]
-    )
-    return i, j, e
+    i, j = np.concatenate([pos, neg]).T
+    return i, j, np.repeat(np.array([1, 0], dtype=np.int64), count_per_class)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +502,7 @@ def train_pan(
         else:
             propagation = None
 
-        labels = mask = None
+        labels = mask = np.zeros((len(e), 0))  # no labels: the attribute term is left out
         if supervised_count > 0 and config.lambda_ > 0.0:
             labels, mask = pair_label_matrix(table, li, lj, config.fa)
 
@@ -538,16 +521,7 @@ def train_pan(
                 )
                 diff = ad.pair_abs_diff(h, li[batch], lj[batch])
                 rho, _, p = csm_mod.csm_on_tape(diff, tensors, csm_config)
-                loss = ad.bce_mean(p, e[batch].reshape(-1, 1).astype(np.float64))
-                if labels is not None and mask[batch].any():
-                    rho_sup = (
-                        ad.slice_cols(rho, 0, supervised_count)
-                        if supervised_count < csm_config.m
-                        else rho
-                    )
-                    attr_term = ad.masked_bce_mean(rho_sup, labels[batch], mask[batch])
-                    loss = ad.add(loss, ad.scale(attr_term, config.lambda_))
-                return loss
+                return _objective(rho, p, e[batch], labels[batch], mask[batch], config.lambda_)
 
             epoch_loss += _step(params, state, config, loss_fn, epoch) * batch.size
         epoch_loss /= len(e)
@@ -587,14 +561,21 @@ class SiameseModel:
 def _sample_triplets(
     local: SimilarityGraph, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All positive pairs as (anchor, positive), one random unlinked negative each."""
-    edges = local.pairs
-    anchors, positives = edges[:, 0], edges[:, 1]
-    negatives = np.empty(len(edges), dtype=np.int64)
+    """All positive pairs as (anchor, positive), one random unlinked negative each:
+    the anchors walk one stream of draws k in [0, n), drawn in blocks, and each
+    takes the first k that is neither itself nor linked to it (200 tries)."""
+    n, (anchors, positives) = local.n, local.pairs.T
+    # a * n + k for every k an anchor a may not take: its partners and itself
+    blocked = set(np.concatenate([local.pairs @ [n, 1], local.pairs @ [1, n],
+                                  np.arange(n) * (n + 1)]).tolist())
+    negatives = np.empty(len(anchors), dtype=np.int64)
+    draws, at = [], 0
     for row, a in enumerate(anchors.tolist()):
         for _ in range(200):
-            k = int(rng.integers(0, local.n))
-            if k != a and not local.has_edge(a, k):
+            if at == len(draws):
+                draws, at = rng.integers(0, n, size=max(len(anchors), 64)).tolist(), 0
+            k, at = draws[at], at + 1
+            if a * n + k not in blocked:
                 negatives[row] = k
                 break
         else:
@@ -730,31 +711,23 @@ def train_multitask_baseline(
 
 @dataclass
 class AttrSimilarityModel:
-    """The lossy two-stage pipeline: per-image attributes (attr_w, attr_b, or
-    fed-through ground-truth true_probs), then a dense pair head (pair_w, pair_b)."""
+    """The lossy two-stage pipeline: per-image attributes predicted from
+    features (attr_w, attr_b), then a dense pair head (pair_w, pair_b)."""
 
     params: dict[str, np.ndarray]
 
     @property
-    def input_dim(self) -> int | None:
-        """None for true_probs, which reads no features."""
-        return None if "true_probs" in self.params else self.params["attr_w"].shape[0]
-
-    def attribute_probs(self, features: np.ndarray) -> np.ndarray:
-        if "true_probs" in self.params:
-            return self.params["true_probs"]
-        return _logistic(features, self.params["attr_w"], self.params["attr_b"]).value
+    def input_dim(self) -> int:
+        return self.params["attr_w"].shape[0]
 
     def pair_scores(self, pairs, features, graph_context=None) -> np.ndarray:
-        stacked = _pair_concat(self.attribute_probs(features), *pair_array(pairs).T)
+        probs = _logistic(features, self.params["attr_w"], self.params["attr_b"]).value
+        stacked = _pair_concat(probs, *pair_array(pairs).T)
         return _logistic(stacked, self.params["pair_w"], self.params["pair_b"]).value[:, 0]
 
 
 def train_attr_similarity_baseline(
-    bundle,
-    config: TrainConfig,
-    use_true_attributes: bool = False,
-    attribute_table: AttributeTable | None = None,
+    bundle, config: TrainConfig, attribute_table: AttributeTable | None = None
 ) -> AttrSimilarityModel:
     """Stage 1 predicts attributes per image (from ``attribute_table`` if given,
     else the bundle's); stage 2 maps the concatenated attribute vectors of a
@@ -763,24 +736,19 @@ def train_attr_similarity_baseline(
     if table is None:
         raise ContractError("attribute-similarity baseline requires an attribute table")
 
-    if use_true_attributes:
-        # the model scores any pair, so it keeps every item's probabilities
-        params = {"true_probs": np.where(table.mask == 1.0, table.values, 0.5)}
-        probs = params["true_probs"][idx]
-    else:
-        params = {
-            "attr_w": _uniform(config.seed, "attr-stage1-init", x_train.shape[1], table.m),
-            "attr_b": np.zeros((1, table.m)),
-        }
-        v_train = table.values[idx]
-        m_train = table.mask[idx]
+    params = {
+        "attr_w": _uniform(config.seed, "attr-stage1-init", x_train.shape[1], table.m),
+        "attr_b": np.zeros((1, table.m)),
+    }
+    v_train = table.values[idx]
+    m_train = table.mask[idx]
 
-        def attribute_loss(tape, tensors):
-            predicted = _logistic(x_train, tensors["attr_w"], tensors["attr_b"])
-            return ad.masked_bce_mean(predicted, v_train, m_train)
+    def attribute_loss(tape, tensors):
+        predicted = _logistic(x_train, tensors["attr_w"], tensors["attr_b"])
+        return ad.masked_bce_mean(predicted, v_train, m_train)
 
-        _fit(params, config, lambda epoch: attribute_loss)
-        probs = _logistic(x_train, params["attr_w"], params["attr_b"]).value
+    _fit(params, config, lambda epoch: attribute_loss)
+    probs = _logistic(x_train, params["attr_w"], params["attr_b"]).value
 
     params["pair_w"], params["pair_b"] = _fit_link_head(
         lambda i, j: _pair_concat(probs, i, j), 2 * table.m, local, config,
@@ -877,7 +845,7 @@ def checkpoint_from_dict(obj: dict):
         params = {k: csm_mod.matrix_from_hex(v) for k, v in obj["matrices"].items()}
         model = (model_class(spec_from_dict(obj["encoder"]), params)
                  if model_class is MultitaskModel else model_class(params))
-    model.pair_scores([(0, 0)], np.zeros((1, model.input_dim or 0)))
+    model.pair_scores([(0, 0)], np.zeros((1, model.input_dim)))
     return model
 
 

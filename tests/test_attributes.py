@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pan import attributes as attrs
-from pan.errors import BundleFormatError, ContractError, DimensionError
+from pan.errors import BundleFormatError, DimensionError
 
 TRUTH_TABLES = {
     "and": {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 1},
@@ -65,40 +65,6 @@ class TestCombinePair:
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             attrs.combine_pair([1, 0], [1, 1], [1], [1], "and")
-
-
-class TestThresholdByConfidence:
-    def make_table(self):
-        values = np.array([[1, 0, 1], [0, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=float)
-        mask = np.ones_like(values)
-        conf = np.array([[4, 2, 1], [3, 3, 2], [1, 4, 4], [2, 2, 2]])
-        return attrs.AttributeTable(values, mask, conf)
-
-    def test_min_conf_zero_is_noop(self):
-        t = self.make_table()
-        out = attrs.threshold_by_confidence(t, 0)
-        np.testing.assert_array_equal(out.mask, t.mask)
-        np.testing.assert_array_equal(out.values, t.values)
-
-    def test_all_at_threshold_zeroes_mask(self):
-        t = attrs.AttributeTable(
-            np.ones((2, 2)), np.ones((2, 2)), np.full((2, 2), 2, dtype=int)
-        )
-        out = attrs.threshold_by_confidence(t, 2)
-        assert not out.mask.any()
-
-    def test_matches_per_entry_filter(self):
-        t = self.make_table()
-        out = attrs.threshold_by_confidence(t, 2)
-        for i in range(t.n):
-            for k in range(t.m):
-                expected = 0.0 if t.confidence[i, k] <= 2 else t.mask[i, k]
-                assert out.mask[i, k] == expected
-
-    def test_requires_confidence(self):
-        t = attrs.AttributeTable(np.ones((1, 1)), np.ones((1, 1)))
-        with pytest.raises(ContractError):
-            attrs.threshold_by_confidence(t, 2)
 
 
 class TestRandomizeLabels:

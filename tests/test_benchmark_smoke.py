@@ -1,10 +1,12 @@
-"""The benchmark's training workloads at smoke size, run as the benchmark is
-run: ``python3 benchmarks/run.py ... --smoke`` from the repository root.
+"""The benchmark's workloads at smoke size, run as the benchmark is run:
+``python3 benchmarks/run.py ... --smoke`` from the repository root.
 
-Each run repeats `train_pan` and checks every op itself: bit-identical
+Each run checks every op itself. A training op must give bit-identical
 parameters and history across ops, a falling loss, and pair scores whose bits
-do not change when (i, j) is swapped. A run that fails any check reports
-``"correct": false`` or a failed op.
+do not change when (i, j) is swapped; an eval op must match its reference
+metrics, and a gradcheck op its finite differences. A traced run also checks
+each op's call counts against those its inputs imply. A run that fails any
+check reports ``"correct": false`` or a failed op.
 """
 
 import json
@@ -40,6 +42,7 @@ def _traced_metrics(workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stderr
+    assert result["failed"] == 0, proc.stderr
     return result["metrics"]
 
 
@@ -54,3 +57,15 @@ def test_traced_run_attributes_time_to_each_training_layer():
 
 def test_traced_gcn_run_attributes_time_to_edge_dropout():
     assert _traced_metrics("train-gcn")["encoders.drop_edges_ms"]["value"] > 0
+
+
+# a traced eval or gradcheck op whose encode, scoring or probe counts differ
+# from those its inputs imply is not correct
+@pytest.mark.parametrize("workload,counters", [
+    ("eval", ("evaluation.encode_calls", "evaluation.pairs_scored")),
+    ("gradcheck", ("autodiff.probes",)),
+])
+def test_eval_and_gradcheck_workloads_pass_their_checks(workload, counters):
+    metrics = _traced_metrics(workload)
+    for name in counters:
+        assert metrics[name]["value"] > 0, name

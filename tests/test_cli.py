@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -378,8 +379,6 @@ class TestCleanFailures:
 
     def test_non_integer_category_names_file_and_line(self, bundle_dir, trained_dir,
                                                       tmp_path, capsys):
-        import shutil
-
         broken = tmp_path / "broken"
         shutil.copytree(bundle_dir, broken)
         path = broken / "categories.csv"
@@ -401,3 +400,62 @@ class TestCleanFailures:
         )
         assert code == 2
         assert "epocs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,edit", [
+        ("manifest.json", lambda obj: "{ not json"),
+        ("manifest.json", lambda obj: {k: v for k, v in obj.items() if k != "files"}),
+        ("manifest.json", lambda obj: {k: v for k, v in obj.items() if k != "n"}),
+        ("splits.json", lambda obj: {**obj, "train": ["x", *obj["train"][1:]]}),
+        ("splits.json", lambda obj: {**obj, "test": 3}),
+        ("sets.json", lambda obj: "[1, 2"),
+        ("sets.json", lambda obj: {**obj, "train": [[0, 1.5]]}),
+    ], ids=["manifest-not-json", "manifest-no-files", "manifest-no-n", "splits-string-id",
+            "splits-not-a-list", "sets-not-json", "sets-float-id"])
+    def test_malformed_bundle_metadata_names_the_file(self, bundle_dir, trained_dir, tmp_path,
+                                                      capsys, name, edit):
+        broken = tmp_path / "broken"
+        shutil.copytree(bundle_dir, broken)
+        path = broken / name
+        text = edit(json.loads(path.read_text()))
+        path.write_text(text if isinstance(text, str) else json.dumps(text))
+        if name != "manifest.json":
+            manifest = json.loads((broken / "manifest.json").read_text())
+            manifest["files"][name] = hashlib.sha256(path.read_bytes()).hexdigest()
+            (broken / "manifest.json").write_text(json.dumps(manifest))
+        assert self._eval(broken, trained_dir / "checkpoint.json", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("relevance", "maybe"), ("randomize_labels", "no"), ("seed", 1.7), ("epochs", 1.5),
+        ("lambda_", "0.5"),
+    ])
+    def test_bad_config_value_is_usage_error(self, bundle_dir, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "x"
+        code = run_cli_expect_usage_exit(
+            "--config", cfg, "train", "--bundle", bundle_dir, "--out", out, "--epochs", 1
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--query-split", "--gallery-split"])
+    def test_unknown_recall_split_exits_one(self, bundle_dir, trained_dir, tmp_path, capsys,
+                                            flag):
+        assert run_cli(
+            "eval", "--checkpoint", trained_dir / "checkpoint.json", "--bundle", bundle_dir,
+            "--task", "recall", "--out", tmp_path / "out", flag, "nope",
+        ) == 1
+        assert "no split 'nope'" in capsys.readouterr().err
+
+    def test_unknown_sweep_split_fails_before_training(self, bundle_dir, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert run_cli(
+            "sweep", "--axis", "lambda", "--values", "0", "--bundle", bundle_dir,
+            "--out", out, "--epochs", 2, "--eval-split", "nope",
+        ) == 1
+        assert "no split 'nope'" in capsys.readouterr().err
+        assert not (out / "runs").exists()

@@ -39,6 +39,7 @@ class TestPresenceBayesOracle:
     def list_oracle(values, graph, indices):
         """The pair-by-pair loop the array version replaced."""
         indices = [int(i) for i in indices]
+        linked = set(graph.edges)
         buckets: dict = {}
         n_pos = n_neg = 0
         for a_pos, a in enumerate(indices):
@@ -46,7 +47,7 @@ class TestPresenceBayesOracle:
             for b in indices[a_pos + 1 :]:
                 row_b = tuple(values[b].astype(int).tolist())
                 key = (row_a, row_b) if row_a <= row_b else (row_b, row_a)
-                pos = graph.has_edge(a, b)
+                pos = (min(a, b), max(a, b)) in linked
                 buckets.setdefault(key, [0, 0])[0 if pos else 1] += 1
                 n_pos, n_neg = n_pos + pos, n_neg + (not pos)
         acc = 0.0
@@ -117,6 +118,7 @@ class TestCompatibilityManifestation:
 
     def test_sets_are_mutually_linked_and_within_split(self):
         bundle, _ = data.generate(small_compat_spec(), seed=7)
+        linked = set(bundle.graph.edges)
         split_of = {}
         for name, idx in bundle.splits.items():
             for i in idx.tolist():
@@ -127,11 +129,12 @@ class TestCompatibilityManifestation:
                 for k, a in enumerate(members):
                     assert split_of[a] == split
                     for b in members[k + 1 :]:
-                        assert bundle.graph.has_edge(a, b)
+                        assert (min(a, b), max(a, b)) in linked
 
     def test_set_sampler_matches_pair_loop(self):
         def list_sets(graph, indices, rng, count):
             pool = set(int(i) for i in indices)
+            linked = set(graph.edges)
             local_edges = [e for e in graph.edges if e[0] in pool and e[1] in pool]
             sets, attempts = [], 0
             while local_edges and len(sets) < count and attempts < 20 * count:
@@ -140,7 +143,7 @@ class TestCompatibilityManifestation:
                 target = int(rng.integers(2, 6))
                 while len(members) < target:
                     candidates = [c for c in pool if c not in members
-                                  and all(graph.has_edge(c, m) for m in members)]
+                                  and all((min(c, m), max(c, m)) in linked for m in members)]
                     if not candidates:
                         break
                     members.append(int(candidates[rng.integers(0, len(candidates))]))
@@ -356,7 +359,20 @@ class TestBundleIO:
 
     def test_overlapping_splits_rejected(self):
         feats = np.zeros((3, 2))
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="index 1 appears in splits 'train' and 'val'"):
             data.DatasetBundle(
                 feats, SimilarityGraph(3), {"train": np.array([0, 1]), "val": np.array([1, 2])}
             )
+        with pytest.raises(ContractError, match="index 2 appears in splits 'val' and 'val'"):
+            data.DatasetBundle(feats, SimilarityGraph(3), {"train": [0], "val": [2, 1, 2]})
+
+    def test_edge_to_an_item_in_no_split_rejected(self):
+        with pytest.raises(ContractError, match=r"edge \(1, 3\) crosses splits 'train' and None"):
+            data.DatasetBundle(np.zeros((4, 2)), SimilarityGraph(4, [(0, 1), (1, 3)]),
+                               {"train": [0, 1], "test": [2]})
+
+    def test_split_index_out_of_range_rejected(self):
+        for bad in (4, -1):
+            with pytest.raises(ContractError, match=f"split 'test' index {bad} out of range"):
+                data.DatasetBundle(np.zeros((4, 2)), SimilarityGraph(4),
+                                   {"train": [0, 1], "test": [2, bad, 1]})

@@ -498,9 +498,10 @@ def list_mann_whitney_auc(pos, neg):
 def list_balanced_pair_accuracy(model, features, graph, indices, threshold=0.5):
     pos_pairs, neg_pairs = [], []
     idx = np.asarray(indices, dtype=np.int64).tolist()
+    linked = set(graph.edges)
     for a_pos, a in enumerate(idx):
         for b in idx[a_pos + 1 :]:
-            (pos_pairs if graph.has_edge(a, b) else neg_pairs).append((a, b))
+            (pos_pairs if (min(a, b), max(a, b)) in linked else neg_pairs).append((a, b))
     tpr = float((ev.score_pairs(model, pos_pairs, features) >= threshold).mean())
     tnr = float((ev.score_pairs(model, neg_pairs, features) < threshold).mean())
     return 0.5 * (tpr + tnr), len(pos_pairs) + len(neg_pairs), tpr, tnr

@@ -31,26 +31,34 @@ def quick_config(**kw):
     return tr.TrainConfig(**base)
 
 
+def total_loss(e, p, pair_labels, pair_mask, rho, lam):
+    """One pair's value of the objective ``train_pan`` minimizes."""
+    def row(values):
+        return np.array([values], dtype=np.float64)
+
+    return tr._objective(row(rho), row([p]), [e], row(pair_labels), row(pair_mask), lam).item()
+
+
 class TestTotalLoss:
     def test_lambda_zero_equals_link_bce(self):
-        got = tr.total_loss(1, 0.8, [1, 0], [1, 1], [0.3, 0.9], lam=0.0)
+        got = total_loss(1, 0.8, [1, 0], [1, 1], [0.3, 0.9], lam=0.0)
         assert got == ad.bce([[0.8]], [[1.0]]).item()
 
     def test_all_masked_equals_link_bce(self):
-        got = tr.total_loss(0, 0.25, [1, 1], [0, 0], [0.3, 0.9], lam=10.0)
+        got = total_loss(0, 0.25, [1, 1], [0, 0], [0.3, 0.9], lam=10.0)
         assert got == ad.bce([[0.25]], [[0.0]]).item()
 
     def test_hand_value_two_log_two(self):
-        got = tr.total_loss(1, 0.5, [1.0], [1.0], [0.5], lam=1.0)
+        got = total_loss(1, 0.5, [1.0], [1.0], [0.5], lam=1.0)
         assert got == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ContractError):
-            tr.total_loss(1, 0.5, [1.0], [1.0], [0.5], lam=-0.1)
+            tr.TrainConfig(lambda_=-0.1)
 
     def test_prefix_supervision(self):
         # rho longer than labels: only the prefix is supervised
-        got = tr.total_loss(1, 0.5, [1.0], [1.0], [0.5, 0.99], lam=1.0)
+        got = total_loss(1, 0.5, [1.0], [1.0], [0.5, 0.99], lam=1.0)
         assert got == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
 
 
@@ -110,10 +118,11 @@ def _list_sample_pair_arrays(g, count_per_class, rng):
     as the reference for its draws."""
     total = g.n * (g.n - 1) // 2
     edges = np.array(g.edges, dtype=np.int64)
+    edge_set = set(g.edges)
     pos = edges[rng.integers(0, len(edges), size=count_per_class)]
     if g.num_edges / total > 0.7:
         non_edges = np.array(
-            [(i, j) for i in range(g.n) for j in range(i + 1, g.n) if (i, j) not in g.edge_set],
+            [(i, j) for i in range(g.n) for j in range(i + 1, g.n) if (i, j) not in edge_set],
             dtype=np.int64,
         )
         neg = non_edges[rng.integers(0, len(non_edges), size=count_per_class)]
@@ -127,7 +136,7 @@ def _list_sample_pair_arrays(g, count_per_class, rng):
             lo, hi = np.minimum(a, b), np.maximum(a, b)
             keep = [
                 (i, j) for i, j in zip(lo.tolist(), hi.tolist())
-                if i != j and (i, j) not in g.edge_set
+                if i != j and (i, j) not in edge_set
             ]
             chunks.extend(keep[:needed])
             needed = count_per_class - len(chunks)
@@ -350,32 +359,26 @@ def _baseline_checkpoint(kind, fit):
     return train
 
 
-@pytest.mark.parametrize("train,change_table", [
-    (_pan_checkpoint(EncoderSpec(kind="mlp", layer_dims=(8, 5)),
-                     CsmConfig(m=4, supervision="supervised")), True),
-    (_pan_checkpoint(EncoderSpec(kind="gcn", num_layers=2, hidden_dim=8,
-                                 layer_dropout_p=0.5, edge_dropout_p=0.15),
-                     CsmConfig(m=4, supervision="supervised")), True),
-    (_baseline_checkpoint("siamese", lambda b, cfg: tr.train_siamese_baseline(b, 0.2, cfg)),
-     True),
-    (_baseline_checkpoint("multitask", tr.train_multitask_baseline), True),
-    (_baseline_checkpoint("attr-sim", tr.train_attr_similarity_baseline), True),
-    # ground-truth probabilities are kept for every item: only features may change
-    (_baseline_checkpoint("attr-sim", lambda b, cfg: tr.train_attr_similarity_baseline(
-        b, cfg, use_true_attributes=True)), False),
-], ids=["pan-mlp", "pan-gcn", "siamese", "multitask", "attr-sim", "attr-sim-true"])
-def test_training_reads_only_its_split(separable_bundle, tmp_path, train, change_table):
+@pytest.mark.parametrize("train", [
+    _pan_checkpoint(EncoderSpec(kind="mlp", layer_dims=(8, 5)),
+                    CsmConfig(m=4, supervision="supervised")),
+    _pan_checkpoint(EncoderSpec(kind="gcn", num_layers=2, hidden_dim=8,
+                                layer_dropout_p=0.5, edge_dropout_p=0.15),
+                    CsmConfig(m=4, supervision="supervised")),
+    _baseline_checkpoint("siamese", lambda b, cfg: tr.train_siamese_baseline(b, 0.2, cfg)),
+    _baseline_checkpoint("multitask", tr.train_multitask_baseline),
+    _baseline_checkpoint("attr-sim", tr.train_attr_similarity_baseline),
+], ids=["pan-mlp", "pan-gcn", "siamese", "multitask", "attr-sim"])
+def test_training_reads_only_its_split(separable_bundle, tmp_path, train):
     b = separable_bundle
     test = b.splits["test"]
     rng = np.random.default_rng(4)
     features = b.features.copy()
     features[test] = rng.normal(size=(len(test), b.d))
-    table = b.attributes
-    if change_table:
-        values, mask = table.values.copy(), table.mask.copy()
-        values[test] = 1.0 - values[test]
-        mask[test] = rng.integers(0, 2, size=mask[test].shape)
-        table = AttributeTable(values, mask)
+    values, mask = b.attributes.values.copy(), b.attributes.mask.copy()
+    values[test] = 1.0 - values[test]
+    mask[test] = rng.integers(0, 2, size=mask[test].shape)
+    table = AttributeTable(values, mask)
     other = DatasetBundle(features, b.graph, dict(b.splits), table, b.categories, None,
                           task=b.task)
     cfg = quick_config(epochs=6, lambda_=1.0, validation_every=3)
@@ -510,12 +513,54 @@ class TestSiameseBaseline:
         bundle = DatasetBundle(
             feats, SimilarityGraph(n, edges), {"train": np.arange(n)}, None, None, None
         )
-        with pytest.raises(SamplingError):
+        with pytest.raises(SamplingError, match="node 0 has no unlinked partner"):
             tr.train_siamese_baseline(bundle, margin=0.2, config=quick_config(epochs=2))
 
     def test_negative_margin_rejected(self, separable_bundle):
         with pytest.raises(ContractError):
             tr.train_siamese_baseline(separable_bundle, margin=-1.0, config=quick_config())
+
+
+def _scalar_sample_triplets(local, rng):
+    """The sampler that _sample_triplets replaced, kept as the reference for
+    its draws: one scalar draw and one edge lookup per candidate negative."""
+    linked = set(local.edges)
+    anchors, positives = local.pairs[:, 0], local.pairs[:, 1]
+    negatives = np.empty(len(anchors), dtype=np.int64)
+    for row, a in enumerate(anchors.tolist()):
+        for _ in range(200):
+            k = int(rng.integers(0, local.n))
+            if k != a and (min(a, k), max(a, k)) not in linked:
+                negatives[row] = k
+                break
+        else:
+            raise SamplingError(f"node {a} has no unlinked partner for a negative")
+    return anchors, positives, negatives
+
+
+class TestTripletSamplerMatchesScalarReference:
+    def assert_same(self, local, rng_of):
+        got = tr._sample_triplets(local, rng_of())
+        want = _scalar_sample_triplets(local, rng_of())
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    def test_compat_train_split_over_twenty_epochs(self):
+        spec = SyntheticSpec(n_items=500, d=16, m_attributes=6, noise_sd=0.2, attr_density=0.8)
+        bundle, _ = generate(spec, seed=7)
+        local = bundle.graph.subgraph(bundle.splits["train"])
+        for epoch in range(1, 21):
+            self.assert_same(local, lambda: generator(1, "triplets", epoch))
+
+    def test_dense_graph_where_anchors_redraw_many_times(self):
+        # each node is unlinked from only its four ring neighbours i +- 1, i +- 2
+        n = 30
+        ring = {(min(i, (i + s) % n), max(i, (i + s) % n)) for i in range(n) for s in (1, 2)}
+        g = SimilarityGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                if (i, j) not in ring])
+        for seed in range(5):
+            self.assert_same(g, lambda: np.random.default_rng(seed))
 
 
 class TestMultitaskBaseline:
@@ -591,9 +636,10 @@ def make_linear_pair_task(seed=0):
 
 class TestAttrSimilarityBaseline:
     def test_ground_truth_attributes_solve_linear_pair_task(self):
+        # the features carry the attributes linearly, so stage 1 recovers them
         bundle = make_linear_pair_task()
         cfg = quick_config(epochs=400, learning_rate=0.05)
-        model = tr.train_attr_similarity_baseline(bundle, cfg, use_true_attributes=True)
+        model = tr.train_attr_similarity_baseline(bundle, cfg)
         report = balanced_pair_accuracy(
             model, bundle.features, bundle.graph, bundle.splits["test"]
         )
@@ -639,9 +685,7 @@ class TestCheckpointAndHistory:
         ("multitask", lambda b, cfg: tr.train_multitask_baseline(b, cfg)),
         ("multitask", lambda b, cfg: tr.train_multitask_baseline(_without_attributes(b), cfg)),
         ("attr-sim", lambda b, cfg: tr.train_attr_similarity_baseline(b, cfg)),
-        ("attr-sim", lambda b, cfg: tr.train_attr_similarity_baseline(
-            b, cfg, use_true_attributes=True)),
-    ], ids=["siamese", "multitask", "multitask-no-attributes", "attr-sim", "attr-sim-true"])
+    ], ids=["siamese", "multitask", "multitask-no-attributes", "attr-sim"])
     def test_baseline_round_trip_bit_identical(self, tmp_path, separable_bundle, kind, train):
         model = train(separable_bundle, quick_config(epochs=5, lambda_=1.0))
         path, again = tmp_path / "model.json", tmp_path / "model2.json"
