@@ -1,19 +1,16 @@
 """Per-image binary attributes with missing-label masks, and pairwise label building.
 
-Attribute files are CSV with header ``item_id, attr_0..attr_{M-1}`` and cell
-values 0, 1 or ``?`` (unlabelled). An optional parallel confidence CSV carries
-integers on a 4-point scale.
+``pan.data`` reads and writes a table as ``attributes.csv``, whose cells are 0,
+1 or ``?`` (unlabelled).
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import BundleFormatError, ContractError, DimensionError
+from .errors import ContractError, DimensionError
 from .rng import generator
 
 FA_CHOICES = ("and", "or", "xor", "xnor", "and_xor")
@@ -23,7 +20,6 @@ FA_CHOICES = ("and", "or", "xor", "xnor", "and_xor")
 class AttributeTable:
     values: np.ndarray            # N x M in {0, 1}
     mask: np.ndarray              # N x M in {0, 1}; 0 means unlabelled
-    confidence: np.ndarray | None = None  # N x M integers, optional
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -34,12 +30,6 @@ class AttributeTable:
             raise DimensionError(
                 f"mask shape {self.mask.shape} does not match values {self.values.shape}"
             )
-        if self.confidence is not None:
-            self.confidence = np.asarray(self.confidence, dtype=np.int64)
-            if self.confidence.shape != self.values.shape:
-                raise DimensionError(
-                    f"confidence shape {self.confidence.shape} does not match values"
-                )
         if not np.all(np.isin(self.values, (0.0, 1.0))):
             raise ContractError("attribute values must be 0 or 1")
         if not np.all(np.isin(self.mask, (0.0, 1.0))):
@@ -119,81 +109,5 @@ def randomize_labels(table: AttributeTable, seed: int) -> AttributeTable:
     rng = generator(seed, "randomize-labels")
     flips = rng.integers(0, 2, size=table.values.shape).astype(np.float64)
     values = np.where(table.mask == 1.0, flips, table.values)
-    conf = None if table.confidence is None else table.confidence.copy()
-    return AttributeTable(values, table.mask.copy(), conf)
+    return AttributeTable(values, table.mask.copy())
 
-
-# ---------------------------------------------------------------------------
-# CSV interface
-# ---------------------------------------------------------------------------
-
-def write_attribute_csv(path, table: AttributeTable) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["item_id"] + [f"attr_{k}" for k in range(table.m)])
-        for i in range(table.n):
-            row = [str(i)]
-            for k in range(table.m):
-                row.append("?" if table.mask[i, k] == 0.0 else str(int(table.values[i, k])))
-            writer.writerow(row)
-    if table.confidence is not None:
-        write_confidence_csv(path.with_name("confidence.csv"), table)
-
-
-def write_confidence_csv(path, table: AttributeTable) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["item_id"] + [f"attr_{k}" for k in range(table.m)])
-        for i in range(table.n):
-            writer.writerow([str(i)] + [str(int(c)) for c in table.confidence[i]])
-
-
-def read_attribute_csv(path, confidence_path=None) -> AttributeTable:
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "item_id":
-            raise BundleFormatError(f"{path}: expected header starting with item_id")
-        m = len(header) - 1
-        values, mask = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != m + 1:
-                raise BundleFormatError(f"{path}:{lineno}: expected {m + 1} cells, got {len(row)}")
-            vrow, mrow = [], []
-            for col, cell in enumerate(row[1:]):
-                if cell == "?":
-                    vrow.append(0.0)
-                    mrow.append(0.0)
-                elif cell in ("0", "1"):
-                    vrow.append(float(cell))
-                    mrow.append(1.0)
-                else:
-                    raise BundleFormatError(
-                        f"{path}:{lineno}: column {col + 1} has invalid cell {cell!r}"
-                    )
-            values.append(vrow)
-            mask.append(mrow)
-    confidence = None
-    if confidence_path is not None and Path(confidence_path).exists():
-        confidence = _read_confidence_csv(confidence_path, len(values), m)
-    return AttributeTable(np.array(values), np.array(mask), confidence)
-
-
-def _read_confidence_csv(path, n: int, m: int) -> np.ndarray:
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != m + 1:
-                raise BundleFormatError(f"{path}:{lineno}: expected {m + 1} cells, got {len(row)}")
-            try:
-                rows.append([int(c) for c in row[1:]])
-            except ValueError as exc:
-                raise BundleFormatError(f"{path}:{lineno}: {exc}") from exc
-    if len(rows) != n:
-        raise BundleFormatError(f"{path}: expected {n} rows, got {len(rows)}")
-    return np.array(rows, dtype=np.int64)

@@ -169,11 +169,19 @@ def _add_train_parser(sub) -> None:
     _add_train_flags(p)
 
 
+def _positive_int(flag: str, text: str) -> int:
+    """``text`` as an integer >= 1; anything else is a usage error naming ``flag``."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise UsageError(f"{flag}: expected positive integers, got {text.strip()!r}")
+    return int(text)
+
+
 def _encoder_spec_from_args(args) -> EncoderSpec:
+    # checked whichever encoder is chosen, like every other flag's value
+    dims = tuple(_positive_int("--mlp-dims", x) for x in args.mlp_dims.split(",") if x.strip())
     if args.encoder == "identity":
         return EncoderSpec(kind="identity")
     if args.encoder == "mlp":
-        dims = tuple(int(x) for x in str(args.mlp_dims).split(",") if x.strip())
         return EncoderSpec(kind="mlp", layer_dims=dims, activation=args.activation)
     return EncoderSpec(
         kind="gcn",
@@ -340,14 +348,20 @@ def _cmd_eval(args) -> int:
         raise UsageError("--k must be >= 1")
     seed = _default_seed() if args.seed is None else args.seed
     bundle = data_mod.load_bundle(args.bundle)
-    # every split name is checked before any work
+    # every split name, and the bundle fields a task reads, are checked before any work
     if args.task == "recall":
         q_idx = bundle.splits[_split_name(bundle, args.query_split)]
         g_idx = bundle.splits[_split_name(bundle, args.gallery_split)]
-    elif args.task != "fewshot":
+    elif args.task == "fewshot":
+        split = _split_name(bundle, args.split or ("novel" if "novel" in bundle.splits else "test"))
+    else:
         split = _split_name(bundle, args.split)
         if args.task in ("fitb", "auc") and not (bundle.sets or {}).get(split):
             raise ContractError(f"bundle has no item sets for split {split!r}")
+    if args.task in ("fitb", "auc", "recall") and bundle.categories is None:
+        raise ContractError(f"{args.task} needs item categories")
+    if args.task == "attr-map" and bundle.attributes is None:
+        raise ContractError("attr-map needs a bundle with attributes")
     out_dir = Path(args.out)
     config = {
         "task": args.task, "checkpoints": [str(c) for c in args.checkpoint],
@@ -360,8 +374,11 @@ def _cmd_eval(args) -> int:
     manifest = _write_run_manifest(out_dir, "eval", config)
     fingerprint = manifest["fingerprint"]
     models = [tr.load_checkpoint(c) for c in args.checkpoint]
-    for model in models:
+    for path, model in zip(args.checkpoint, models):
         _check_dims(model, bundle)
+        if args.task in ("attr-map", "rank-report") and not isinstance(model, tr.ModelBundle):
+            raise ContractError(f"{path}: task {args.task} needs a PAN checkpoint, "
+                                f"not a {type(model).__name__} baseline")
     model = models[0]
 
     if args.task == "pair-acc":
@@ -369,8 +386,6 @@ def _cmd_eval(args) -> int:
             model, bundle.features, bundle.graph, bundle.splits[split]
         )
     elif args.task == "fitb":
-        if bundle.categories is None:
-            raise ContractError("fitb needs item categories")
         questions = data_mod.build_fitb_questions(
             bundle.sets[split], args.choices, bundle.categories,
             derive_seed(seed, "fitb"), pool=bundle.splits[split],
@@ -384,15 +399,12 @@ def _cmd_eval(args) -> int:
         )
         report = ev.compatibility_auc(model, positives, negatives, bundle.features)
     elif args.task == "fewshot":
-        split = args.split or ("novel" if "novel" in bundle.splits else "test")
         episodes = data_mod.build_episodes(
             bundle, args.way, args.shot, args.query, args.episodes,
             derive_seed(seed, "episodes"), split=split,
         )
         report = ev.few_shot_accuracy(model, episodes, bundle.features)
     elif args.task == "recall":
-        if bundle.categories is None:
-            raise ContractError("recall needs item categories as labels")
         if args.query_split == args.gallery_split:
             # retrieval within one split: disjoint query/gallery halves
             q_idx, g_idx = q_idx[0::2], q_idx[1::2]
@@ -401,8 +413,6 @@ def _cmd_eval(args) -> int:
             bundle.categories[q_idx], bundle.categories[g_idx], args.k, model=model,
         )
     elif args.task == "attr-map":
-        if bundle.attributes is None:
-            raise ContractError("attr-map needs a bundle with attributes")
         pairs = _sampled_split_pairs(bundle, split, seed, args.max_pairs)
         report = ev.attribute_map(
             model, pairs, bundle.attributes, FA_FLAGS[args.fa], bundle.features
@@ -445,11 +455,11 @@ def _add_gradcheck_parser(sub) -> None:
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
-    out = {}
+    out = {"d": 6, "m": 4}
     for part in text.split(","):
         key, _, value = part.partition("=")
-        out[key.strip().lower()] = int(value)
-    return out.get("d", 6), out.get("m", 4)
+        out[key.strip().lower()] = _positive_int("--dims", value)
+    return out["d"], out["m"]
 
 
 def _kink_margin(kind, params, feats, idx_i, idx_j, propagate) -> float:

@@ -1,5 +1,6 @@
 """Dataset bundles, synthetic generators with exact oracles, question and
-episode builders, and bundle file I/O.
+episode builders, and the reader and writer of every bundle file: the binary
+``features.bin``, the CSV tables (one writer, one reader), and the JSON files.
 
 The compatibility generator realizes the information-loss scenario: every
 positive attribute carries a hidden manifestation realized as a distinct
@@ -11,21 +12,18 @@ accuracy any presence-only classifier can reach, by enumeration.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
+import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .attributes import AttributeTable, read_attribute_csv, write_attribute_csv
-from .encoders import (
-    SimilarityGraph,
-    read_feature_file,
-    within_pairs,
-    write_feature_file,
-)
+from .attributes import AttributeTable
+from .autodiff import as_matrix
+from .encoders import SimilarityGraph, within_pairs
 from .errors import BundleFormatError, ContractError, GenerationError
 from .evaluation import Episode, FitbQuestion
 from .rng import generator
@@ -487,29 +485,101 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_int_pairs(path: Path, header: tuple[str, str], rows: np.ndarray) -> None:
-    """A header and (N, 2) integer rows as CSV, with the \r\n row ends that
-    the csv module writes; ``_read_int_pairs`` reads it back."""
-    path.write_text("".join(f"{a},{b}\r\n" for a, b in [header, *rows.tolist()]), newline="")
+FEATURE_MAGIC = b"PANF"
+ATTRIBUTE_CELLS = np.array(["0", "1", "?"])  # value 0, value 1, unlabelled
+
+
+def write_feature_file(path, features: np.ndarray) -> None:
+    """Little-endian binary: magic ``PANF``, u32 item count, u32 feature
+    dimension, then the n*d values as float32."""
+    features = as_matrix(features)
+    header = FEATURE_MAGIC + struct.pack("<II", *features.shape)
+    Path(path).write_bytes(header + features.astype("<f4").tobytes())
+
+
+def read_feature_file(path) -> np.ndarray:
+    """The values of a feature file, widened to float64."""
+    path = Path(path)
+    blob = path.read_bytes()
+    if blob[:4] != FEATURE_MAGIC:
+        raise BundleFormatError(f"{path}: bad magic {blob[:4]!r}, expected {FEATURE_MAGIC!r}")
+    if len(blob) < 12:
+        raise BundleFormatError(f"{path}: header truncated at {len(blob)} bytes")
+    n, d = struct.unpack("<II", blob[4:12])
+    expected = 12 + 4 * n * d
+    if len(blob) != expected:
+        raise BundleFormatError(
+            f"{path}: expected {expected} bytes for {n}x{d} features, got {len(blob)}"
+        )
+    return np.frombuffer(blob, dtype="<f4", offset=12).astype(np.float64).reshape(n, d)
+
+
+def _write_table(path: Path, header: list[str], rows: np.ndarray) -> None:
+    """A header and the cells of (N, len(header)) ``rows`` as CSV, with the
+    \r\n row ends that the csv module writes; ``_read_table`` reads it back."""
+    line = ",".join(["{}"] * len(header)) + "\r\n"
+    path.write_text((line * (len(rows) + 1)).format(*header, *rows.ravel().tolist()),
+                    newline="")
+
+
+def _read_table(path: Path, dtype, valid) -> tuple[list[str], np.ndarray]:
+    """The header of a CSV table, and its rows as an (N, len(header)) ``dtype``
+    array. A row of another width, or a cell that is no ``dtype`` or that
+    ``valid(cells, columns)`` rejects (elementwise, 0-based columns), raises
+    BundleFormatError naming file:line.
+
+    numpy's C parser reads the rows; its row numbers skip empty lines and
+    disagree between its messages, so the text is scanned for the line only
+    once the parse or the check has failed.
+    """
+    with path.open(errors="replace") as fh:  # a byte that is not UTF-8 is a bad cell
+        header = fh.readline().rstrip("\n").split(",")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a table without rows
+                rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=2)
+            rows = rows.reshape(-1, len(header)) if rows.size == 0 else rows
+            if rows.shape[1] == len(header) and np.all(valid(rows, np.arange(len(header)))):
+                return header, rows
+        except (ValueError, OverflowError):
+            pass
+    for lineno, line in enumerate(path.read_text(errors="replace").splitlines()[1:], start=2):
+        if not line:  # numpy skips empty lines
+            continue
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise BundleFormatError(
+                f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}")
+        for col, cell in enumerate(cells):
+            try:
+                ok = valid(np.array(cell).astype(dtype), col)
+            except (ValueError, OverflowError):
+                ok = False
+            if not ok:
+                raise BundleFormatError(
+                    f"{path}:{lineno}: column {col + 1} has invalid cell {cell!r}")
+    raise BundleFormatError(f"{path}: not a CSV table of {len(header)} columns")
 
 
 def save_bundle(directory, bundle: DatasetBundle) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_feature_file(directory / "features.bin", bundle.features)
-    _write_int_pairs(directory / "edges.csv", ("i", "j"), bundle.graph.pairs)
+    _write_table(directory / "edges.csv", ["i", "j"], bundle.graph.pairs)
     (directory / "splits.json").write_text(
         json.dumps({k: v.tolist() for k, v in bundle.splits.items()}, sort_keys=True) + "\n"
     )
     files = ["features.bin", "edges.csv", "splits.json"]
     if bundle.attributes is not None:
-        write_attribute_csv(directory / "attributes.csv", bundle.attributes)
+        table = bundle.attributes
+        cells = ATTRIBUTE_CELLS[np.where(table.mask == 0.0, 2, table.values.astype(np.int64))]
+        _write_table(directory / "attributes.csv",
+                     ["item_id", *(f"attr_{k}" for k in range(table.m))],
+                     np.column_stack([np.arange(table.n).astype(str), cells]))
         files.append("attributes.csv")
-        if bundle.attributes.confidence is not None:
-            files.append("confidence.csv")
     if bundle.categories is not None:
-        _write_int_pairs(directory / "categories.csv", ("item_id", "category"),
-                         np.stack([np.arange(bundle.n), bundle.categories], axis=1))
+        _write_table(directory / "categories.csv", ["item_id", "category"],
+                     np.stack([np.arange(bundle.n), bundle.categories], axis=1))
         files.append("categories.csv")
     if bundle.sets is not None:
         (directory / "sets.json").write_text(json.dumps(bundle.sets, sort_keys=True) + "\n")
@@ -523,21 +593,6 @@ def save_bundle(directory, bundle: DatasetBundle) -> None:
         "files": {name: _sha256(directory / name) for name in files},
     }
     (directory / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
-
-
-def _read_int_pairs(path: Path) -> tuple[list[str] | None, list[tuple[int, int]]]:
-    """Header and the first two cells of every further row as integers; a
-    cell that is not an integer raises BundleFormatError naming file:line."""
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                rows.append((int(row[0]), int(row[1])))
-            except (ValueError, IndexError) as exc:
-                raise BundleFormatError(f"{path}:{lineno}: {exc}") from exc
-    return header, rows
 
 
 def _int_lists(value, depth: int) -> bool:
@@ -560,6 +615,9 @@ def _read_json(path: Path, valid):
 
 
 def load_bundle(directory) -> DatasetBundle:
+    """The bundle in ``directory``, after every file the manifest lists has
+    matched its hash; a listed file that no field reads (``confidence.csv`` of
+    older bundles) is only hash-checked."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
@@ -585,29 +643,31 @@ def load_bundle(directory) -> DatasetBundle:
             f"({manifest['n']}, {manifest['d']})"
         )
     edges_path = directory / "edges.csv"
-    header, rows = _read_int_pairs(edges_path)
+    # edges: two item indices in [0, n)
+    header, edges = _read_table(edges_path, np.int64, lambda v, col: (v >= 0) & (v < n))
     if header != ["i", "j"]:
         raise BundleFormatError(f"{edges_path}: bad header {header}")
-    edges = np.array(rows, dtype=np.float64).reshape(-1, 2)  # float: huge ids cannot overflow
-    bad = ((edges < 0) | (edges >= n)).any(axis=1)
-    if bad.any():
-        raise BundleFormatError(f"{edges_path}:{np.argmax(bad) + 2}: index out of range for n={n}")
     splits = _read_json(directory / "splits.json", lambda v: isinstance(v, dict) and all(
         _int_lists(s, 1) for s in v.values()))
     splits = {k: np.array(v, dtype=np.int64) for k, v in splits.items()}
     attributes = None
-    if (directory / "attributes.csv").exists():
-        attributes = read_attribute_csv(
-            directory / "attributes.csv", directory / "confidence.csv"
-        )
+    if (attributes_path := directory / "attributes.csv").exists():
+        # attributes: an item id, then 0, 1 or ? (unlabelled) per attribute
+        header, cells = _read_table(attributes_path, str,
+                                    lambda v, col: (col == 0) | np.isin(v, ATTRIBUTE_CELLS))
+        if header[0] != "item_id":
+            raise BundleFormatError(f"{attributes_path}: expected header starting with item_id")
+        cells = cells[:, 1:]
+        attributes = AttributeTable((cells == "1").astype(np.float64),
+                                    (cells != "?").astype(np.float64))
         if attributes.n != n:
             raise BundleFormatError(
                 f"attribute table has {attributes.n} rows, features have {n}"
             )
     categories = None
-    if (directory / "categories.csv").exists():
-        _, rows = _read_int_pairs(directory / "categories.csv")
-        categories = np.array([cat for _, cat in rows], dtype=np.int64)
+    if (categories_path := directory / "categories.csv").exists():
+        # categories: an item id and an integer category
+        categories = _read_table(categories_path, np.int64, lambda v, col: True)[1][:, 1]
         if len(categories) != n:
             raise BundleFormatError(
                 f"categories file has {len(categories)} rows, features have {n}"
@@ -618,7 +678,7 @@ def load_bundle(directory) -> DatasetBundle:
             _int_lists(s, 2) for s in v.values()))
     try:
         return DatasetBundle(
-            features, SimilarityGraph(n, edges.astype(np.int64)), splits, attributes, categories,
+            features, SimilarityGraph(n, edges), splits, attributes, categories,
             sets, task=manifest.get("task"),
         )
     except ContractError as exc:

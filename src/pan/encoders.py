@@ -1,24 +1,17 @@
-"""Feature heads over precomputed features: identity, MLP, and a graph
-convolutional encoder with symmetric adjacency normalization, inverted layer
-dropout, and per-epoch edge dropout.
-
-Feature files are little-endian binary: magic ``PANF``, u32 item count, u32
-feature dimension, then n*d float32 values (widened to float64 on load).
+"""Similarity graphs, and the feature heads over precomputed features:
+identity, MLP, and a graph convolutional encoder with symmetric adjacency
+normalization, inverted layer dropout, and per-epoch edge dropout.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import BundleFormatError, ContractError, DimensionError
+from .errors import ContractError, DimensionError
 from .rng import generator
-
-FEATURE_MAGIC = b"PANF"
 
 
 def pair_array(pairs) -> np.ndarray:
@@ -279,33 +272,3 @@ def encode_on_tape(
             h = ad.multiply(h, dropout_masks[idx])
     return h
 
-
-# ---------------------------------------------------------------------------
-# feature files
-# ---------------------------------------------------------------------------
-
-def write_feature_file(path, features: np.ndarray) -> None:
-    features = ad.as_matrix(features)
-    n, d = features.shape
-    payload = features.astype("<f4").tobytes()
-    with Path(path).open("wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<II", n, d))
-        fh.write(payload)
-
-
-def read_feature_file(path) -> np.ndarray:
-    path = Path(path)
-    blob = path.read_bytes()
-    if blob[:4] != FEATURE_MAGIC:
-        raise BundleFormatError(f"{path}: bad magic {blob[:4]!r}, expected {FEATURE_MAGIC!r}")
-    if len(blob) < 12:
-        raise BundleFormatError(f"{path}: header truncated at {len(blob)} bytes")
-    n, d = struct.unpack("<II", blob[4:12])
-    expected = 12 + 4 * n * d
-    if len(blob) != expected:
-        raise BundleFormatError(
-            f"{path}: expected {expected} bytes for {n}x{d} features, got {len(blob)}"
-        )
-    values = np.frombuffer(blob, dtype="<f4", offset=12).astype(np.float64)
-    return values.reshape(n, d)

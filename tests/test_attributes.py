@@ -1,9 +1,13 @@
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from pan import attributes as attrs
+from pan import data
+from pan.encoders import SimilarityGraph
 from pan.errors import BundleFormatError, DimensionError
 
 TRUTH_TABLES = {
@@ -95,41 +99,45 @@ class TestRandomizeLabels:
         assert abs(frac - 0.5) < 3 * sigma
 
 
+def attribute_bundle(directory, table=None, text=None):
+    """The bundle loaded back from ``directory`` after saving a featureless
+    bundle around ``table``, or around a table whose attributes.csv is then
+    replaced by ``text`` (with the manifest hash updated)."""
+    if table is None:
+        n = len(text.splitlines()) - 1
+        table = attrs.AttributeTable(np.zeros((n, 1)), np.ones((n, 1)))
+    bundle = data.DatasetBundle(np.zeros((table.n, 1)), SimilarityGraph(table.n),
+                                {"train": np.arange(table.n)}, table)
+    data.save_bundle(directory, bundle)
+    if text is not None:
+        path = directory / "attributes.csv"
+        path.write_text(text)
+        manifest = json.loads((directory / "manifest.json").read_text())
+        manifest["files"]["attributes.csv"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+    return data.load_bundle(directory)
+
+
 class TestCsv:
     def test_round_trip_with_unknowns(self, tmp_path):
         values = np.array([[1, 0], [0, 1], [1, 1]], dtype=float)
         mask = np.array([[1, 0], [1, 1], [0, 1]], dtype=float)
         table = attrs.AttributeTable(values, mask)
-        path = tmp_path / "attributes.csv"
-        attrs.write_attribute_csv(path, table)
-        text = path.read_text()
+        loaded = attribute_bundle(tmp_path, table).attributes
+        text = (tmp_path / "attributes.csv").read_text()
         assert "?" in text
-        loaded = attrs.read_attribute_csv(path)
         np.testing.assert_array_equal(loaded.mask, mask)
         np.testing.assert_array_equal(loaded.values * loaded.mask, values * mask)
 
     def test_question_marks_zero_mask_exactly(self, tmp_path):
-        path = tmp_path / "attributes.csv"
-        path.write_text("item_id,attr_0,attr_1\n0,1,?\n1,?,0\n")
-        table = attrs.read_attribute_csv(path)
+        text = "item_id,attr_0,attr_1\n0,1,?\n1,?,0\n"
+        table = attribute_bundle(tmp_path, text=text).attributes
         np.testing.assert_array_equal(table.mask, [[1, 0], [0, 1]])
 
     def test_bad_cell_reports_location(self, tmp_path):
-        path = tmp_path / "attributes.csv"
-        path.write_text("item_id,attr_0\n0,2\n")
         with pytest.raises(BundleFormatError) as err:
-            attrs.read_attribute_csv(path)
+            attribute_bundle(tmp_path, text="item_id,attr_0\n0,2\n")
         assert ":2:" in str(err.value)
-
-    def test_confidence_round_trip(self, tmp_path):
-        values = np.ones((2, 2))
-        mask = np.ones((2, 2))
-        conf = np.array([[1, 4], [3, 2]])
-        table = attrs.AttributeTable(values, mask, conf)
-        path = tmp_path / "attributes.csv"
-        attrs.write_attribute_csv(path, table)
-        loaded = attrs.read_attribute_csv(path, tmp_path / "confidence.csv")
-        np.testing.assert_array_equal(loaded.confidence, conf)
 
 
 class TestPairLabelMatrix:

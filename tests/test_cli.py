@@ -451,6 +451,70 @@ class TestCleanFailures:
         ) == 1
         assert "no split 'nope'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task", ["attr-map", "rank-report"])
+    def test_pan_only_task_on_baseline_checkpoint_exits_one(self, bundle_dir, trained_dir,
+                                                            tmp_path, capsys, task):
+        siamese = tmp_path / "siamese"
+        assert run_cli("train", "--bundle", bundle_dir, "--out", siamese,
+                       "--epochs", 2, "--seed", 1, "--baseline", "siamese") == 0
+        capsys.readouterr()
+        ckpt = siamese / "checkpoint.json"
+        checkpoints = [ckpt] if task == "attr-map" else [trained_dir / "checkpoint.json", ckpt]
+        assert run_cli("eval", "--checkpoint", *checkpoints, "--bundle", bundle_dir,
+                       "--task", task, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and task in err and "Traceback" not in err
+
+    def test_auc_without_categories_exits_one(self, bundle_dir, trained_dir, tmp_path, capsys):
+        broken = tmp_path / "broken"
+        shutil.copytree(bundle_dir, broken)
+        (broken / "categories.csv").unlink()
+        manifest = json.loads((broken / "manifest.json").read_text())
+        del manifest["files"]["categories.csv"]
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        assert run_cli("eval", "--checkpoint", trained_dir / "checkpoint.json",
+                       "--bundle", broken, "--task", "auc", "--out", out) == 1
+        assert "auc needs item categories" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["gradcheck", "--dims", "d6"], "--dims"),
+        (["gradcheck", "--dims", "d=6,M=0"], "--dims"),
+        (["train", "--encoder", "mlp", "--mlp-dims", "24,x"], "--mlp-dims"),
+        (["train", "--encoder", "mlp", "--mlp-dims", "0"], "--mlp-dims"),
+        (["--config", "CONFIG", "train", "--encoder", "mlp"], "--mlp-dims"),
+    ], ids=["dims-no-equals", "dims-zero", "mlp-dims-not-integer", "mlp-dims-zero",
+            "config-mlp-dims-not-integer"])
+    def test_malformed_layer_list_is_usage_error(self, bundle_dir, tmp_path, capsys, argv, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mlp_dims": "24,x"}))
+        out = tmp_path / "x"
+        argv = [cfg if a == "CONFIG" else a for a in argv]
+        if "train" in argv:
+            argv += ["--bundle", bundle_dir, "--out", out, "--epochs", 1]
+        assert run_cli_expect_usage_exit(*argv) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_layer_list_matches_the_flag(self, bundle_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mlp_dims": "24,16"}))
+        common = ["--bundle", bundle_dir, "--encoder", "mlp", "--epochs", 2, "--seed", 1]
+        assert run_cli("--config", cfg, "train", *common, "--out", tmp_path / "a") == 0
+        assert run_cli("train", *common, "--mlp-dims", "24,16", "--out", tmp_path / "b") == 0
+        assert (tmp_path / "a" / "run.json").read_bytes() == (
+            tmp_path / "b" / "run.json").read_bytes()
+
+    def test_unknown_fewshot_split_fails_before_run_json(self, bundle_dir, trained_dir,
+                                                         tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("eval", "--checkpoint", trained_dir / "checkpoint.json",
+                       "--bundle", bundle_dir, "--task", "fewshot", "--split", "nope",
+                       "--out", out) == 1
+        assert "no split 'nope'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_sweep_split_fails_before_training(self, bundle_dir, tmp_path, capsys):
         out = tmp_path / "sweep"
         assert run_cli(

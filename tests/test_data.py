@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,15 @@ def small_compat_spec(**kw):
     )
     base.update(kw)
     return data.SyntheticSpec(**base)
+
+
+def rewrite_bundle_file(directory, name, blob: bytes):
+    """Write ``blob`` to a bundle file and list its new hash in the manifest."""
+    path = directory / name
+    path.write_bytes(blob)
+    manifest = json.loads((directory / "manifest.json").read_text())
+    manifest["files"][name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    (directory / "manifest.json").write_text(json.dumps(manifest))
 
 
 class TestPresenceBayesOracle:
@@ -347,6 +359,39 @@ class TestBundleIO:
         with pytest.raises(BundleFormatError) as err:
             data.load_bundle(tmp_path)
         assert "hash" in str(err.value)
+
+    @pytest.mark.parametrize("name,row,line", [
+        ("edges.csv", b"0,x", 5),
+        ("edges.csv", b"0,1,2", 5),
+        ("edges.csv", b"0,99999999999999999999", 5),
+        ("edges.csv", b"0,-1", 5),
+        ("edges.csv", b"\n0,-1", 6),  # the parser skips the empty line 5
+        ("attributes.csv", b"4,0,2,1,?", 5),
+        ("attributes.csv", b"4,0,\xff,1,?", 5),
+        ("categories.csv", b"4,1.5", 5),
+    ], ids=["edge-not-integer", "edge-three-cells", "edge-beyond-int64", "edge-negative",
+            "edge-negative-after-empty-line", "attribute-cell-2", "attribute-not-utf8",
+            "category-not-integer"])
+    def test_bad_table_row_names_file_and_line(self, tmp_path, name, row, line):
+        bundle, _ = data.generate(small_compat_spec(), seed=16)
+        data.save_bundle(tmp_path, bundle)
+        lines = (tmp_path / name).read_bytes().splitlines()
+        lines[4] = row
+        rewrite_bundle_file(tmp_path, name, b"\n".join(lines) + b"\n")
+        with pytest.raises(BundleFormatError) as err:
+            data.load_bundle(tmp_path)
+        assert f"{tmp_path / name}:{line}: " in str(err.value)
+
+    def test_listed_confidence_file_is_hash_checked_not_parsed(self, tmp_path):
+        bundle, _ = data.generate(small_compat_spec(), seed=17)
+        data.save_bundle(tmp_path, bundle)
+        assert "confidence.csv" not in (tmp_path / "manifest.json").read_text()
+        rewrite_bundle_file(tmp_path, "confidence.csv", b"not,a\ntable\n")
+        np.testing.assert_array_equal(data.load_bundle(tmp_path).attributes.values,
+                                      bundle.attributes.values)
+        (tmp_path / "confidence.csv").write_text("changed\n")
+        with pytest.raises(BundleFormatError, match="hash"):
+            data.load_bundle(tmp_path)
 
     def test_cross_split_edge_rejected(self):
         feats = np.zeros((4, 2))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pan import autodiff as ad
+from pan import data
 from pan import encoders as enc
 from pan.errors import BundleFormatError, ContractError, DimensionError
 from pan.rng import generator
@@ -341,17 +342,17 @@ class TestFeatureFiles:
         # float32-representable values survive the widen/narrow cycle exactly
         feats = rng.normal(size=(7, 3)).astype(np.float32).astype(np.float64)
         path = tmp_path / "features.bin"
-        enc.write_feature_file(path, feats)
-        loaded = enc.read_feature_file(path)
+        data.write_feature_file(path, feats)
+        loaded = data.read_feature_file(path)
         assert np.array_equal(loaded.view(np.uint64), feats.view(np.uint64))
 
     def test_truncated_file_names_byte_counts(self, tmp_path):
         path = tmp_path / "features.bin"
-        enc.write_feature_file(path, np.ones((4, 2)))
+        data.write_feature_file(path, np.ones((4, 2)))
         blob = path.read_bytes()
         path.write_bytes(blob[:-5])
         with pytest.raises(BundleFormatError) as err:
-            enc.read_feature_file(path)
+            data.read_feature_file(path)
         assert str(len(blob)) in str(err.value)
         assert str(len(blob) - 5) in str(err.value)
 
@@ -359,7 +360,7 @@ class TestFeatureFiles:
         path = tmp_path / "features.bin"
         path.write_bytes(b"JUNK" + b"\x00" * 16)
         with pytest.raises(BundleFormatError):
-            enc.read_feature_file(path)
+            data.read_feature_file(path)
 
 
 def test_gradients_flow_through_both_encoders():
