@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ContractError, DimensionError, NumericError
 
 BCE_EPS = 1e-12
+PROBE_STEP = 1e-5  # finite_diff_errors' step; cli.gradcheck_composition screens kinks in it
 
 Array = np.ndarray
 
@@ -75,12 +76,14 @@ class Tape:
     allowed but rarely useful.
     """
 
-    __slots__ = ("records", "parameters")
+    __slots__ = ("records", "parameters", "kinks")
 
     def __init__(self):
         # each record: (output, inputs, vjp)
         self.records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
         self.parameters: dict[str, Tensor] = {}
+        # per taped relu/abs: (an array its record holds, whether 0 is on the kink)
+        self.kinks: list[tuple[Array, bool]] = []
 
     def parameter(self, values, name: str) -> Tensor:
         """Register a named leaf whose gradient ``backward`` will report."""
@@ -92,6 +95,13 @@ class Tape:
 
     def constant(self, values) -> Tensor:
         return Tensor(as_matrix(values), tape=None)
+
+    def kink_margin(self) -> float:
+        """Distance of the nearest taped relu/abs argument from its kink, inf if
+        none. An exact-0 abs argument is skipped (central differences match its
+        subgradient 0 there); an exact-0 relu argument is not."""
+        dists = [np.abs(v if zero else v[v != 0.0]) for v, zero in self.kinks]
+        return min((float(d.min()) for d in dists if d.size), default=np.inf)
 
 
 class GradientStore:
@@ -130,11 +140,14 @@ def _emit(
     value: Array,
     inputs: tuple[Tensor, ...],
     vjp: Callable[[Array], Iterable[Array | None]],
+    kink: tuple[Array, bool] | None = None,
 ) -> Tensor:
     tape = _tape_of(*inputs)
     out = Tensor(value, tape=tape)
     if tape is not None:
         tape.records.append((out, inputs, vjp))
+        if kink is not None:
+            tape.kinks.append(kink)
     return out
 
 
@@ -212,8 +225,9 @@ def add_row(a, row) -> Tensor:
 
 def absolute(a) -> Tensor:
     a = _as_tensor(a)
+    out = np.abs(a.value)
     # subgradient 0 at exactly 0
-    return _emit(np.abs(a.value), (a,), lambda g: (g * np.sign(a.value),))
+    return _emit(out, (a,), lambda g: (g * np.sign(a.value),), kink=(out, False))
 
 
 def sigmoid_values(x: Array) -> Array:
@@ -231,7 +245,8 @@ def sigmoid(a) -> Tensor:
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
-    return _emit(np.maximum(a.value, 0.0), (a,), lambda g: (g * (a.value > 0.0),))
+    return _emit(np.maximum(a.value, 0.0), (a,), lambda g: (g * (a.value > 0.0),),
+                 kink=(a.value, True))
 
 
 def sqrt_entries(a) -> Tensor:
@@ -307,7 +322,7 @@ def pair_abs_diff(a, i, j) -> Tensor:
         signed = g * np.sign(a.value[i] - a.value[j])
         return _scatter_rows(-signed, j, a.shape), _scatter_rows(signed, i, a.shape)
 
-    return _emit(out, (a, a), vjp)
+    return _emit(out, (a, a), vjp, kink=(out, False))
 
 
 def slice_cols(a, start: int, stop: int) -> Tensor:
@@ -443,7 +458,7 @@ LossFn = Callable[[Tape, dict[str, Tensor]], Tensor]
 def finite_diff_errors(
     loss_fn: LossFn,
     params: Mapping[str, Array],
-    step: float = 1e-5,
+    step: float = PROBE_STEP,
     grad_transform: Callable[[GradientStore], GradientStore] | None = None,
 ) -> dict[str, Array]:
     """Per-entry relative error between analytic and central-difference gradients.

@@ -23,10 +23,11 @@ import numpy as np
 from . import autodiff as ad
 from . import csm as csm_mod
 from . import data as data_mod
+from . import encoders  # encode_on_tape is looked up per call, where benchmarks/ traces it
 from . import evaluation as ev
 from . import training as tr
 from .attributes import label_dimension, randomize_labels
-from .encoders import EncoderSpec, SimilarityGraph, layer_count, within_pairs
+from .encoders import EncoderSpec, SimilarityGraph, init_encoder_weights, within_pairs
 from .errors import (
     BundleFormatError,
     ContractError,
@@ -344,8 +345,9 @@ def _sampled_split_pairs(bundle, split: str, seed: int, cap: int) -> np.ndarray:
 def _cmd_eval(args) -> int:
     if args.episodes < 1 or args.way < 1 or args.shot < 1 or args.query < 1:
         raise UsageError("episode parameters must all be >= 1")
-    if args.k < 1:
-        raise UsageError("--k must be >= 1")
+    for flag, value in (("--k", args.k), ("--max-pairs", args.max_pairs)):
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1")
     seed = _default_seed() if args.seed is None else args.seed
     bundle = data_mod.load_bundle(args.bundle)
     # every split name, and the bundle fields a task reads, are checked before any work
@@ -449,7 +451,6 @@ def _add_gradcheck_parser(sub) -> None:
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--dims", default="d=6,M=4", help="like d=6,M=4")
     p.add_argument("--seeds", type=int, default=100)
-    p.add_argument("--step", type=float, default=1e-5)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--negate-analytic", action="store_true", help=argparse.SUPPRESS)
 
@@ -458,55 +459,27 @@ def _parse_dims(text: str) -> tuple[int, int]:
     out = {"d": 6, "m": 4}
     for part in text.split(","):
         key, _, value = part.partition("=")
-        out[key.strip().lower()] = _positive_int("--dims", value)
+        key = key.strip().lower()
+        if key not in out:
+            raise UsageError(f"--dims: unknown key {key!r}, expected d and M")
+        out[key] = _positive_int("--dims", value)
     return out["d"], out["m"]
 
 
-def _kink_margin(kind, params, feats, idx_i, idx_j, propagate) -> float:
-    """Distance of the nearest relu/abs kink from its argument.
-
-    Central differences are only valid away from non-differentiable points,
-    so compositions that land too close to one are redrawn.
-    """
-    h = feats
-    margin = np.inf
-    if kind == "mlp":
-        pre = feats @ params["enc_w0"] + params["enc_b0"]
-        margin = float(np.abs(pre).min())
-        h = np.maximum(pre, 0.0) @ params["enc_w1"] + params["enc_b1"]
-    elif kind == "gcn":
-        for k in range(layer_count(params)):
-            pre = propagate(h) @ params[f"enc_w{k}"]
-            margin = min(margin, float(np.abs(pre).min()))
-            h = np.maximum(pre, 0.0)
-    # an exactly-zero abs argument is symmetric under central differences and
-    # matches the subgradient 0; only near-zero nonzero entries are unsafe
-    diff = h[idx_i] - h[idx_j]
-    nonzero = np.abs(diff[diff != 0.0])
-    if nonzero.size:
-        margin = min(margin, float(nonzero.min()))
-    return margin
-
-
-def gradcheck_composition(seed: int, d: int, m: int, step: float = 1e-5):
+def gradcheck_composition(seed: int, d: int, m: int):
     """One randomized (loss_fn, params) pair cycling the encoder kinds.
 
     Draws are redrawn (deterministically) when the composition is unmeasurable
-    by central differences at 64-bit: a relu/abs argument within 64 steps of
-    its kink, or a parameter entry whose true gradient sits below the
-    subtraction noise floor of the difference quotient.
+    by central differences at 64-bit: a relu/abs argument on the draw's tape
+    within 64 probe steps of its kink, or a parameter entry whose true
+    gradient sits below the subtraction noise floor of the difference quotient.
     """
     kind = ("csm", "mlp", "gcn")[seed % 3]
     n, n_pairs = 8, 6
     cfg = csm_mod.CsmConfig(m=m)
-    if kind == "csm":
-        spec = EncoderSpec(kind="identity")
-    elif kind == "mlp":
-        spec = EncoderSpec(kind="mlp", layer_dims=(d + 1, d))
-    else:
-        spec = EncoderSpec(kind="gcn", num_layers=2, hidden_dim=d, activation="relu")
-    from .encoders import encode_on_tape, init_encoder_weights
-
+    spec = {"csm": EncoderSpec(kind="identity"),
+            "mlp": EncoderSpec(kind="mlp", layer_dims=(d + 1, d)),
+            "gcn": EncoderSpec(kind="gcn", num_layers=2, hidden_dim=d)}[kind]
     for attempt in range(64):
         rng = generator(seed, "gradcheck", attempt)
         feats = rng.normal(size=(n, d))
@@ -527,28 +500,26 @@ def gradcheck_composition(seed: int, d: int, m: int, step: float = 1e-5):
                 edges.add((min(int(a), int(b)), max(int(a), int(b))))
         propagate = SimilarityGraph(n, edges).propagation()
 
-        def loss_fn(tape, tensors, _kind=kind, _spec=spec, _x=ad.Tensor(feats),
-                    _propagate=propagate, _i=idx_i, _j=idx_j, _e=e,
-                    _labels=labels, _mask=mask):
-            if _kind == "csm":
+        def loss_fn(tape, tensors):
+            if kind == "csm":
                 h = tensors["features"]
             else:
-                h = encode_on_tape(_spec, _x, tensors, _propagate)
-            diff = ad.pair_abs_diff(h, _i, _j)
+                h = encoders.encode_on_tape(spec, ad.Tensor(feats), tensors, propagate)
+            diff = ad.pair_abs_diff(h, idx_i, idx_j)
             rho, _, p = csm_mod.csm_on_tape(diff, tensors, cfg)
-            link = ad.bce_mean(p, _e)
-            attr = ad.masked_bce_mean(rho, _labels, _mask)
+            link = ad.bce_mean(p, e)
+            attr = ad.masked_bce_mean(rho, labels, mask)
             # |h_i - h_j| cancels any common shift of the encodings (the final
             # mlp bias is invisible to it); a direct per-node term keeps every
             # parameter measurable
             node = ad.scale(ad.mean_all(ad.sigmoid(h)), 0.25)
             return ad.add(ad.add(link, attr), node)
 
-        if _kink_margin(kind, params, feats, idx_i, idx_j, propagate) <= 64 * step:
-            continue
         probe = ad.Tape()
-        tensors = {k: probe.parameter(v, k) for k, v in params.items()}
-        grads = ad.backward(probe, loss_fn(probe, tensors))
+        loss = loss_fn(probe, {k: probe.parameter(v, k) for k, v in params.items()})
+        if probe.kink_margin() <= 64 * ad.PROBE_STEP:
+            continue
+        grads = ad.backward(probe, loss)
         # exactly-zero gradients belong to structurally dead directions (for
         # example a relu channel off for every node); the probe cannot move
         # them either, so numeric and analytic agree at 0. Only tiny nonzero
@@ -563,16 +534,17 @@ def gradcheck_composition(seed: int, d: int, m: int, step: float = 1e-5):
 
 def _cmd_gradcheck(args) -> int:
     d, m = _parse_dims(args.dims)
+    if args.seeds < 1:
+        raise UsageError("--seeds must be >= 1")
     transform = None
     if args.negate_analytic:
         def transform(store):
             return ad.GradientStore({k: -v for k, v in store.grads.items()})
 
-    worst = 0.0
-    worst_where = ("", -1, -1)
+    worst, worst_where = 0.0, ("", -1, -1)
     for seed in range(args.seeds):
         loss_fn, params = gradcheck_composition(seed, d, m)
-        errors = ad.finite_diff_errors(loss_fn, params, step=args.step, grad_transform=transform)
+        errors = ad.finite_diff_errors(loss_fn, params, grad_transform=transform)
         for name, err in errors.items():
             flat = int(err.argmax())
             if err.flat[flat] > worst:

@@ -53,7 +53,9 @@ class SimilarityGraph:
             if a == b:
                 raise ContractError(f"self-edge ({a}, {a}) is not allowed")
             raise IndexError(f"edge ({a}, {b}) out of range for {n} nodes")
-        self._set(n, np.unique(np.minimum(i, j) * n + np.maximum(i, j)))
+        # np.unique's result without its hash path: keys unlike their left neighbour
+        keys = np.sort(np.minimum(i, j) * n + np.maximum(i, j))
+        self._set(n, keys[np.diff(keys, prepend=-1) != 0])
 
     @classmethod
     def _from_keys(cls, n: int, keys: np.ndarray) -> "SimilarityGraph":

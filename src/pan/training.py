@@ -22,6 +22,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import csm as csm_mod
+from . import data as data_mod
+from . import evaluation as ev
 from .attributes import AttributeTable, FA_CHOICES, label_dimension, pair_label_matrix
 from .encoders import (
     EncoderSpec,
@@ -386,51 +388,48 @@ def _resolve_val_metric(config: TrainConfig, task: str | None) -> str:
 
 
 class _Validator:
-    """Scores a model on the validation split with the configured metric."""
+    """Scores a model on the val rows alone (its pairs and episodes index
+    them) with the configured metric."""
 
     def __init__(self, bundle, config: TrainConfig):
         self.metric = _resolve_val_metric(config, getattr(bundle, "task", None))
-        self.features = bundle.features  # few-shot episodes hold bundle ids
-        self.pairs = None
-        self.labels = None
-        self.episodes = None
+        self.pairs = self.labels = self.episodes = None
         if "val" not in bundle.splits:
             return
         val_idx = np.asarray(bundle.splits["val"], dtype=np.int64)
+        self.features = bundle.features[val_idx]
+        if self.metric == "fewshot" and getattr(bundle, "categories", None) is None:
+            self.metric = "pair_accuracy"
         if self.metric == "fewshot":
-            from .data import build_episodes  # deferred: avoids import at module load
-
-            categories = getattr(bundle, "categories", None)
-            if categories is None:
+            try:
+                episodes = data_mod.build_episodes(
+                    bundle, n_way=5, k_shot=5, n_query=8, count=20,
+                    seed=derive_seed(config.seed, "val-episodes"), split="val",
+                )
+            except GenerationError:  # too few val classes for an episode
                 self.metric = "pair_accuracy"
             else:
-                try:
-                    self.episodes = build_episodes(
-                        bundle, n_way=5, k_shot=5, n_query=8, count=20,
-                        seed=derive_seed(config.seed, "val-episodes"), split="val",
-                    )
-                    return
-                except GenerationError:  # too few val classes for an episode
-                    self.metric = "pair_accuracy"
+                row = {int(item): k for k, item in enumerate(val_idx)}  # bundle id -> val row
+                self.episodes = [
+                    ev.Episode(tuple(tuple(row[i] for i in cls) for cls in ep.support),
+                               tuple((row[i], c) for i, c in ep.query))
+                    for ep in episodes
+                ]
+                return
         sampled = _balanced_eval_pairs(
             bundle.graph.subgraph(val_idx), derive_seed(config.seed, "val-pairs")
         )
         if sampled is not None:
             self.pairs, self.labels = sampled
-            self.features = bundle.features[val_idx]
 
     def __call__(self, model: ModelBundle) -> float | None:
         if self.episodes is not None:
-            from .evaluation import few_shot_accuracy
-
-            return few_shot_accuracy(model, self.episodes, self.features).value
+            return ev.few_shot_accuracy(model, self.episodes, self.features).value
         if self.pairs is None:
             return None
         scores = model.pair_scores(self.pairs, self.features)
         if self.metric == "pair_auc":
-            from .evaluation import mann_whitney_auc
-
-            return mann_whitney_auc(scores[self.labels == 1], scores[self.labels == 0])
+            return ev.mann_whitney_auc(scores[self.labels == 1], scores[self.labels == 0])
         return float(((scores >= 0.5) == (self.labels == 1)).mean())
 
 

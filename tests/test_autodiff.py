@@ -242,6 +242,44 @@ class TestTape:
             ad.add(a, b)
 
 
+class TestKinks:
+    """A tape notes how far each relu/abs argument is from its kink."""
+
+    def test_relu_counts_exact_zeros(self):
+        tape = ad.Tape()
+        ad.relu(tape.parameter([[0.0, -3.0, 2.0]], "x"))
+        assert tape.kink_margin() == 0.0
+        tape = ad.Tape()
+        ad.relu(tape.parameter([[0.5, -0.25, 2.0]], "x"))
+        assert tape.kink_margin() == 0.25
+
+    def test_absolute_and_pair_abs_diff_skip_exact_zeros(self):
+        tape = ad.Tape()
+        ad.absolute(tape.parameter([[0.0, -0.125, 2.0]], "x"))
+        assert tape.kink_margin() == 0.125
+        tape = ad.Tape()
+        a = tape.parameter([[1.0, 4.0], [1.0, 3.5]], "a")
+        ad.pair_abs_diff(a, [0, 1], [1, 1])  # |a0 - a1| = (0, 0.5); |a1 - a1| = 0
+        assert tape.kink_margin() == 0.5
+        tape = ad.Tape()
+        ad.absolute(tape.parameter([[0.0, 0.0]], "x"))
+        assert tape.kink_margin() == math.inf
+
+    def test_margin_is_the_nearest_over_records(self):
+        tape = ad.Tape()
+        x = tape.parameter([[0.75, -1.5]], "x")
+        ad.absolute(ad.relu(ad.add(x, [[0.0, 1.4375]])))  # relu sees -0.0625; abs sees 0
+        assert tape.kink_margin() == 0.0625
+
+    def test_untaped_calls_and_other_primitives_note_nothing(self):
+        tape = ad.Tape()
+        ad.relu(tape.constant([[0.0]]))
+        ad.absolute(tape.constant([[1e-9]]))
+        ad.pair_abs_diff(np.array([[0.0], [1e-9]]), [0], [1])
+        ad.sigmoid(tape.parameter([[0.0]], "x"))
+        assert tape.kinks == [] and tape.kink_margin() == math.inf
+
+
 def worst_error(loss, params, step=1e-5):
     return max(float(e.max()) for e in ad.finite_diff_errors(loss, params, step).values())
 

@@ -246,6 +246,19 @@ class TestGradcheck:
     def test_wrong_sign_injection_fails(self):
         assert run_cli("gradcheck", "--seeds", 3, "--negate-analytic") == 1
 
+    def test_draws_are_pinned(self):
+        # seeds 0-99 of criterion 1: a change to the draws or to the kink
+        # screen shows up here as a new hash
+        digest = hashlib.sha256()
+        for seed in range(100):
+            _, params = cli.gradcheck_composition(seed, 6, 4)
+            for name in sorted(params):
+                digest.update(name.encode("utf-8"))
+                digest.update(np.ascontiguousarray(params[name], dtype=np.float64).tobytes())
+        assert digest.hexdigest() == (
+            "c91d23e08aaaf2483195d01e28076d97c50251378f4c091cb7f56dfbc7d0c182"
+        )
+
 
 class TestSweep:
     def test_single_value_single_run_equals_train_plus_eval(self, bundle_dir, tmp_path):
@@ -523,3 +536,36 @@ class TestCleanFailures:
         ) == 1
         assert "no split 'nope'" in capsys.readouterr().err
         assert not (out / "runs").exists()
+
+    @pytest.mark.parametrize("argv,config,flag", [
+        (["gradcheck", "--dims", "d=6,M=4,q=9"], None, "--dims"),
+        (["gradcheck"], {"dims": "d=6,M=4,q=9"}, "--dims"),
+        (["gradcheck", "--seeds", "0"], None, "--seeds"),
+        (["gradcheck"], {"seeds": 0}, "--seeds"),
+        (["eval", "--task", "attr-map", "--max-pairs", "-1"], None, "--max-pairs"),
+        (["eval", "--task", "attr-map"], {"max_pairs": -1}, "--max-pairs"),
+    ], ids=["dims-unknown-key", "config-dims-unknown-key", "seeds-zero", "config-seeds-zero",
+            "max-pairs-negative", "config-max-pairs-negative"])
+    def test_value_no_run_can_use_is_usage_error(self, bundle_dir, trained_dir, tmp_path,
+                                                 capsys, argv, config, flag):
+        out = tmp_path / "out"
+        if argv[0] == "eval":
+            argv += ["--checkpoint", trained_dir / "checkpoint.json", "--bundle", bundle_dir,
+                     "--out", out]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = ["--config", cfg, *argv]
+        assert run_cli_expect_usage_exit(*argv) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", [False, True], ids=["flag", "config"])
+    def test_gradcheck_has_no_step_option(self, tmp_path, capsys, config):
+        argv = ["gradcheck", "--seeds", 1, "--step", "1e-5"]
+        if config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"step": 1e-5}))
+            argv = ["--config", cfg, *argv[:-2]]
+        assert run_cli_expect_usage_exit(*argv) == 2
+        assert "step" in capsys.readouterr().err

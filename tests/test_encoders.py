@@ -62,6 +62,19 @@ class TestSimilarityGraph:
         np.testing.assert_array_equal(g.pairs, np.array(g.edges))
         assert g.pairs.dtype == np.int64 and not g.pairs.flags.writeable
 
+    def test_keys_match_an_np_unique_reference(self):
+        rng = np.random.default_rng(5)
+        n = 60
+        raw = rng.integers(0, n, size=(400, 2))
+        raw = raw[raw[:, 0] != raw[:, 1]]
+        messy = np.concatenate([raw, raw[::-1, ::-1], raw[:50]])  # reversed and repeated
+        messy = messy[rng.permutation(len(messy))]
+        lo, hi = messy.min(axis=1), messy.max(axis=1)
+        keys = np.unique(lo * n + hi)
+        g = enc.SimilarityGraph(n, messy)
+        np.testing.assert_array_equal(g.pairs, np.stack([keys // n, keys % n], axis=1))
+        assert g.pairs.dtype == np.int64
+
     def test_has_edge_and_equality(self):
         g = enc.SimilarityGraph(5, np.array([[4, 0], [1, 3]]))
         assert g.has_edges(np.array([0, 4, 3]), np.array([4, 0, 1])).all()

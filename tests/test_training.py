@@ -7,12 +7,12 @@ from pan import autodiff as ad
 from pan import training as tr
 from pan.attributes import AttributeTable
 from pan.csm import CsmConfig
-from pan.data import DatasetBundle, SyntheticSpec, generate
+from pan.data import DatasetBundle, SyntheticSpec, build_episodes, generate
 from pan.csm import csm_on_tape
 from pan.encoders import EncoderSpec, SimilarityGraph, encode_on_tape, init_encoder_weights
 from pan.errors import ContractError, SamplingError
-from pan.evaluation import average_precision, balanced_pair_accuracy
-from pan.rng import generator
+from pan.evaluation import average_precision, balanced_pair_accuracy, few_shot_accuracy
+from pan.rng import derive_seed, generator
 
 
 @pytest.fixture(scope="module")
@@ -401,6 +401,33 @@ class TestValidator:
         res = tr.train_pan(bundle, EncoderSpec(kind="identity"), CsmConfig(m=3),
                            quick_config(epochs=4, validation_every=2))
         assert all(0.0 <= row.val_metric <= 1.0 for row in res.history[1::2])
+
+    def test_fewshot_validation_encodes_the_val_rows_alone(self, monkeypatch):
+        spec = SyntheticSpec(n_items=1000, d=32, m_attributes=6, noise_sd=0.05,
+                             task_kind="fewshot_clusters", n_classes=20)
+        bundle = generate(spec, seed=1)[0]
+        val = bundle.splits["val"]
+        validator = tr._Validator(bundle, quick_config())
+        assert validator.metric == "fewshot" and len(validator.episodes) == 20
+        rows = []
+        encode_all = tr.ModelBundle.encode_all
+
+        def recording(self, features, graph_context=None):
+            rows.append(features)
+            return encode_all(self, features, graph_context)
+
+        monkeypatch.setattr(tr.ModelBundle, "encode_all", recording)
+        model = tr.init_model(EncoderSpec(kind="mlp", layer_dims=(8, 4)), CsmConfig(m=3),
+                              bundle.d, 1)
+        value = validator(model)
+        assert len(val) == 250 and len(rows) == 20
+        assert all(np.array_equal(f, bundle.features[val]) for f in rows)
+        # the same episodes over bundle ids score the same
+        episodes = build_episodes(
+            bundle, n_way=5, k_shot=5, n_query=8, count=20,
+            seed=derive_seed(quick_config().seed, "val-episodes"), split="val",
+        )
+        assert value == few_shot_accuracy(model, episodes, bundle.features).value
 
     def test_an_episode_bug_is_not_swallowed(self, monkeypatch):
         import pan.data
