@@ -8,6 +8,13 @@ build-once: no higher-order derivatives, no re-entrant recording. An
 operation none of whose operands is on a tape is computed and not recorded, so
 the same primitives are the untaped forward used at inference.
 
+Lifetime: the tape owns its records and every recorded tensor refers to its
+tape only weakly, so tape, tensors and forward values form no reference cycle.
+They are freed as soon as the last reference to the tape goes (for a training
+step, when the step returns), without waiting for the garbage collector, and
+``backward`` frees each record, with its output's gradient, once it has
+passed it.
+
 Numerical guards:
   * sigmoid is computed branchwise from exp of the negative-magnitude argument,
   * row softmax subtracts the per-row maximum,
@@ -16,6 +23,7 @@ Numerical guards:
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -45,14 +53,21 @@ def as_matrix(values, rows: int | None = None, cols: int | None = None) -> Array
 
 
 class Tensor:
-    """A matrix value, optionally attached to the tape that produced it."""
+    """A matrix value, optionally attached to the tape that produced it.
 
-    __slots__ = ("value", "tape", "name")
+    The tape is held by a weak reference: a tensor does not keep its tape
+    alive, and once the tape is gone the tensor is off every tape."""
+
+    __slots__ = ("value", "_tape", "name")
 
     def __init__(self, value, tape: "Tape | None" = None, name: str | None = None):
         self.value = value if isinstance(value, np.ndarray) else as_matrix(value)
-        self.tape = tape
+        self._tape = None if tape is None else tape.ref
         self.name = name
+
+    @property
+    def tape(self) -> "Tape | None":
+        return None if self._tape is None else self._tape()
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -71,16 +86,19 @@ class Tensor:
 class Tape:
     """Ordered record of primitive operations; operands always precede users.
 
-    Single-owner during construction. After ``backward`` the recorded values
-    stay valid for reading; recording more operations onto a consumed tape is
-    allowed but rarely useful.
+    Single-owner during construction. ``backward`` consumes the records: it
+    frees each one, and the forward values only it held, as it passes it, so
+    after ``backward`` the tape holds its parameters and kink notes alone.
+    Whatever remains is freed with the tape itself, which nothing recorded on
+    it keeps alive.
     """
 
-    __slots__ = ("records", "parameters", "kinks")
+    __slots__ = ("records", "parameters", "kinks", "ref", "__weakref__")
 
     def __init__(self):
         # each record: (output, inputs, vjp)
         self.records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        self.ref = weakref.ref(self)  # what each tensor on this tape holds
         self.parameters: dict[str, Tensor] = {}
         # per taped relu/abs: (an array its record holds, whether 0 is on the kink)
         self.kinks: list[tuple[Array, bool]] = []
@@ -127,13 +145,13 @@ def _as_tensor(x) -> Tensor:
 
 
 def _tape_of(*tensors: Tensor) -> Tape | None:
-    tape = None
+    ref = None
     for t in tensors:
-        if t.tape is not None:
-            if tape is not None and tape is not t.tape:
+        if t._tape is not None:
+            if ref is not None and ref is not t._tape:
                 raise ContractError("operands belong to different tapes")
-            tape = t.tape
-    return tape
+            ref = t._tape
+    return None if ref is None else ref()
 
 
 def _emit(
@@ -168,8 +186,8 @@ def matmul(a, b) -> Tensor:
     def vjp(g):
         # an operand off the tape gets no gradient, so none is computed for it
         return (
-            g @ b.value.T if a.tape is not None else None,
-            a.value.T @ g if b.tape is not None else None,
+            g @ b.value.T if a._tape is not None else None,
+            a.value.T @ g if b._tape is not None else None,
         )
 
     return _emit(a.value @ b.value, (a, b), vjp)
@@ -423,21 +441,25 @@ def backward(tape: Tape, output: Tensor) -> GradientStore:
     """Exact reverse-mode gradients of a scalar output for all tape parameters."""
     if output.value.size != 1:
         raise ContractError(f"backward: output must be scalar, got shape {output.shape}")
-    if output.tape is None:
+    if output._tape is None:
         # constant output: zero gradient everywhere
         return GradientStore(
             {name: np.zeros_like(p.value) for name, p in tape.parameters.items()}
         )
-    if output.tape is not tape:
+    if output._tape is not tape.ref:
         raise ContractError("backward: output was not produced on this tape")
 
     grad_by_id: dict[int, Array] = {id(output): np.ones((1, 1))}
-    for out, inputs, vjp in reversed(tape.records):
-        g = grad_by_id.get(id(out))
+    records = tape.records
+    while records:
+        # every user of out was recorded after it, so its gradient is complete;
+        # popping frees the record, and with it the values only its vjp held
+        out, inputs, vjp = records.pop()
+        g = grad_by_id.pop(id(out), None)
         if g is None:
             continue
         for operand, piece in zip(inputs, vjp(g)):
-            if piece is None or operand.tape is None:
+            if piece is None or operand._tape is None:
                 continue
             existing = grad_by_id.get(id(operand))
             if existing is None:

@@ -170,6 +170,28 @@ def _add_train_parser(sub) -> None:
     _add_train_flags(p)
 
 
+def _at_least(low: int):
+    """An argparse ``type``: an integer >= ``low``. Any other value, on the
+    command line or in ``--config``, is a usage error naming the flag."""
+
+    def parse(text) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
+def _finite_positive(text) -> float:
+    """An argparse ``type``: a finite float > 0."""
+    value = float(text)
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
 def _positive_int(flag: str, text: str) -> int:
     """``text`` as an integer >= 1; anything else is a usage error naming ``flag``."""
     if not text.strip().isdecimal() or int(text) < 1:
@@ -304,16 +326,17 @@ def _add_eval_parser(sub) -> None:
     p.add_argument("--task", choices=EVAL_TASKS, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--split", default=None, help="evaluation split (default test/novel)")
-    p.add_argument("--choices", type=int, default=10, help="candidates per question (fitb)")
-    p.add_argument("--way", type=int, default=5)
-    p.add_argument("--shot", type=int, default=5)
-    p.add_argument("--query", type=int, default=16)
-    p.add_argument("--episodes", type=int, default=600)
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--choices", type=_at_least(2), default=10,
+                   help="candidates per question (fitb)")
+    p.add_argument("--way", type=_at_least(1), default=5)
+    p.add_argument("--shot", type=_at_least(1), default=5)
+    p.add_argument("--query", type=_at_least(1), default=16)
+    p.add_argument("--episodes", type=_at_least(1), default=600)
+    p.add_argument("--k", type=_at_least(1), default=1)
     p.add_argument("--query-split", default="test")
     p.add_argument("--gallery-split", default="train")
     p.add_argument("--fa", choices=sorted(FA_FLAGS), default="or")
-    p.add_argument("--max-pairs", type=int, default=20000)
+    p.add_argument("--max-pairs", type=_at_least(1), default=20000)
     p.add_argument("--seed", type=int, default=None)
 
 
@@ -343,11 +366,6 @@ def _sampled_split_pairs(bundle, split: str, seed: int, cap: int) -> np.ndarray:
 
 
 def _cmd_eval(args) -> int:
-    if args.episodes < 1 or args.way < 1 or args.shot < 1 or args.query < 1:
-        raise UsageError("episode parameters must all be >= 1")
-    for flag, value in (("--k", args.k), ("--max-pairs", args.max_pairs)):
-        if value < 1:
-            raise UsageError(f"{flag} must be >= 1")
     seed = _default_seed() if args.seed is None else args.seed
     bundle = data_mod.load_bundle(args.bundle)
     # every split name, and the bundle fields a task reads, are checked before any work
@@ -450,8 +468,8 @@ def _cmd_eval(args) -> int:
 def _add_gradcheck_parser(sub) -> None:
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--dims", default="d=6,M=4", help="like d=6,M=4")
-    p.add_argument("--seeds", type=int, default=100)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--seeds", type=_at_least(1), default=100)
+    p.add_argument("--tolerance", type=_finite_positive, default=1e-4)
     p.add_argument("--negate-analytic", action="store_true", help=argparse.SUPPRESS)
 
 
@@ -534,8 +552,6 @@ def gradcheck_composition(seed: int, d: int, m: int):
 
 def _cmd_gradcheck(args) -> int:
     d, m = _parse_dims(args.dims)
-    if args.seeds < 1:
-        raise UsageError("--seeds must be >= 1")
     transform = None
     if args.negate_analytic:
         def transform(store):
@@ -570,8 +586,9 @@ def _add_sweep_parser(sub) -> None:
     p.add_argument("--values", required=True, help="comma-separated axis values")
     p.add_argument("--bundle", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--runs", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--runs", type=_at_least(1), default=1)
+    p.add_argument("--jobs", type=_at_least(1), default=1,
+                   help="worker processes; at most one per run and per CPU")
     p.add_argument("--eval-task", choices=("pair-acc",), default="pair-acc")
     p.add_argument("--eval-split", default=None)
     _add_train_flags(p)
@@ -614,8 +631,6 @@ def _sweep_one(packed) -> tuple[str, int, float | None, str | None]:
 
 def _cmd_sweep(args) -> int:
     values = _sweep_axis_values(args)
-    if args.runs < 1:
-        raise UsageError("--runs must be >= 1")
     out_dir = Path(args.out)
     args_dict = {k: v for k, v in vars(args).items() if k != "func"}
     _write_run_manifest(out_dir, "sweep", {k: str(v) for k, v in sorted(args_dict.items())})
@@ -623,8 +638,10 @@ def _cmd_sweep(args) -> int:
     for value in values:
         for run in range(args.runs):
             jobs.append((args_dict, args.axis, value, run, str(args.bundle), str(out_dir)))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool forks all its workers at once, however few runs there are
+    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one, jobs))
     else:
         results = [_sweep_one(job) for job in jobs]
@@ -696,7 +713,7 @@ def _flag_accepts(action: argparse.Action, value) -> bool:
     try:
         return (not isinstance(value, bool) and (action.type or str)(value) == value
                 and (action.choices is None or value in action.choices))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
         return False
 
 
@@ -721,8 +738,11 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     if unknown := sorted(set(defaults) - {action.dest for action in actions}):
         parser.error(f"config file {path}: unknown key(s) {', '.join(unknown)}")
     for key, value in defaults.items():
-        if not any(_flag_accepts(a, value) for a in actions if a.dest == key):
-            parser.error(f"config file {path}: key {key}: no flag takes the value {value!r}")
+        flags = [a for a in actions if a.dest == key]
+        if not any(_flag_accepts(a, value) for a in flags):
+            names = "/".join(sorted({a.option_strings[0] for a in flags if a.option_strings}))
+            parser.error(f"config file {path}: key {key}: no flag ({names}) takes the value "
+                         f"{value!r}")
     for p in parsers:
         p.set_defaults(**defaults)
     return argv[:pos] + argv[pos + 2 :]

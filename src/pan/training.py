@@ -230,8 +230,11 @@ def _fit_link_head(
 
 
 # ---------------------------------------------------------------------------
-# untaped forwards shared by the models
+# untaped forwards and the one pair scorer shared by the models
 # ---------------------------------------------------------------------------
+
+SCORE_BLOCK = 4096  # pairs per pair-head call: scoring memory grows with this, not the pair count
+
 
 def _encode_untaped(
     spec: EncoderSpec, params: dict, features, graph: SimilarityGraph | None = None
@@ -256,11 +259,53 @@ def _logistic(x, w, b) -> ad.Tensor:
     return ad.sigmoid(ad.add_row(ad.matmul(x, w), b))
 
 
-def _pair_concat(values: np.ndarray, idx_i, idx_j) -> np.ndarray:
+def _pair_concat(values, idx_i, idx_j) -> np.ndarray:
     """Row k is [values[idx_i[k]], values[idx_j[k]]]."""
     return np.concatenate(
         [ad.gather_rows(values, idx_i).value, ad.gather_rows(values, idx_j).value], axis=1
     )
+
+
+def _blocks(n: int) -> list[tuple[int, int]]:
+    """[start, stop) ranges of SCORE_BLOCK rows covering n rows, one empty range
+    for n = 0. A 1-row remainder joins the block before it, because BLAS gives
+    a one-row product other bits than the same row of a larger one."""
+    starts = list(range(0, n, SCORE_BLOCK)) or [0]
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
+class _PairModel:
+    """Pair scoring shared by PAN and the baselines. A model gives
+    ``encode_all(features, graph_context)``, its encoding of every item row,
+    and ``head(h, i, j)``, a tuple of (pairs, columns) tensors for the index
+    pairs (i, j) of h's rows, ending with the scores p. Scoring encodes once,
+    then runs the head on blocks of SCORE_BLOCK pairs and keeps only the
+    outputs asked for, so its memory does not grow with the pair count."""
+
+    def _in_blocks(self, pairs, features, graph_context, keep: slice) -> list[np.ndarray]:
+        idx = pair_array(pairs)
+        h = ad.Tensor(self.encode_all(features, graph_context))
+        outs = []
+        for start, stop in _blocks(len(idx)):
+            kept = self.head(h, idx[start:stop, 0], idx[start:stop, 1])[keep]
+            if not outs:
+                outs = [np.empty((len(idx), t.shape[1])) for t in kept]
+            for out, t in zip(outs, kept):
+                out[start:stop] = t.value
+        return outs
+
+    def pair_scores(
+        self, pairs, features, graph_context: SimilarityGraph | None = None
+    ) -> np.ndarray:
+        return self._in_blocks(pairs, features, graph_context, slice(-1, None))[0][:, 0]
+
+
+def _abs_diff_link(model, h: ad.Tensor, i, j) -> tuple[ad.Tensor]:
+    """(p,): the logistic link head on |h_i - h_j| of the Siamese and
+    multitask models."""
+    return (_logistic(ad.pair_abs_diff(h, i, j), model.params["link_w"], model.params["link_b"]),)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +313,7 @@ def _pair_concat(values: np.ndarray, idx_i, idx_j) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ModelBundle:
+class ModelBundle(_PairModel):
     """PAN: an encoder and the CSM, with every trainable matrix in ``params``
     (enc_w{k}, enc_b{k}, csm_w1, csm_b1, csm_w2, csm_b2)."""
 
@@ -291,24 +336,18 @@ class ModelBundle:
     ) -> np.ndarray:
         return _encode_untaped(self.encoder_spec, self.params, features, graph_context).value
 
-    def _forward(self, pairs, features, graph_context):
-        """(rho, omega, p) tensors: one encode_all, then the CSM on |h_i - h_j|."""
-        h = ad.Tensor(self.encode_all(features, graph_context))
+    def head(self, h: ad.Tensor, i, j) -> tuple[ad.Tensor, ad.Tensor, ad.Tensor]:
+        """(rho, omega, p): the CSM on |h_i - h_j|."""
         return csm_mod.csm_on_tape(
-            ad.pair_abs_diff(h, *pair_array(pairs).T), _untaped(self.params), self.csm_config
+            ad.pair_abs_diff(h, i, j), _untaped(self.params), self.csm_config
         )
-
-    def pair_scores(
-        self, pairs, features, graph_context: SimilarityGraph | None = None
-    ) -> np.ndarray:
-        return self._forward(pairs, features, graph_context)[2].value[:, 0]
 
     def pair_conditions(
         self, pairs, features, graph_context: SimilarityGraph | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """(rho, omega) matrices for a batch of pairs."""
-        rho, omega, _ = self._forward(pairs, features, graph_context)
-        return rho.value, omega.value
+        rho, omega = self._in_blocks(pairs, features, graph_context, slice(0, 2))
+        return rho, omega
 
 
 def init_model(
@@ -540,21 +579,19 @@ def train_pan(
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SiameseModel:
+class SiameseModel(_PairModel):
     """Linear embedding trained with a triplet loss, plus a dense link head:
     ``params`` holds embed_w (d x e), link_w (e x 1) and link_b (1 x 1)."""
 
     params: dict[str, np.ndarray]
+    head = _abs_diff_link
 
     @property
     def input_dim(self) -> int:
         return self.params["embed_w"].shape[0]
 
-    def pair_scores(self, pairs, features, graph_context=None) -> np.ndarray:
-        p = self.params
-        h = ad.matmul(features, p["embed_w"])
-        diff = ad.pair_abs_diff(h, *pair_array(pairs).T)
-        return _logistic(diff, p["link_w"], p["link_b"]).value[:, 0]
+    def encode_all(self, features, graph_context=None) -> np.ndarray:
+        return ad.matmul(features, self.params["embed_w"]).value
 
 
 def _sample_triplets(
@@ -631,27 +668,28 @@ def train_siamese_baseline(
 # ---------------------------------------------------------------------------
 
 @dataclass
-class MultitaskModel:
+class MultitaskModel(_PairModel):
     """A shared encoder with a link head (link_w, link_b) and, when trained
     with attributes, a per-image attribute head (attr_w, attr_b)."""
 
     encoder_spec: EncoderSpec
     params: dict[str, np.ndarray]
+    head = _abs_diff_link
 
     @property
     def input_dim(self) -> int:
         first = "link_w" if self.encoder_spec.kind == "identity" else "enc_w0"
         return self.params[first].shape[0]
 
-    def pair_scores(self, pairs, features, graph_context=None) -> np.ndarray:
-        h = _encode_untaped(self.encoder_spec, self.params, features)
-        diff = ad.pair_abs_diff(h, *pair_array(pairs).T)
-        return _logistic(diff, self.params["link_w"], self.params["link_b"]).value[:, 0]
+    def encode_all(self, features, graph_context=None) -> np.ndarray:
+        """The shared encoding. It takes no context graph: a GCN sees
+        self-loops only."""
+        return _encode_untaped(self.encoder_spec, self.params, features).value
 
     def attribute_scores(self, features: np.ndarray) -> np.ndarray:
         if "attr_w" not in self.params:
             raise ContractError("model was trained without an attribute head")
-        h = _encode_untaped(self.encoder_spec, self.params, features)
+        h = self.encode_all(features)
         return _logistic(h, self.params["attr_w"], self.params["attr_b"]).value
 
 
@@ -709,7 +747,7 @@ def train_multitask_baseline(
 # ---------------------------------------------------------------------------
 
 @dataclass
-class AttrSimilarityModel:
+class AttrSimilarityModel(_PairModel):
     """The lossy two-stage pipeline: per-image attributes predicted from
     features (attr_w, attr_b), then a dense pair head (pair_w, pair_b)."""
 
@@ -719,10 +757,13 @@ class AttrSimilarityModel:
     def input_dim(self) -> int:
         return self.params["attr_w"].shape[0]
 
-    def pair_scores(self, pairs, features, graph_context=None) -> np.ndarray:
-        probs = _logistic(features, self.params["attr_w"], self.params["attr_b"]).value
-        stacked = _pair_concat(probs, *pair_array(pairs).T)
-        return _logistic(stacked, self.params["pair_w"], self.params["pair_b"]).value[:, 0]
+    def encode_all(self, features, graph_context=None) -> np.ndarray:
+        """Predicted attribute probabilities per item."""
+        return _logistic(features, self.params["attr_w"], self.params["attr_b"]).value
+
+    def head(self, h: ad.Tensor, i, j) -> tuple[ad.Tensor]:
+        """(p,): the pair head on the concatenated attribute vectors."""
+        return (_logistic(_pair_concat(h, i, j), self.params["pair_w"], self.params["pair_b"]),)
 
 
 def train_attr_similarity_baseline(

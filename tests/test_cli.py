@@ -309,6 +309,36 @@ class TestSweep:
         assert len(rows) == 3
 
 
+    @pytest.mark.parametrize("jobs,cpus,workers", [
+        (1000, 8, 3), (1000, 2, 2), (2, 8, 2), (1, 8, None),
+    ], ids=["runs-bound", "cpus-bound", "jobs-bound", "one-job-no-pool"])
+    def test_pool_is_clamped_to_runs_and_cpus(self, bundle_dir, tmp_path, monkeypatch,
+                                              jobs, cpus, workers):
+        made = []
+
+        class RecordingPool:  # runs the jobs in this process; no worker starts
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert run_cli(
+            "sweep", "--axis", "lambda", "--values", "0", "--runs", 3, "--bundle", bundle_dir,
+            "--out", tmp_path / "sweep", "--epochs", 2, "--seed", 4, "--jobs", jobs,
+        ) == 0
+        assert made == ([] if workers is None else [workers])
+        assert len((tmp_path / "sweep" / "sweep.csv").read_text().splitlines()) == 4
+
+
 class TestConfigFile:
     def test_config_defaults_with_flag_override(self, bundle_dir, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -555,6 +585,39 @@ class TestCleanFailures:
         if config is not None:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(config))
+            argv = ["--config", cfg, *argv]
+        assert run_cli_expect_usage_exit(*argv) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command,flag,value", [
+        ("gradcheck", "--tolerance", float("nan")),
+        ("gradcheck", "--tolerance", float("inf")),
+        ("gradcheck", "--tolerance", 0.0),
+        ("gradcheck", "--tolerance", -1.0),
+        ("eval", "--choices", 1),
+        ("eval", "--choices", 0),
+        ("sweep", "--jobs", 0),
+        ("sweep", "--jobs", -2),
+    ], ids=["tolerance-nan", "tolerance-inf", "tolerance-zero", "tolerance-negative",
+            "choices-one", "choices-zero", "jobs-zero", "jobs-negative"])
+    def test_out_of_range_value_is_usage_error(self, bundle_dir, trained_dir, tmp_path,
+                                               capsys, command, flag, value, source):
+        out = tmp_path / "out"
+        argv = {
+            # without the check, a nan or infinite tolerance passes negated gradients
+            "gradcheck": ["gradcheck", "--seeds", 1, "--negate-analytic"],
+            "eval": ["eval", "--checkpoint", trained_dir / "checkpoint.json",
+                     "--bundle", bundle_dir, "--task", "fitb", "--out", out],
+            "sweep": ["sweep", "--axis", "lambda", "--values", "0", "--bundle", bundle_dir,
+                      "--out", out, "--epochs", 1],
+        }[command]
+        if source == "flag":
+            argv += [flag, value]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag[2:]: value}))  # nan and inf as JSON NaN, Infinity
             argv = ["--config", cfg, *argv]
         assert run_cli_expect_usage_exit(*argv) == 2
         assert flag in capsys.readouterr().err

@@ -1,8 +1,16 @@
+import gc
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pan
 from pan import autodiff as ad
 from pan import training as tr
 from pan.attributes import AttributeTable
@@ -11,7 +19,9 @@ from pan.data import DatasetBundle, SyntheticSpec, build_episodes, generate
 from pan.csm import csm_on_tape
 from pan.encoders import EncoderSpec, SimilarityGraph, encode_on_tape, init_encoder_weights
 from pan.errors import ContractError, SamplingError
-from pan.evaluation import average_precision, balanced_pair_accuracy, few_shot_accuracy
+from pan.evaluation import (
+    average_precision, balanced_pair_accuracy, few_shot_accuracy, product_pairs,
+)
 from pan.rng import derive_seed, generator
 
 
@@ -209,6 +219,29 @@ class TestAdam:
         assert [(h.epoch, h.train_loss) for h in a.history] == [
             (h.epoch, h.train_loss) for h in b.history
         ]
+
+
+def test_step_frees_its_tape_without_the_collector():
+    spec, cfg = EncoderSpec(kind="mlp", layer_dims=(8, 5)), CsmConfig(m=3)
+    model = tr.init_model(spec, cfg, 6, seed=1)
+    rng = np.random.default_rng(4)
+    feats = rng.normal(size=(20, 6))
+    i, j = rng.integers(0, 20, size=(2, 30))
+    e = rng.integers(0, 2, size=30)
+    tapes = []
+
+    def loss_fn(tape, tensors):
+        tapes.append(weakref.ref(tape))
+        h = encode_on_tape(spec, tape.constant(feats), tensors)
+        rho, _, p = csm_on_tape(ad.pair_abs_diff(h, i, j), tensors, cfg)
+        return tr._objective(rho, p, e, np.zeros((30, 0)), np.zeros((30, 0)), 0.0)
+
+    gc.disable()
+    try:
+        tr._step(model.params, tr.adam_init(model.params), quick_config(), loss_fn, 1)
+        assert tapes[0]() is None  # no cycle keeps it for the collector
+    finally:
+        gc.enable()
 
 
 class TestTrainPan:
@@ -459,6 +492,90 @@ class TestOneForward:
         got_rho, got_omega = model.pair_conditions(pairs, feats)
         assert got_rho.tobytes() == rho.value.tobytes()
         assert got_omega.tobytes() == omega.value.tobytes()
+
+
+def _scored_models(d: int, rng) -> list:
+    """Every model kind at the shapes the CLI trains (MLP 24,16, M = 6)."""
+    mlp = EncoderSpec(kind="mlp", layer_dims=(24, 16))
+    return [
+        tr.init_model(mlp, CsmConfig(m=6), d, 1),
+        tr.init_model(EncoderSpec(kind="identity"), CsmConfig(m=6, relevance_enabled=False), d, 2),
+        tr.SiameseModel({"embed_w": rng.normal(size=(d, 16)), "link_w": rng.normal(size=(16, 1)),
+                         "link_b": rng.normal(size=(1, 1))}),
+        tr.MultitaskModel(mlp, init_encoder_weights(mlp, d, 3) | {
+            "link_w": rng.normal(size=(16, 1)), "link_b": rng.normal(size=(1, 1))}),
+        tr.AttrSimilarityModel({"attr_w": rng.normal(size=(d, 6)), "attr_b": rng.normal(size=(1, 6)),
+                                "pair_w": rng.normal(size=(12, 1)), "pair_b": rng.normal(size=(1, 1))}),
+    ]
+
+
+def check_blocks_keep_bits() -> None:
+    """Blocked scoring equals the one-block composition bit for bit, at pair
+    counts around the block size (run at one BLAS thread)."""
+    block = tr.SCORE_BLOCK
+    rng = np.random.default_rng(0)
+    feats = rng.normal(size=(500, 16))
+    for model in _scored_models(16, rng):
+        for n in (1, 2, block - 1, block, block + 1, 2 * block + 1, 2 * block + 3):
+            pairs = rng.integers(0, len(feats), size=(n, 2))
+            outputs = []
+            for size in (block, 1 << 40):
+                tr.SCORE_BLOCK = size
+                out = [model.pair_scores(pairs, feats)]
+                if isinstance(model, tr.ModelBundle):
+                    out += model.pair_conditions(pairs, feats)
+                outputs.append([a.tobytes() for a in out])
+            tr.SCORE_BLOCK = block
+            assert outputs[0] == outputs[1], (type(model).__name__, n)
+
+
+class TestBlockedScoring:
+    """Every model encodes once and runs its pair head on blocks of
+    SCORE_BLOCK pairs, with the bits and less memory than one block."""
+
+    @pytest.mark.parametrize("n,expected", [
+        (0, [(0, 0)]), (1, [(0, 1)]), (4096, [(0, 4096)]), (4097, [(0, 4097)]),
+        (4098, [(0, 4096), (4096, 4098)]), (8195, [(0, 4096), (4096, 8192), (8192, 8195)]),
+    ])
+    def test_blocks_cover_the_rows_and_leave_no_single_row(self, n, expected):
+        assert tr.SCORE_BLOCK == 4096
+        assert tr._blocks(n) == expected
+
+    def test_block_boundaries_keep_bits(self):
+        # one BLAS thread: under several, row bits may depend on the split (README)
+        env = os.environ | {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        src = str(Path(pan.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import test_training; test_training.check_blocks_keep_bits()")
+        proc = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_one_encode_per_call(self, monkeypatch):
+        calls = []
+        encode_all = tr.ModelBundle.encode_all
+        monkeypatch.setattr(tr.ModelBundle, "encode_all",
+                            lambda *a: calls.append(1) or encode_all(*a))
+        model = _scored_models(16, np.random.default_rng(1))[0]
+        feats = np.random.default_rng(2).normal(size=(50, 16))
+        pairs = product_pairs(np.arange(50), np.arange(50)).repeat(4, axis=0)  # 10,000 pairs
+        model.pair_scores(pairs, feats)
+        model.pair_conditions(pairs, feats)
+        assert len(calls) == 2
+
+    def test_scoring_memory_does_not_grow_with_the_pair_count(self):
+        model = _scored_models(16, np.random.default_rng(1))[0]
+        feats = np.random.default_rng(2).normal(size=(1600, 16))
+        pairs = product_pairs(np.arange(400), np.arange(400, 1600))  # 480,000 pairs
+        tracemalloc.start()
+        try:
+            scores = model.pair_scores(pairs, feats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scores.shape == (len(pairs),)
+        assert peak < 30e6, peak  # one block of the head at once; 181 MB unblocked
 
 
 def _every_model(d, seed=0):
