@@ -23,7 +23,6 @@ import numpy as np
 from . import autodiff as ad
 from . import csm as csm_mod
 from . import data as data_mod
-from . import encoders  # encode_on_tape is looked up per call, where benchmarks/ traces it
 from . import evaluation as ev
 from . import training as tr
 from .attributes import label_dimension, randomize_labels
@@ -485,7 +484,9 @@ def _parse_dims(text: str) -> tuple[int, int]:
 
 
 def gradcheck_composition(seed: int, d: int, m: int):
-    """One randomized (loss_fn, params) pair cycling the encoder kinds.
+    """One randomized (loss_fn, params) pair cycling the encoder kinds: PAN's
+    own forward (``ModelBundle.encode`` and ``head``) under the training
+    objective at lambda = 1, plus a per-node term.
 
     Draws are redrawn (deterministically) when the composition is unmeasurable
     by central differences at 64-bit: a relu/abs argument on the draw's tape
@@ -517,21 +518,17 @@ def gradcheck_composition(seed: int, d: int, m: int):
             if a != b:
                 edges.add((min(int(a), int(b)), max(int(a), int(b))))
         propagate = SimilarityGraph(n, edges).propagation()
+        model = tr.ModelBundle(spec, cfg, params)
 
         def loss_fn(tape, tensors):
-            if kind == "csm":
-                h = tensors["features"]
-            else:
-                h = encoders.encode_on_tape(spec, ad.Tensor(feats), tensors, propagate)
-            diff = ad.pair_abs_diff(h, idx_i, idx_j)
-            rho, _, p = csm_mod.csm_on_tape(diff, tensors, cfg)
-            link = ad.bce_mean(p, e)
-            attr = ad.masked_bce_mean(rho, labels, mask)
+            x = tensors["features"] if kind == "csm" else ad.Tensor(feats)
+            h = model.encode(tensors, x, propagate)
+            rho, _, p = model.head(tensors, h, idx_i, idx_j)
             # |h_i - h_j| cancels any common shift of the encodings (the final
             # mlp bias is invisible to it); a direct per-node term keeps every
             # parameter measurable
             node = ad.scale(ad.mean_all(ad.sigmoid(h)), 0.25)
-            return ad.add(ad.add(link, attr), node)
+            return ad.add(tr._objective(rho, p, e, labels, mask, 1.0), node)
 
         probe = ad.Tape()
         loss = loss_fn(probe, {k: probe.parameter(v, k) for k, v in params.items()})
@@ -706,15 +703,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _flag_accepts(action: argparse.Action, value) -> bool:
     """Whether a config value is one the flag itself could give: a JSON
-    boolean for a switch, else a value its ``type`` returns unchanged, and one
-    of its ``choices``."""
+    boolean for a switch, else a value its ``type`` returns unchanged, of the
+    type it returns (an integer also for a float flag), and one of its
+    ``choices``. So 3.0 is no value of an integer flag."""
     if action.nargs == 0:  # store_true
         return isinstance(value, bool)
     try:
-        return (not isinstance(value, bool) and (action.type or str)(value) == value
-                and (action.choices is None or value in action.choices))
+        parsed = (action.type or str)(value)
     except (TypeError, ValueError, argparse.ArgumentTypeError):
         return False
+    same_type = type(value) is type(parsed) or (type(value) is int and type(parsed) is float)
+    return (same_type and parsed == value
+            and (action.choices is None or value in action.choices))
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:

@@ -210,42 +210,28 @@ def _fit(params: dict[str, np.ndarray], config: TrainConfig, epoch_loss) -> None
         _step(params, state, config, epoch_loss(epoch), epoch)
 
 
-def _fit_link_head(
-    pair_features, width: int, local: SimilarityGraph, config: TrainConfig,
-    init_label: str, pairs_label: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(w, b) of a logistic link head over frozen ``pair_features(i, j)`` rows of
-    ``width`` columns, trained on balanced pairs drawn afresh each epoch."""
-    head = {"w": _uniform(config.seed, init_label, width, 1), "b": np.zeros((1, 1))}
+def _fit_head(model, x_train, local: SimilarityGraph, config: TrainConfig,
+              pairs_label: str, init: dict[str, np.ndarray]) -> None:
+    """Train ``model.head`` over the model's frozen encoding of ``x_train``, on
+    balanced pairs drawn afresh each epoch. Only the parameters in ``init``
+    are trained; they then join ``model.params``."""
+    h = ad.Tensor(model.encode_all(x_train))
 
     def epoch_loss(epoch):
         rng = generator(config.seed, pairs_label, epoch)
         li, lj, e = _sample_pair_arrays(local, local.num_edges, rng)
-        x = pair_features(li, lj)
         y = e.reshape(-1, 1).astype(np.float64)
-        return lambda tape, t: ad.bce_mean(_logistic(x, t["w"], t["b"]), y)
+        return lambda tape, t: ad.bce_mean(model.head(t, h, li, lj)[-1], y)
 
-    _fit(head, config, epoch_loss)
-    return head["w"], head["b"]
+    _fit(init, config, epoch_loss)
+    model.params |= init
 
 
 # ---------------------------------------------------------------------------
-# untaped forwards and the one pair scorer shared by the models
+# the one pair scorer shared by the models
 # ---------------------------------------------------------------------------
 
 SCORE_BLOCK = 4096  # pairs per pair-head call: scoring memory grows with this, not the pair count
-
-
-def _encode_untaped(
-    spec: EncoderSpec, params: dict, features, graph: SimilarityGraph | None = None
-) -> ad.Tensor:
-    """Evaluation-mode encoding, no dropout; a GCN without a graph sees
-    self-loops only."""
-    x = ad.Tensor(ad.as_matrix(features))
-    propagation = None
-    if spec.kind == "gcn":
-        propagation = (graph or SimilarityGraph(x.shape[0])).propagation()
-    return encode_on_tape(spec, x, _untaped(params), propagation)
 
 
 def _untaped(arrays: dict[str, np.ndarray]) -> dict[str, ad.Tensor]:
@@ -277,19 +263,36 @@ def _blocks(n: int) -> list[tuple[int, int]]:
 
 
 class _PairModel:
-    """Pair scoring shared by PAN and the baselines. A model gives
-    ``encode_all(features, graph_context)``, its encoding of every item row,
-    and ``head(h, i, j)``, a tuple of (pairs, columns) tensors for the index
-    pairs (i, j) of h's rows, ending with the scores p. Scoring encodes once,
-    then runs the head on blocks of SCORE_BLOCK pairs and keeps only the
-    outputs asked for, so its memory does not grow with the pair count."""
+    """What PAN and the baselines share. A model writes its forward once, as
+    two methods over a parameter mapping: ``encode(params, x, propagation,
+    masks)`` encodes the item rows x, and ``head(params, h, i, j)`` returns a
+    tuple of (pairs, columns) tensors for the index pairs (i, j) of h's rows,
+    ending with the scores p. A trainer calls them on taped parameters; the
+    scorer calls them on the model's own ``params``, wrapped once per call.
+
+    Scoring encodes once (``encode_all``), then runs the head on blocks of
+    SCORE_BLOCK pairs and keeps only the outputs asked for, so its memory
+    does not grow with the pair count."""
+
+    uses_graph = False  # whether encode reads a propagation operator
+
+    def encode_all(self, features, graph_context: SimilarityGraph | None = None) -> np.ndarray:
+        """Evaluation-mode encoding of every item row, no dropout. Only a model
+        that uses a graph builds a propagation; a GCN without a context graph
+        sees self-loops only."""
+        x = ad.Tensor(ad.as_matrix(features))
+        propagation = None
+        if self.uses_graph:
+            propagation = (graph_context or SimilarityGraph(x.shape[0])).propagation()
+        return self.encode(_untaped(self.params), x, propagation).value
 
     def _in_blocks(self, pairs, features, graph_context, keep: slice) -> list[np.ndarray]:
         idx = pair_array(pairs)
         h = ad.Tensor(self.encode_all(features, graph_context))
+        params = _untaped(self.params)
         outs = []
         for start, stop in _blocks(len(idx)):
-            kept = self.head(h, idx[start:stop, 0], idx[start:stop, 1])[keep]
+            kept = self.head(params, h, idx[start:stop, 0], idx[start:stop, 1])[keep]
             if not outs:
                 outs = [np.empty((len(idx), t.shape[1])) for t in kept]
             for out, t in zip(outs, kept):
@@ -302,10 +305,21 @@ class _PairModel:
         return self._in_blocks(pairs, features, graph_context, slice(-1, None))[0][:, 0]
 
 
-def _abs_diff_link(model, h: ad.Tensor, i, j) -> tuple[ad.Tensor]:
+class _SpecEncoded(_PairModel):
+    """A model whose encoder is its ``encoder_spec`` over the enc_* params."""
+
+    @property
+    def uses_graph(self) -> bool:
+        return self.encoder_spec.kind == "gcn"
+
+    def encode(self, params, x, propagation=None, masks=None) -> ad.Tensor:
+        return encode_on_tape(self.encoder_spec, x, params, propagation, masks)
+
+
+def _abs_diff_link(model, params, h: ad.Tensor, i, j) -> tuple[ad.Tensor]:
     """(p,): the logistic link head on |h_i - h_j| of the Siamese and
     multitask models."""
-    return (_logistic(ad.pair_abs_diff(h, i, j), model.params["link_w"], model.params["link_b"]),)
+    return (_logistic(ad.pair_abs_diff(h, i, j), params["link_w"], params["link_b"]),)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +327,7 @@ def _abs_diff_link(model, h: ad.Tensor, i, j) -> tuple[ad.Tensor]:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ModelBundle(_PairModel):
+class ModelBundle(_SpecEncoded):
     """PAN: an encoder and the CSM, with every trainable matrix in ``params``
     (enc_w{k}, enc_b{k}, csm_w1, csm_b1, csm_w2, csm_b2)."""
 
@@ -331,16 +345,9 @@ class ModelBundle(_PairModel):
         first = "csm_w1" if self.encoder_spec.kind == "identity" else "enc_w0"
         return self.params[first].shape[0]
 
-    def encode_all(
-        self, features: np.ndarray, graph_context: SimilarityGraph | None = None
-    ) -> np.ndarray:
-        return _encode_untaped(self.encoder_spec, self.params, features, graph_context).value
-
-    def head(self, h: ad.Tensor, i, j) -> tuple[ad.Tensor, ad.Tensor, ad.Tensor]:
+    def head(self, params, h: ad.Tensor, i, j) -> tuple[ad.Tensor, ad.Tensor, ad.Tensor]:
         """(rho, omega, p): the CSM on |h_i - h_j|."""
-        return csm_mod.csm_on_tape(
-            ad.pair_abs_diff(h, i, j), _untaped(self.params), self.csm_config
-        )
+        return csm_mod.csm_on_tape(ad.pair_abs_diff(h, i, j), params, self.csm_config)
 
     def pair_conditions(
         self, pairs, features, graph_context: SimilarityGraph | None = None
@@ -554,11 +561,8 @@ def train_pan(
                 masks = [item_masks[idx] for item_masks in masks]
 
             def loss_fn(tape, tensors):
-                h = encode_on_tape(
-                    encoder_spec, tape.constant(x_train), tensors, propagation, masks
-                )
-                diff = ad.pair_abs_diff(h, li[batch], lj[batch])
-                rho, _, p = csm_mod.csm_on_tape(diff, tensors, csm_config)
+                h = model.encode(tensors, tape.constant(x_train), propagation, masks)
+                rho, _, p = model.head(tensors, h, li[batch], lj[batch])
                 return _objective(rho, p, e[batch], labels[batch], mask[batch], config.lambda_)
 
             epoch_loss += _step(params, state, config, loss_fn, epoch) * batch.size
@@ -590,8 +594,8 @@ class SiameseModel(_PairModel):
     def input_dim(self) -> int:
         return self.params["embed_w"].shape[0]
 
-    def encode_all(self, features, graph_context=None) -> np.ndarray:
-        return ad.matmul(features, self.params["embed_w"]).value
+    def encode(self, params, x, propagation=None, masks=None) -> ad.Tensor:
+        return ad.matmul(x, params["embed_w"])
 
 
 def _sample_triplets(
@@ -636,13 +640,13 @@ def train_siamese_baseline(
     _, x_train, local, _ = _train_split(bundle)
     d = x_train.shape[1]
     e_dim = embed_dim or d
-    params = {"embed_w": _uniform(config.seed, "siamese-init", d, e_dim)}
+    model = SiameseModel({"embed_w": _uniform(config.seed, "siamese-init", d, e_dim)})
 
     def triplet_loss(epoch):
         a_idx, p_idx, n_idx = _sample_triplets(local, generator(config.seed, "triplets", epoch))
 
         def loss_fn(tape, tensors):
-            emb = ad.matmul(tape.constant(x_train), tensors["embed_w"])
+            emb = model.encode(tensors, tape.constant(x_train))
             anc = ad.gather_rows(emb, a_idx)
             pos = ad.gather_rows(emb, p_idx)
             neg = ad.gather_rows(emb, n_idx)
@@ -653,14 +657,12 @@ def train_siamese_baseline(
 
         return loss_fn
 
-    _fit(params, config, triplet_loss)
+    _fit(model.params, config, triplet_loss)
     # stage 2: frozen embedding, logistic link prediction on |f_i - f_j|
-    emb = x_train @ params["embed_w"]
-    params["link_w"], params["link_b"] = _fit_link_head(
-        lambda i, j: ad.pair_abs_diff(emb, i, j), e_dim, local, config,
-        "link-init", "link-pairs",
-    )
-    return SiameseModel(params)
+    _fit_head(model, x_train, local, config, "link-pairs", {
+        "link_w": _uniform(config.seed, "link-init", e_dim, 1), "link_b": np.zeros((1, 1)),
+    })
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +670,7 @@ def train_siamese_baseline(
 # ---------------------------------------------------------------------------
 
 @dataclass
-class MultitaskModel(_PairModel):
+class MultitaskModel(_SpecEncoded):
     """A shared encoder with a link head (link_w, link_b) and, when trained
     with attributes, a per-image attribute head (attr_w, attr_b)."""
 
@@ -681,25 +683,22 @@ class MultitaskModel(_PairModel):
         first = "link_w" if self.encoder_spec.kind == "identity" else "enc_w0"
         return self.params[first].shape[0]
 
-    def encode_all(self, features, graph_context=None) -> np.ndarray:
-        """The shared encoding. It takes no context graph: a GCN sees
-        self-loops only."""
-        return _encode_untaped(self.encoder_spec, self.params, features).value
+    def attribute_head(self, params, h: ad.Tensor) -> ad.Tensor:
+        """Per-item attribute probabilities from the shared encoding h."""
+        return _logistic(h, params["attr_w"], params["attr_b"])
 
     def attribute_scores(self, features: np.ndarray) -> np.ndarray:
         if "attr_w" not in self.params:
             raise ContractError("model was trained without an attribute head")
-        h = self.encode_all(features)
-        return _logistic(h, self.params["attr_w"], self.params["attr_b"]).value
+        h = ad.Tensor(self.encode_all(features))
+        return self.attribute_head(_untaped(self.params), h).value
 
 
 def train_multitask_baseline(
-    bundle,
-    config: TrainConfig,
-    encoder_spec: EncoderSpec | None = None,
-    attribute_table: AttributeTable | None = None,
+    bundle, config: TrainConfig, attribute_table: AttributeTable | None = None
 ) -> MultitaskModel:
-    """Shared encoder; link head on |h_i - h_j| plus a per-image attribute head.
+    """Shared one-layer MLP encoder; link head on |h_i - h_j| plus a per-image
+    attribute head.
 
     The attribute loss is weighted by lambda and skipped entirely when lambda
     is 0 or there are no attributes, which makes those runs bit-identical to a
@@ -707,31 +706,29 @@ def train_multitask_baseline(
     bundle's table."""
     idx, x_train, local, table = _train_split(bundle, attribute_table)
     d = x_train.shape[1]
-    spec = encoder_spec or EncoderSpec(kind="mlp", layer_dims=(d,))
+    spec = EncoderSpec(kind="mlp", layer_dims=(d,))
 
-    h_dim = spec.output_dim(d)
     params = init_encoder_weights(spec, d, config.seed)
-    params["link_w"] = _uniform(config.seed, "link-init", h_dim, 1)
+    params["link_w"] = _uniform(config.seed, "link-init", d, 1)
     params["link_b"] = np.zeros((1, 1))
     use_attrs = table is not None and config.lambda_ > 0.0 and table.mask[idx].any()
     if table is not None:
         # drawn from its own stream so presence never shifts the link-path init
-        params["attr_w"] = _uniform(config.seed, "attr-head-init", h_dim, table.m)
+        params["attr_w"] = _uniform(config.seed, "attr-head-init", d, table.m)
         params["attr_b"] = np.zeros((1, table.m))
+    model = MultitaskModel(spec, params)
 
     def pair_loss(epoch):
         rng = generator(config.seed, "pairs", epoch)
         li, lj, e = _sample_pair_arrays(local, local.num_edges, rng)
 
         def loss_fn(tape, tensors):
-            h = encode_on_tape(spec, tape.constant(x_train), tensors)
-            diff = ad.pair_abs_diff(h, li, lj)
-            link = _logistic(diff, tensors["link_w"], tensors["link_b"])
+            h = model.encode(tensors, tape.constant(x_train))
+            (link,) = model.head(tensors, h, li, lj)
             loss = ad.bce_mean(link, e.reshape(-1, 1).astype(np.float64))
             if use_attrs:
                 attr_loss = ad.masked_bce_mean(
-                    _logistic(h, tensors["attr_w"], tensors["attr_b"]),
-                    table.values[idx], table.mask[idx],
+                    model.attribute_head(tensors, h), table.values[idx], table.mask[idx],
                 )
                 loss = ad.add(loss, ad.scale(attr_loss, config.lambda_))
             return loss
@@ -739,7 +736,7 @@ def train_multitask_baseline(
         return loss_fn
 
     _fit(params, config, pair_loss)
-    return MultitaskModel(spec, params)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -757,13 +754,13 @@ class AttrSimilarityModel(_PairModel):
     def input_dim(self) -> int:
         return self.params["attr_w"].shape[0]
 
-    def encode_all(self, features, graph_context=None) -> np.ndarray:
+    def encode(self, params, x, propagation=None, masks=None) -> ad.Tensor:
         """Predicted attribute probabilities per item."""
-        return _logistic(features, self.params["attr_w"], self.params["attr_b"]).value
+        return _logistic(x, params["attr_w"], params["attr_b"])
 
-    def head(self, h: ad.Tensor, i, j) -> tuple[ad.Tensor]:
+    def head(self, params, h: ad.Tensor, i, j) -> tuple[ad.Tensor]:
         """(p,): the pair head on the concatenated attribute vectors."""
-        return (_logistic(_pair_concat(h, i, j), self.params["pair_w"], self.params["pair_b"]),)
+        return (_logistic(_pair_concat(h, i, j), params["pair_w"], params["pair_b"]),)
 
 
 def train_attr_similarity_baseline(
@@ -776,25 +773,22 @@ def train_attr_similarity_baseline(
     if table is None:
         raise ContractError("attribute-similarity baseline requires an attribute table")
 
-    params = {
+    model = AttrSimilarityModel({
         "attr_w": _uniform(config.seed, "attr-stage1-init", x_train.shape[1], table.m),
         "attr_b": np.zeros((1, table.m)),
-    }
+    })
     v_train = table.values[idx]
     m_train = table.mask[idx]
 
     def attribute_loss(tape, tensors):
-        predicted = _logistic(x_train, tensors["attr_w"], tensors["attr_b"])
-        return ad.masked_bce_mean(predicted, v_train, m_train)
+        return ad.masked_bce_mean(model.encode(tensors, x_train), v_train, m_train)
 
-    _fit(params, config, lambda epoch: attribute_loss)
-    probs = _logistic(x_train, params["attr_w"], params["attr_b"]).value
-
-    params["pair_w"], params["pair_b"] = _fit_link_head(
-        lambda i, j: _pair_concat(probs, i, j), 2 * table.m, local, config,
-        "attr-stage2-init", "pairs",
-    )
-    return AttrSimilarityModel(params)
+    _fit(model.params, config, lambda epoch: attribute_loss)
+    _fit_head(model, x_train, local, config, "pairs", {
+        "pair_w": _uniform(config.seed, "attr-stage2-init", 2 * table.m, 1),
+        "pair_b": np.zeros((1, 1)),
+    })
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -358,6 +358,13 @@ class TestConfigFile:
         manifest2 = json.loads((out2 / "run.json").read_text())
         assert manifest2["config"]["train"]["epochs"] == 5
 
+    def test_integer_for_a_float_flag_is_accepted(self, bundle_dir, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"lr": 1, "epochs": 2}))
+        out = tmp_path / "int-lr"
+        assert run_cli("--config", cfg_path, "train", "--bundle", bundle_dir, "--out", out) == 0
+        assert json.loads((out / "run.json").read_text())["config"]["train"]["learning_rate"] == 1
+
     def test_env_seed_default(self, bundle_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("PAN_SEED", "123")
         out = tmp_path / "envseed"
@@ -471,7 +478,7 @@ class TestCleanFailures:
 
     @pytest.mark.parametrize("key,value", [
         ("relevance", "maybe"), ("randomize_labels", "no"), ("seed", 1.7), ("epochs", 1.5),
-        ("lambda_", "0.5"),
+        ("lambda_", "0.5"), ("epochs", 2.0), ("choices", 3.0),
     ])
     def test_bad_config_value_is_usage_error(self, bundle_dir, tmp_path, capsys, key, value):
         cfg = tmp_path / "cfg.json"

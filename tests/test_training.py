@@ -493,6 +493,65 @@ class TestOneForward:
         assert got_rho.tobytes() == rho.value.tobytes()
         assert got_omega.tobytes() == omega.value.tobytes()
 
+    @pytest.mark.parametrize("kind", ["pan-mlp", "pan-gcn", "siamese", "multitask", "attr-sim"])
+    def test_encode_then_head_on_a_tape_equals_the_scorer_bitwise(self, separable_bundle, kind):
+        feats = separable_bundle.features
+        d = feats.shape[1]
+        rng = np.random.default_rng(5)
+        mlp = EncoderSpec(kind="mlp", layer_dims=(d,))
+        model = {
+            "pan-mlp": lambda: tr.init_model(
+                EncoderSpec(kind="mlp", layer_dims=(8, 5)), CsmConfig(m=4), d, seed=3),
+            "pan-gcn": lambda: tr.init_model(
+                EncoderSpec(kind="gcn", num_layers=2, hidden_dim=6), CsmConfig(m=4), d, seed=3),
+            "siamese": lambda: tr.SiameseModel({
+                "embed_w": rng.normal(size=(d, 5)), "link_w": rng.normal(size=(5, 1)),
+                "link_b": rng.normal(size=(1, 1))}),
+            "multitask": lambda: tr.MultitaskModel(mlp, init_encoder_weights(mlp, d, 3) | {
+                "link_w": rng.normal(size=(d, 1)), "link_b": rng.normal(size=(1, 1))}),
+            "attr-sim": lambda: tr.AttrSimilarityModel({
+                "attr_w": rng.normal(size=(d, 4)), "attr_b": rng.normal(size=(1, 4)),
+                "pair_w": rng.normal(size=(8, 1)), "pair_b": rng.normal(size=(1, 1))}),
+        }[kind]()
+        graph = separable_bundle.graph if kind == "pan-gcn" else None  # a context graph
+        propagation = None if graph is None else graph.propagation()
+        pairs = rng.integers(0, len(feats), size=(2000, 2))
+        tape = ad.Tape()
+        tensors = {k: tape.parameter(v, k) for k, v in model.params.items()}
+        h = model.encode(tensors, tape.constant(feats), propagation)
+        out = model.head(tensors, h, pairs[:, 0], pairs[:, 1])
+        assert out[-1].tape is tape
+        assert model.pair_scores(pairs, feats, graph).tobytes() == out[-1].value[:, 0].tobytes()
+        if isinstance(model, tr.ModelBundle):
+            rho, omega = model.pair_conditions(pairs, feats, graph)
+            assert rho.tobytes() == out[0].value.tobytes()
+            assert omega.tobytes() == out[1].value.tobytes()
+
+
+@pytest.mark.parametrize("model_class,train", [
+    (tr.ModelBundle, lambda b, cfg: tr.train_pan(
+        b, EncoderSpec(kind="mlp", layer_dims=(6, 4)), CsmConfig(m=3), cfg)),
+    (tr.SiameseModel, lambda b, cfg: tr.train_siamese_baseline(b, margin=0.2, config=cfg)),
+    (tr.MultitaskModel, lambda b, cfg: tr.train_multitask_baseline(b, cfg)),
+    (tr.AttrSimilarityModel, lambda b, cfg: tr.train_attr_similarity_baseline(b, cfg)),
+], ids=["pan", "siamese", "multitask", "attr-sim"])
+def test_trainers_train_through_the_models_head(separable_bundle, monkeypatch, model_class,
+                                                train):
+    """Each trainer's loss runs the model class's own ``head`` on taped
+    parameters, once per epoch, so no trainer keeps a copy of the forward."""
+    taped = []
+    head = model_class.head
+
+    def recording(self, params, h, i, j):
+        out = head(self, params, h, i, j)
+        tape = out[-1].tape
+        taped.append(tape is not None and any(t.tape is tape for t in params.values()))
+        return out
+
+    monkeypatch.setattr(model_class, "head", recording)
+    train(separable_bundle, quick_config(epochs=3, lambda_=1.0))
+    assert sum(taped) == 3
+
 
 def _scored_models(d: int, rng) -> list:
     """Every model kind at the shapes the CLI trains (MLP 24,16, M = 6)."""
