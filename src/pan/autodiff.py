@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ContractError, DimensionError, NumericError
 
 BCE_EPS = 1e-12
-PROBE_STEP = 1e-5  # finite_diff_errors' step; cli.gradcheck_composition screens kinks in it
+PROBE_STEP = 1e-5  # finite_diff_errors' step; training.gradcheck_composition screens kinks in it
 
 Array = np.ndarray
 

@@ -26,7 +26,7 @@ from . import data as data_mod
 from . import evaluation as ev
 from . import training as tr
 from .attributes import label_dimension, randomize_labels
-from .encoders import EncoderSpec, SimilarityGraph, init_encoder_weights, within_pairs
+from .encoders import EncoderSpec, within_pairs
 from .errors import (
     BundleFormatError,
     ContractError,
@@ -36,6 +36,7 @@ from .errors import (
     SamplingError,
 )
 from .rng import derive_seed, generator
+from .training import gradcheck_composition
 
 PAN_ERRORS = (
     BundleFormatError, ContractError, DimensionError,
@@ -75,13 +76,12 @@ def _write_metric_files(out_dir: Path, report: ev.MetricReport, fingerprint: str
     payload = report.to_dict()
     payload["config_fingerprint"] = fingerprint
     tr.write_json(out_dir / "metrics.json", payload)
-    low = "" if report.interval is None else repr(float(report.interval[0]))
-    high = "" if report.interval is None else repr(float(report.interval[1]))
-    lines = [
-        "metric,value,interval_low,interval_high,count,config_fingerprint",
-        f"{report.name},{repr(float(report.value))},{low},{high},{report.count},{fingerprint}",
-    ]
-    (out_dir / "metrics.csv").write_text("\n".join(lines) + "\n")
+    low, high = report.interval or (None, None)
+    tr.write_csv(
+        out_dir / "metrics.csv",
+        ("metric", "value", "interval_low", "interval_high", "count", "config_fingerprint"),
+        [(report.name, float(report.value), low, high, report.count, fingerprint)],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +152,14 @@ def _add_train_flags(p) -> None:
     p.add_argument("--mode", choices=("single-batch", "minibatch"), default="single-batch")
     p.add_argument("--batch-size", type=int, default=96)
     p.add_argument("--val-every", type=int, default=100)
-    p.add_argument("--val-metric", choices=tr.VAL_METRICS, default=None)
     p.add_argument("--pairs-per-epoch", type=int, default=4096)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--randomize-labels", action="store_true",
                    help="sanity check: replace labelled attributes with coin flips")
     p.add_argument("--baseline", choices=("none", "siamese", "multitask", "attr-sim"),
                    default="none")
-    p.add_argument("--margin", type=float, default=0.2, help="triplet margin (siamese)")
+    p.add_argument("--margin", type=_finite_nonnegative, default=0.2,
+                   help="triplet margin (siamese)")
 
 
 def _add_train_parser(sub) -> None:
@@ -188,6 +188,14 @@ def _finite_positive(text) -> float:
     value = float(text)
     if not (np.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
+def _finite_nonnegative(text) -> float:
+    """An argparse ``type``: a finite float >= 0."""
+    value = float(text)
+    if not (np.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
     return value
 
 
@@ -248,7 +256,6 @@ def _train_config_from_args(args, seed: int, fa: str) -> tr.TrainConfig:
         seed=seed,
         fa=fa,
         validation_every=args.val_every,
-        val_metric=args.val_metric,
         pairs_per_epoch=args.pairs_per_epoch,
     )
 
@@ -276,7 +283,7 @@ def _train_once(args, bundle, out_dir: Path, seed: int) -> dict:
 
     if args.baseline == "none":
         result = tr.train_pan(bundle, encoder_spec, csm_config, config, attribute_table=table)
-        tr.save_checkpoint(out_dir / "checkpoint.json", result.model)
+        model = result.model
         tr.write_history_csv(out_dir / "history.csv", result.history)
         # the manifest was echoed before work started; rewrite it with the
         # metric history now that training is done
@@ -291,8 +298,8 @@ def _train_once(args, bundle, out_dir: Path, seed: int) -> dict:
         }
     else:
         model = _train_baseline(args, bundle, config, table)
-        tr.save_baseline(out_dir / "checkpoint.json", args.baseline, model)
         summary = {"baseline": args.baseline}
+    tr.save_checkpoint(out_dir / "checkpoint.json", model)
     tr.write_json(out_dir / "summary.json", summary)
     return {"summary": summary, "fingerprint": manifest["fingerprint"]}
 
@@ -436,21 +443,17 @@ def _cmd_eval(args) -> int:
         report = ev.attribute_map(
             model, pairs, bundle.attributes, FA_FLAGS[args.fa], bundle.features
         )
-        ap_rows = ["attribute,ap"]
-        for a, val in enumerate(report.detail["per_attribute_ap"]):
-            ap_rows.append(f"{a},{'' if np.isnan(val) else repr(float(val))}")
-        (out_dir / "per_attribute_ap.csv").write_text("\n".join(ap_rows) + "\n")
+        tr.write_csv(out_dir / "per_attribute_ap.csv", ("attribute", "ap"), [
+            (a, None if np.isnan(ap) else ap)
+            for a, ap in enumerate(report.detail["per_attribute_ap"])
+        ])
     else:  # rank-report
         pairs = _sampled_split_pairs(bundle, split, seed, args.max_pairs)
         rows = ev.attribute_rank_report(models, pairs, bundle.features)
-        header = ("attribute,mean_rank_relevance,sd_rank_relevance,"
-                  "mean_rank_contribution,sd_rank_contribution")
-        lines = [header] + [
-            f"{r['attribute']},{repr(r['mean_rank_relevance'])},{repr(r['sd_rank_relevance'])},"
-            f"{repr(r['mean_rank_contribution'])},{repr(r['sd_rank_contribution'])}"
-            for r in rows
-        ]
-        (out_dir / "rank_report.csv").write_text("\n".join(lines) + "\n")
+        header = ("attribute", "mean_rank_relevance", "sd_rank_relevance",
+                  "mean_rank_contribution", "sd_rank_contribution")
+        tr.write_csv(out_dir / "rank_report.csv", header,
+                     [[r[key] for key in header] for r in rows])
         mean_top = min(r["mean_rank_relevance"] for r in rows)
         report = ev.MetricReport("rank_report_runs", float(len(models)), None, len(rows),
                                  detail={"best_mean_rank_relevance": mean_top})
@@ -481,70 +484,6 @@ def _parse_dims(text: str) -> tuple[int, int]:
             raise UsageError(f"--dims: unknown key {key!r}, expected d and M")
         out[key] = _positive_int("--dims", value)
     return out["d"], out["m"]
-
-
-def gradcheck_composition(seed: int, d: int, m: int):
-    """One randomized (loss_fn, params) pair cycling the encoder kinds: PAN's
-    own forward (``ModelBundle.encode`` and ``head``) under the training
-    objective at lambda = 1, plus a per-node term.
-
-    Draws are redrawn (deterministically) when the composition is unmeasurable
-    by central differences at 64-bit: a relu/abs argument on the draw's tape
-    within 64 probe steps of its kink, or a parameter entry whose true
-    gradient sits below the subtraction noise floor of the difference quotient.
-    """
-    kind = ("csm", "mlp", "gcn")[seed % 3]
-    n, n_pairs = 8, 6
-    cfg = csm_mod.CsmConfig(m=m)
-    spec = {"csm": EncoderSpec(kind="identity"),
-            "mlp": EncoderSpec(kind="mlp", layer_dims=(d + 1, d)),
-            "gcn": EncoderSpec(kind="gcn", num_layers=2, hidden_dim=d)}[kind]
-    for attempt in range(64):
-        rng = generator(seed, "gradcheck", attempt)
-        feats = rng.normal(size=(n, d))
-        idx_i = rng.integers(0, n, size=n_pairs)
-        idx_j = (idx_i + 1 + rng.integers(0, n - 1, size=n_pairs)) % n
-        e = rng.integers(0, 2, size=(n_pairs, 1)).astype(float)
-        labels = rng.integers(0, 2, size=(n_pairs, m)).astype(float)
-        mask = rng.integers(0, 2, size=(n_pairs, m)).astype(float)
-        draw_seed = derive_seed(seed, attempt)
-        # the identity encoder has no parameters: the features themselves are checked
-        params = csm_mod.init_params(d, m, draw_seed) | init_encoder_weights(spec, d, draw_seed)
-        if kind == "csm":
-            params["features"] = feats
-        edges = set()
-        while len(edges) < n:
-            a, b = rng.integers(0, n, size=2)
-            if a != b:
-                edges.add((min(int(a), int(b)), max(int(a), int(b))))
-        propagate = SimilarityGraph(n, edges).propagation()
-        model = tr.ModelBundle(spec, cfg, params)
-
-        def loss_fn(tape, tensors):
-            x = tensors["features"] if kind == "csm" else ad.Tensor(feats)
-            h = model.encode(tensors, x, propagate)
-            rho, _, p = model.head(tensors, h, idx_i, idx_j)
-            # |h_i - h_j| cancels any common shift of the encodings (the final
-            # mlp bias is invisible to it); a direct per-node term keeps every
-            # parameter measurable
-            node = ad.scale(ad.mean_all(ad.sigmoid(h)), 0.25)
-            return ad.add(tr._objective(rho, p, e, labels, mask, 1.0), node)
-
-        probe = ad.Tape()
-        loss = loss_fn(probe, {k: probe.parameter(v, k) for k, v in params.items()})
-        if probe.kink_margin() <= 64 * ad.PROBE_STEP:
-            continue
-        grads = ad.backward(probe, loss)
-        # exactly-zero gradients belong to structurally dead directions (for
-        # example a relu channel off for every node); the probe cannot move
-        # them either, so numeric and analytic agree at 0. Only tiny nonzero
-        # gradients drown in the difference-quotient noise floor.
-        live_mins = [
-            float(np.abs(g[g != 0.0]).min()) for g in grads.grads.values() if (g != 0.0).any()
-        ]
-        if min(live_mins, default=1.0) >= 1e-6:
-            return loss_fn, params
-    raise NumericError(f"could not draw a finite-difference-measurable composition for seed {seed}")
 
 
 def _cmd_gradcheck(args) -> int:
@@ -643,18 +582,17 @@ def _cmd_sweep(args) -> int:
     else:
         results = [_sweep_one(job) for job in jobs]
 
-    lines = ["value,run,metric"]
     failures = []
     by_value: dict[str, list[float]] = {}
     for value, run, metric, error in results:
-        lines.append(f"{value},{run},{'' if metric is None else repr(metric)}")
         if metric is None:
             failures.append((value, run, error))
         else:
             by_value.setdefault(value, []).append(metric)
-    (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
+    tr.write_csv(out_dir / "sweep.csv", ("value", "run", "metric"),
+                 [(value, run, metric) for value, run, metric, _ in results])
 
-    summary = ["value,mean,half_width_95,runs"]
+    summary = []
     for value in values:
         metrics = by_value.get(value, [])
         if metrics:
@@ -663,10 +601,10 @@ def _cmd_sweep(args) -> int:
                 float(1.96 * np.std(metrics, ddof=1) / np.sqrt(len(metrics)))
                 if len(metrics) > 1 else 0.0
             )
-            summary.append(f"{value},{repr(mean)},{repr(half)},{len(metrics)}")
+            summary.append((value, mean, half, len(metrics)))
         else:
-            summary.append(f"{value},,,0")
-    (out_dir / "summary.csv").write_text("\n".join(summary) + "\n")
+            summary.append((value, None, None, 0))
+    tr.write_csv(out_dir / "summary.csv", ("value", "mean", "half_width_95", "runs"), summary)
 
     for value, run, error in failures:
         print(f"run failed: {args.axis}={value} run={run}: {error}", file=sys.stderr)

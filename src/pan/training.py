@@ -1,4 +1,5 @@
-"""Objective assembly, pair sampling, Adam, and the trainers.
+"""Objective assembly, pair sampling, Adam, the one training loop, the
+trainers, and the gradient check's draws.
 
 Training minimizes, over balanced samples of linked and unlinked pairs,
 
@@ -15,7 +16,7 @@ goes through labelled streams from :mod:`pan.rng`.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,9 @@ from .errors import ContractError, DimensionError, GenerationError, NumericError
 from .rng import derive_seed, generator
 
 TRAIN_MODES = ("single_batch", "minibatch")
-VAL_METRICS = ("pair_accuracy", "pair_auc", "fewshot")
+# Adam's moment decays and denominator floor: the defaults of Kingma & Ba,
+# "Adam: A Method for Stochastic Optimization" (ICLR 2015)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -51,12 +54,8 @@ class TrainConfig:
     mode: str = "single_batch"
     batch_size: int = 96
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     fa: str = "or"
     validation_every: int = 10
-    val_metric: str | None = None  # resolved from the dataset task when None
     pairs_per_epoch: int | None = None  # per-class cap; None means every edge
 
     def __post_init__(self):
@@ -70,16 +69,10 @@ class TrainConfig:
             raise ContractError(f"unknown training mode {self.mode!r}")
         if self.batch_size < 1:
             raise ContractError("batch size must be >= 1")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ContractError("Adam betas must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ContractError("Adam eps must be positive")
         if self.fa not in FA_CHOICES:
             raise ContractError(f"unknown attribute combination {self.fa!r}")
         if self.validation_every < 1:
             raise ContractError("validation_every must be >= 1")
-        if self.val_metric is not None and self.val_metric not in VAL_METRICS:
-            raise ContractError(f"unknown validation metric {self.val_metric!r}")
         if self.pairs_per_epoch is not None and self.pairs_per_epoch < 1:
             raise ContractError("pairs_per_epoch must be >= 1")
 
@@ -98,6 +91,70 @@ def _objective(rho: ad.Tensor, p: ad.Tensor, e, labels, mask, lam: float) -> ad.
     if labels.shape[1] < rho.shape[1]:
         rho = ad.slice_cols(rho, 0, labels.shape[1])
     return ad.add(loss, ad.scale(ad.masked_bce_mean(rho, labels, mask), lam))
+
+
+def gradcheck_composition(seed: int, d: int, m: int):
+    """One randomized (loss_fn, params) pair cycling the encoder kinds: PAN's
+    own forward (``ModelBundle.encode`` and ``head``) under the training
+    objective at lambda = 1, plus a per-node term.
+
+    Draws are redrawn (deterministically) when the composition is unmeasurable
+    by central differences at 64-bit: a relu/abs argument on the draw's tape
+    within 64 probe steps of its kink, or a parameter entry whose true
+    gradient sits below the subtraction noise floor of the difference quotient.
+    """
+    kind = ("csm", "mlp", "gcn")[seed % 3]
+    n, n_pairs = 8, 6
+    cfg = csm_mod.CsmConfig(m=m)
+    spec = {"csm": EncoderSpec(kind="identity"),
+            "mlp": EncoderSpec(kind="mlp", layer_dims=(d + 1, d)),
+            "gcn": EncoderSpec(kind="gcn", num_layers=2, hidden_dim=d)}[kind]
+    for attempt in range(64):
+        rng = generator(seed, "gradcheck", attempt)
+        feats = rng.normal(size=(n, d))
+        idx_i = rng.integers(0, n, size=n_pairs)
+        idx_j = (idx_i + 1 + rng.integers(0, n - 1, size=n_pairs)) % n
+        e = rng.integers(0, 2, size=(n_pairs, 1)).astype(float)
+        labels = rng.integers(0, 2, size=(n_pairs, m)).astype(float)
+        mask = rng.integers(0, 2, size=(n_pairs, m)).astype(float)
+        draw_seed = derive_seed(seed, attempt)
+        # the identity encoder has no parameters: the features themselves are checked
+        params = csm_mod.init_params(d, m, draw_seed) | init_encoder_weights(spec, d, draw_seed)
+        if kind == "csm":
+            params["features"] = feats
+        edges = set()
+        while len(edges) < n:
+            a, b = rng.integers(0, n, size=2)
+            if a != b:
+                edges.add((min(int(a), int(b)), max(int(a), int(b))))
+        propagate = SimilarityGraph(n, edges).propagation()
+        model = ModelBundle(spec, cfg, params)
+
+        def loss_fn(tape, tensors):
+            x = tensors["features"] if kind == "csm" else ad.Tensor(feats)
+            h = model.encode(tensors, x, propagate)
+            rho, _, p = model.head(tensors, h, idx_i, idx_j)
+            # |h_i - h_j| cancels any common shift of the encodings (the final
+            # mlp bias is invisible to it); a direct per-node term keeps every
+            # parameter measurable
+            node = ad.scale(ad.mean_all(ad.sigmoid(h)), 0.25)
+            return ad.add(_objective(rho, p, e, labels, mask, 1.0), node)
+
+        probe = ad.Tape()
+        loss = loss_fn(probe, {k: probe.parameter(v, k) for k, v in params.items()})
+        if probe.kink_margin() <= 64 * ad.PROBE_STEP:
+            continue
+        grads = ad.backward(probe, loss)
+        # exactly-zero gradients belong to structurally dead directions (for
+        # example a relu channel off for every node); the probe cannot move
+        # them either, so numeric and analytic agree at 0. Only tiny nonzero
+        # gradients drown in the difference-quotient noise floor.
+        live_mins = [
+            float(np.abs(g[g != 0.0]).min()) for g in grads.grads.values() if (g != 0.0).any()
+        ]
+        if min(live_mins, default=1.0) >= 1e-6:
+            return loss_fn, params
+    raise NumericError(f"could not draw a finite-difference-measurable composition for seed {seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +196,7 @@ def _sample_pair_arrays(
 
 
 # ---------------------------------------------------------------------------
-# Adam and the one training step every trainer takes
+# Adam, and the one step and one epoch loop every trainer takes
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -157,18 +214,12 @@ def adam_init(params: dict[str, np.ndarray]) -> AdamState:
 
 
 def adam_step(
-    params: dict[str, np.ndarray],
-    grads,
-    state: AdamState,
-    learning_rate: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    params: dict[str, np.ndarray], grads, state: AdamState, learning_rate: float
 ) -> None:
     """One bias-corrected Adam update, in place."""
     state.t += 1
-    c1 = 1.0 - beta1 ** state.t
-    c2 = 1.0 - beta2 ** state.t
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -177,11 +228,11 @@ def adam_step(
             )
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p -= learning_rate * (m / c1) / (np.sqrt(v / c2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p -= learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def _step(
@@ -192,22 +243,52 @@ def _step(
     backward, and Adam in place. Returns the loss; a non-finite one raises."""
     tape = ad.Tape()
     loss = loss_fn(tape, {k: tape.parameter(v, k) for k, v in params.items()})
-    adam_step(
-        params, ad.backward(tape, loss), state, config.learning_rate,
-        config.beta1, config.beta2, config.eps,
-    )
+    adam_step(params, ad.backward(tape, loss), state, config.learning_rate)
     value = loss.item()
     if not np.isfinite(value):
         raise NumericError(f"non-finite training loss at epoch {epoch}")
     return value
 
 
-def _fit(params: dict[str, np.ndarray], config: TrainConfig, epoch_loss) -> None:
-    """Full-batch training from fresh Adam moments: one step per epoch on the
-    LossFn that ``epoch_loss(epoch)`` returns."""
+@dataclass
+class HistoryRow:
+    epoch: int
+    train_loss: float
+    val_metric: float | None
+
+
+@dataclass
+class TrainResult:
+    model: _PairModel
+    history: list[HistoryRow]
+    best_epoch: int
+    best_metric: float | None
+
+
+def _fit(model, config: TrainConfig, epoch_steps, params=None, validator=None) -> TrainResult:
+    """The one epoch loop. From fresh Adam moments over ``params`` (default
+    ``model.params``), each epoch takes one ``_step`` per (LossFn, pair count)
+    that ``epoch_steps(epoch)`` yields, and records their pair-weighted mean
+    loss. ``validator`` scores the model every validation_every epochs and at
+    the last; the result holds a copy of the best-scoring model, else the
+    model itself."""
+    params = model.params if params is None else params
     state = adam_init(params)
+    history: list[HistoryRow] = []
+    best, best_metric, best_epoch = model, None, config.epochs
     for epoch in range(1, config.epochs + 1):
-        _step(params, state, config, epoch_loss(epoch), epoch)
+        loss_sum, count = 0.0, 0
+        for loss_fn, n in epoch_steps(epoch):
+            loss_sum += _step(params, state, config, loss_fn, epoch) * n
+            count += n
+        val_value = None
+        if validator is not None and (epoch % config.validation_every == 0
+                                      or epoch == config.epochs):
+            val_value = validator(model)
+            if val_value is not None and (best_metric is None or val_value > best_metric):
+                best, best_metric, best_epoch = model.copy(), val_value, epoch
+        history.append(HistoryRow(epoch, loss_sum / count, val_value))
+    return TrainResult(best, history, best_epoch, best_metric)
 
 
 def _fit_head(model, x_train, local: SimilarityGraph, config: TrainConfig,
@@ -217,13 +298,13 @@ def _fit_head(model, x_train, local: SimilarityGraph, config: TrainConfig,
     are trained; they then join ``model.params``."""
     h = ad.Tensor(model.encode_all(x_train))
 
-    def epoch_loss(epoch):
+    def epoch_steps(epoch):
         rng = generator(config.seed, pairs_label, epoch)
         li, lj, e = _sample_pair_arrays(local, local.num_edges, rng)
         y = e.reshape(-1, 1).astype(np.float64)
-        return lambda tape, t: ad.bce_mean(model.head(t, h, li, lj)[-1], y)
+        yield (lambda tape, t: ad.bce_mean(model.head(t, h, li, lj)[-1], y)), len(e)
 
-    _fit(init, config, epoch_loss)
+    _fit(model, config, epoch_steps, params=init)
     model.params |= init
 
 
@@ -371,21 +452,6 @@ def init_model(
 # shared training scaffolding
 # ---------------------------------------------------------------------------
 
-@dataclass
-class HistoryRow:
-    epoch: int
-    train_loss: float
-    val_metric: float | None
-
-
-@dataclass
-class TrainResult:
-    model: ModelBundle
-    history: list[HistoryRow] = field(default_factory=list)
-    best_epoch: int = 0
-    best_metric: float | None = None
-
-
 def _train_split(
     bundle, attribute_table: AttributeTable | None = None
 ) -> tuple[np.ndarray, np.ndarray, SimilarityGraph, AttributeTable | None]:
@@ -427,18 +493,14 @@ def _balanced_eval_pairs(local: SimilarityGraph, seed: int, cap: int = 2000):
     return np.concatenate([edges, neg]), labels
 
 
-def _resolve_val_metric(config: TrainConfig, task: str | None) -> str:
-    if config.val_metric is not None:
-        return config.val_metric
-    return "fewshot" if task == "fewshot_clusters" else "pair_accuracy"
-
-
 class _Validator:
     """Scores a model on the val rows alone (its pairs and episodes index
-    them) with the configured metric."""
+    them): few-shot accuracy for a fewshot_clusters bundle, else pair
+    accuracy."""
 
     def __init__(self, bundle, config: TrainConfig):
-        self.metric = _resolve_val_metric(config, getattr(bundle, "task", None))
+        fewshot = getattr(bundle, "task", None) == "fewshot_clusters"
+        self.metric = "fewshot" if fewshot else "pair_accuracy"
         self.pairs = self.labels = self.episodes = None
         if "val" not in bundle.splits:
             return
@@ -474,8 +536,6 @@ class _Validator:
         if self.pairs is None:
             return None
         scores = model.pair_scores(self.pairs, self.features)
-        if self.metric == "pair_auc":
-            return ev.mann_whitney_auc(scores[self.labels == 1], scores[self.labels == 0])
         return float(((scores >= 0.5) == (self.labels == 1)).mean())
 
 
@@ -521,17 +581,11 @@ def train_pan(
         table = AttributeTable(table.values[idx], table.mask[idx])
 
     model = init_model(encoder_spec, csm_config, x_train.shape[1], config.seed)
-    params = model.params
-    state = adam_init(params)
-    validator = _Validator(bundle, config)
-
-    history: list[HistoryRow] = []
-    best, best_metric, best_epoch = model, None, config.epochs
     count_per_class = local.num_edges
     if config.pairs_per_epoch is not None:
         count_per_class = min(count_per_class, config.pairs_per_epoch)
 
-    for epoch in range(1, config.epochs + 1):
+    def epoch_steps(epoch):
         pair_rng = generator(config.seed, "pairs", epoch)
         li, lj, e = _sample_pair_arrays(local, count_per_class, pair_rng)
 
@@ -552,8 +606,8 @@ def train_pan(
             labels, mask = pair_label_matrix(table, li, lj, config.fa)
 
         batch_rng = generator(config.seed, "batch-order", epoch)
-        epoch_loss = 0.0
         for step, batch in enumerate(_epoch_batches(len(e), config, batch_rng)):
+            # drawn one batch at a time: _fit takes each step before asking for the next
             masks = dropout_masks_for_epoch(
                 encoder_spec, bundle.graph.n, derive_seed(config.seed, "layer-drop", epoch, step)
             )
@@ -565,17 +619,9 @@ def train_pan(
                 rho, _, p = model.head(tensors, h, li[batch], lj[batch])
                 return _objective(rho, p, e[batch], labels[batch], mask[batch], config.lambda_)
 
-            epoch_loss += _step(params, state, config, loss_fn, epoch) * batch.size
-        epoch_loss /= len(e)
+            yield loss_fn, batch.size
 
-        val_value = None
-        if epoch % config.validation_every == 0 or epoch == config.epochs:
-            val_value = validator(model)
-            if val_value is not None and (best_metric is None or val_value > best_metric):
-                best, best_metric, best_epoch = model.copy(), val_value, epoch
-        history.append(HistoryRow(epoch, epoch_loss, val_value))
-
-    return TrainResult(model=best, history=history, best_epoch=best_epoch, best_metric=best_metric)
+    return _fit(model, config, epoch_steps, validator=_Validator(bundle, config))
 
 
 # ---------------------------------------------------------------------------
@@ -635,14 +681,14 @@ def train_siamese_baseline(
     bundle, margin: float, config: TrainConfig, embed_dim: int | None = None
 ) -> SiameseModel:
     """Triplet-loss embedding over frozen features, then a logistic link head."""
-    if margin < 0:
-        raise ContractError(f"margin must be nonnegative, got {margin}")
+    if not (np.isfinite(margin) and margin >= 0):
+        raise ContractError(f"margin must be finite and nonnegative, got {margin}")
     _, x_train, local, _ = _train_split(bundle)
     d = x_train.shape[1]
     e_dim = embed_dim or d
     model = SiameseModel({"embed_w": _uniform(config.seed, "siamese-init", d, e_dim)})
 
-    def triplet_loss(epoch):
+    def epoch_steps(epoch):
         a_idx, p_idx, n_idx = _sample_triplets(local, generator(config.seed, "triplets", epoch))
 
         def loss_fn(tape, tensors):
@@ -655,9 +701,9 @@ def train_siamese_baseline(
             margins = tape.constant(np.full(d_pos.shape, float(margin)))
             return ad.mean_all(ad.relu(ad.add(ad.subtract(d_pos, d_neg), margins)))
 
-        return loss_fn
+        yield loss_fn, len(a_idx)
 
-    _fit(model.params, config, triplet_loss)
+    _fit(model, config, epoch_steps)
     # stage 2: frozen embedding, logistic link prediction on |f_i - f_j|
     _fit_head(model, x_train, local, config, "link-pairs", {
         "link_w": _uniform(config.seed, "link-init", e_dim, 1), "link_b": np.zeros((1, 1)),
@@ -718,7 +764,7 @@ def train_multitask_baseline(
         params["attr_b"] = np.zeros((1, table.m))
     model = MultitaskModel(spec, params)
 
-    def pair_loss(epoch):
+    def epoch_steps(epoch):
         rng = generator(config.seed, "pairs", epoch)
         li, lj, e = _sample_pair_arrays(local, local.num_edges, rng)
 
@@ -733,9 +779,9 @@ def train_multitask_baseline(
                 loss = ad.add(loss, ad.scale(attr_loss, config.lambda_))
             return loss
 
-        return loss_fn
+        yield loss_fn, len(e)
 
-    _fit(params, config, pair_loss)
+    _fit(model, config, epoch_steps)
     return model
 
 
@@ -783,7 +829,7 @@ def train_attr_similarity_baseline(
     def attribute_loss(tape, tensors):
         return ad.masked_bce_mean(model.encode(tensors, x_train), v_train, m_train)
 
-    _fit(model.params, config, lambda epoch: attribute_loss)
+    _fit(model, config, lambda epoch: [(attribute_loss, len(idx))])
     _fit_head(model, x_train, local, config, "pairs", {
         "pair_w": _uniform(config.seed, "attr-stage2-init", 2 * table.m, 1),
         "pair_b": np.zeros((1, 1)),
@@ -792,7 +838,7 @@ def train_attr_similarity_baseline(
 
 
 # ---------------------------------------------------------------------------
-# checkpoint and history files
+# checkpoint, history and other run-output files
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_FORMAT = "pan-checkpoint-v1"
@@ -812,6 +858,22 @@ def write_json(path, obj) -> None:
     """The one JSON writer of every checkpoint, manifest and metrics file:
     sorted keys, one-space indent, a final newline."""
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def write_csv(path, header, rows) -> None:
+    """The one CSV writer of every run output: a header line, then one line
+    per row, where None is an empty cell, a float its shortest round-trip
+    repr, and anything else its str."""
+    lines = [",".join(header)] + [",".join(_csv_cell(v) for v in row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def model_to_dict(model: ModelBundle) -> dict:
@@ -846,16 +908,18 @@ def model_from_dict(obj: dict) -> ModelBundle:
     return ModelBundle(spec_from_dict(enc), cfg, params)
 
 
-def save_checkpoint(path, model: ModelBundle) -> None:
-    write_json(path, model_to_dict(model))
-
-
 BASELINES = {
     "siamese": SiameseModel, "multitask": MultitaskModel, "attr-sim": AttrSimilarityModel,
 }
 
 
-def save_baseline(path, kind: str, model) -> None:
+def save_checkpoint(path, model) -> None:
+    """The one checkpoint writer: PAN's format for a ModelBundle, else the
+    baseline format under the kind that BASELINES gives the model's class."""
+    if isinstance(model, ModelBundle):
+        write_json(path, model_to_dict(model))
+        return
+    kind = next(k for k, cls in BASELINES.items() if type(model) is cls)
     extra = {}
     if kind == "multitask":  # n_enc_layers is not read back; it keeps the file layout
         extra = {"encoder": spec_to_dict(model.encoder_spec),
@@ -894,8 +958,5 @@ def load_checkpoint(path):
 
 
 def write_history_csv(path, history: list[HistoryRow]) -> None:
-    lines = ["epoch,train_loss,val_metric"]
-    for row in history:
-        val = "" if row.val_metric is None else repr(row.val_metric)
-        lines.append(f"{row.epoch},{repr(row.train_loss)},{val}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, ("epoch", "train_loss", "val_metric"),
+              [(row.epoch, row.train_loss, row.val_metric) for row in history])

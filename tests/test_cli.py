@@ -607,8 +607,11 @@ class TestCleanFailures:
         ("eval", "--choices", 0),
         ("sweep", "--jobs", 0),
         ("sweep", "--jobs", -2),
+        ("train", "--margin", -1.0),
+        ("train", "--margin", float("nan")),
     ], ids=["tolerance-nan", "tolerance-inf", "tolerance-zero", "tolerance-negative",
-            "choices-one", "choices-zero", "jobs-zero", "jobs-negative"])
+            "choices-one", "choices-zero", "jobs-zero", "jobs-negative",
+            "margin-negative", "margin-nan"])
     def test_out_of_range_value_is_usage_error(self, bundle_dir, trained_dir, tmp_path,
                                                capsys, command, flag, value, source):
         out = tmp_path / "out"
@@ -619,6 +622,9 @@ class TestCleanFailures:
                      "--bundle", bundle_dir, "--task", "fitb", "--out", out],
             "sweep": ["sweep", "--axis", "lambda", "--values", "0", "--bundle", bundle_dir,
                       "--out", out, "--epochs", 1],
+            # without the check, run.json is written before the trainer rejects the margin
+            "train": ["train", "--bundle", bundle_dir, "--out", out, "--baseline", "siamese",
+                      "--epochs", 1],
         }[command]
         if source == "flag":
             argv += [flag, value]

@@ -1,10 +1,12 @@
 import gc
+import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +246,36 @@ def test_step_frees_its_tape_without_the_collector():
         gc.enable()
 
 
+@pytest.mark.parametrize("train,min_steps", [
+    (lambda b, cfg: tr.train_pan(b, EncoderSpec(kind="identity"), CsmConfig(m=3), cfg), 3),
+    (lambda b, cfg: tr.train_pan(b, EncoderSpec(kind="mlp", layer_dims=(6, 4)), CsmConfig(m=3),
+                                 replace(cfg, mode="minibatch", batch_size=64)), 4),
+    (lambda b, cfg: tr.train_siamese_baseline(b, margin=0.2, config=cfg), 6),
+    (lambda b, cfg: tr.train_multitask_baseline(b, cfg), 3),
+    (lambda b, cfg: tr.train_attr_similarity_baseline(b, cfg), 6),
+], ids=["pan", "pan-minibatch", "siamese", "multitask", "attr-sim"])
+def test_every_trainer_steps_only_inside_fit(separable_bundle, monkeypatch, train, min_steps):
+    fit, step = tr._fit, tr._step
+    fitting, steps = [], []
+
+    def fit_spy(*args, **kwargs):
+        fitting.append(True)
+        try:
+            return fit(*args, **kwargs)
+        finally:
+            fitting.pop()
+
+    def step_spy(*args):
+        assert fitting, "a training step outside _fit"
+        steps.append(args[-1])
+        return step(*args)
+
+    monkeypatch.setattr(tr, "_fit", fit_spy)
+    monkeypatch.setattr(tr, "_step", step_spy)
+    train(separable_bundle, quick_config(epochs=3, lambda_=1.0))
+    assert len(steps) >= min_steps
+
+
 class TestTrainPan:
     def test_zero_epochs_returns_initialized_model(self, separable_bundle):
         cfg = quick_config(epochs=0)
@@ -386,9 +418,9 @@ def _pan_checkpoint(spec, csm_config):
     return train
 
 
-def _baseline_checkpoint(kind, fit):
+def _baseline_checkpoint(fit):
     def train(b, cfg, path):
-        tr.save_baseline(path, kind, fit(b, cfg))
+        tr.save_checkpoint(path, fit(b, cfg))
     return train
 
 
@@ -398,9 +430,9 @@ def _baseline_checkpoint(kind, fit):
     _pan_checkpoint(EncoderSpec(kind="gcn", num_layers=2, hidden_dim=8,
                                 layer_dropout_p=0.5, edge_dropout_p=0.15),
                     CsmConfig(m=4, supervision="supervised")),
-    _baseline_checkpoint("siamese", lambda b, cfg: tr.train_siamese_baseline(b, 0.2, cfg)),
-    _baseline_checkpoint("multitask", tr.train_multitask_baseline),
-    _baseline_checkpoint("attr-sim", tr.train_attr_similarity_baseline),
+    _baseline_checkpoint(lambda b, cfg: tr.train_siamese_baseline(b, 0.2, cfg)),
+    _baseline_checkpoint(tr.train_multitask_baseline),
+    _baseline_checkpoint(tr.train_attr_similarity_baseline),
 ], ids=["pan-mlp", "pan-gcn", "siamese", "multitask", "attr-sim"])
 def test_training_reads_only_its_split(separable_bundle, tmp_path, train):
     b = separable_bundle
@@ -892,20 +924,23 @@ class TestCheckpointAndHistory:
     def test_baseline_round_trip_bit_identical(self, tmp_path, separable_bundle, kind, train):
         model = train(separable_bundle, quick_config(epochs=5, lambda_=1.0))
         path, again = tmp_path / "model.json", tmp_path / "model2.json"
-        tr.save_baseline(path, kind, model)
+        tr.save_checkpoint(path, model)
+        assert json.loads(path.read_text())["kind"] == kind
         loaded = tr.load_checkpoint(path)
         assert type(loaded) is type(model)
-        tr.save_baseline(again, kind, loaded)
+        tr.save_checkpoint(again, loaded)
         assert path.read_bytes() == again.read_bytes()
         pairs = [(0, 1), (2, 3), (5, 9), (7, 7)]
         feats = separable_bundle.features
         assert loaded.pair_scores(pairs, feats).tobytes() == model.pair_scores(pairs, feats).tobytes()
 
     def test_history_csv_layout(self, tmp_path):
-        rows = [tr.HistoryRow(1, 0.5, None), tr.HistoryRow(2, 0.25, 0.75)]
+        rows = [tr.HistoryRow(1, 0.5, None), tr.HistoryRow(2, 0.25, 0.75),
+                tr.HistoryRow(3, np.float64(0.1), np.float64(1.0))]
         path = tmp_path / "history.csv"
         tr.write_history_csv(path, rows)
         text = path.read_text().splitlines()
         assert text[0] == "epoch,train_loss,val_metric"
         assert text[1] == "1,0.5,"
         assert text[2] == "2,0.25,0.75"
+        assert text[3] == "3,0.1,1.0"  # a numpy float is written as the float it holds
