@@ -19,6 +19,13 @@ Numerical guards:
   * sigmoid is computed branchwise from exp of the negative-magnitude argument,
   * row softmax subtracts the per-row maximum,
   * cross-entropy clamps probabilities to [BCE_EPS, 1 - BCE_EPS].
+
+Reductions over a row (the softmax's max and sum, its vjp's dot product,
+``row_sum``) are whole-column operations, ``row_max_values`` and
+``row_sum_values``. numpy reduces a narrow row, such as a score's M
+conditions, in one short inner loop per row; a few column operations cost a
+fraction of that. ``row_sum_values`` adds in numpy's own pairwise order, so its
+bits equal those of ``x.sum(axis=1, keepdims=True)``.
 """
 
 from __future__ import annotations
@@ -250,9 +257,10 @@ def absolute(a) -> Tensor:
 
 def sigmoid_values(x: Array) -> Array:
     # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so exp
-    # never overflows; exp(-|x|) is the exp each branch needs
+    # never overflows; exp(-|x|) is the exp each branch needs, and the branches
+    # share the denominator, so one division serves both
     ex = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
 def sigmoid(a) -> Tensor:
@@ -274,10 +282,57 @@ def sqrt_entries(a) -> Tensor:
     return _emit(s, (a,), lambda g: (g / (2.0 * s),))
 
 
+def row_max_values(x: Array) -> Array:
+    """``x.max(axis=1, keepdims=True)`` for x with at least one column, as a
+    running maximum over the columns. A maximum is exact, so the order changes
+    no value; only the sign of a zero maximum over mixed +0.0 and -0.0 may
+    differ, as it does between numpy's own SIMD paths."""
+    cols = iter(x.T)
+    acc = next(cols).copy()
+    for col in cols:
+        np.maximum(acc, col, out=acc)
+    return acc[:, None]
+
+
+_PAIRWISE_BLOCK = 128  # numpy's PW_BLOCKSIZE
+
+
+def _pairwise_cols(x: Array, lo: int, hi: int) -> Array:
+    # numpy's pairwise_sum over columns lo:hi of every row at once, as a 1-D array
+    n = hi - lo
+    if n > _PAIRWISE_BLOCK:
+        half = n // 2 - (n // 2) % 8
+        return _pairwise_cols(x, lo, lo + half) + _pairwise_cols(x, lo + half, hi)
+    # the sum starts from +0.0 as numpy's reduction does: a row of -0.0 sums to +0.0
+    if n < 8:
+        acc = np.zeros(x.shape[0])
+        cols = x.T[lo:hi]
+    else:
+        lanes = x[:, lo : lo + 8] + 0.0  # eight running partial sums
+        rest = hi - n % 8
+        for c in range(lo + 8, rest, 8):
+            lanes += x[:, c : c + 8]
+        lanes = lanes[:, 0::2] + lanes[:, 1::2]  # r0+r1, r2+r3, r4+r5, r6+r7
+        lanes = lanes[:, 0::2] + lanes[:, 1::2]
+        acc = lanes[:, 0] + lanes[:, 1]
+        cols = x.T[rest:hi]
+    for col in cols:
+        acc += col
+    return acc
+
+
+def row_sum_values(x: Array) -> Array:
+    """The bits of ``x.sum(axis=1, keepdims=True)`` on a C-contiguous x, in
+    numpy's summation order built from column operations: fewer than 8 columns
+    add left to right; up to 128 run eight partial sums, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remaining columns in order;
+    wider rows split at half the width, rounded down to a multiple of 8."""
+    return _pairwise_cols(x, 0, x.shape[1])[:, None]
+
+
 def row_softmax_values(x: Array) -> Array:
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(x - row_max_values(x))
+    return e / row_sum_values(e)
 
 
 def row_softmax(a) -> Tensor:
@@ -287,7 +342,7 @@ def row_softmax(a) -> Tensor:
     s = row_softmax_values(a.value)
 
     def vjp(g):
-        dot = (g * s).sum(axis=1, keepdims=True)
+        dot = row_sum_values(g * s)
         return (s * (g - dot),)
 
     return _emit(s, (a,), vjp)
@@ -362,7 +417,7 @@ def row_sum(a) -> Tensor:
     def vjp(g):
         return (np.broadcast_to(g, a.shape).copy(),)
 
-    return _emit(a.value.sum(axis=1, keepdims=True), (a,), vjp)
+    return _emit(row_sum_values(a.value), (a,), vjp)
 
 
 def mean_all(a) -> Tensor:
@@ -372,16 +427,22 @@ def mean_all(a) -> Tensor:
     def vjp(g):
         return (np.full(a.shape, g[0, 0] / n),)
 
-    return _emit(a.value.mean().reshape(1, 1), (a,), vjp)
+    # the sum over the count is np.mean's arithmetic, without its Python wrapper
+    return _emit((a.value.sum() / n).reshape(1, 1), (a,), vjp)
+
+
+def _bce_clamp(p: Array) -> Array:
+    # np.clip's values, without its Python-level argument handling
+    return np.minimum(np.maximum(p, BCE_EPS), 1.0 - BCE_EPS)
 
 
 def bce_values(p: Array, y: Array) -> Array:
-    ph = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
+    ph = _bce_clamp(p)
     return -(y * np.log(ph) + (1.0 - y) * np.log1p(-ph))
 
 
 def _bce_grad(p: Array, y: Array) -> Array:
-    ph = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
+    ph = _bce_clamp(p)
     grad = (ph - y) / (ph * (1.0 - ph))
     # clamped entries sit on a flat of the loss
     return np.where(p == ph, grad, 0.0)

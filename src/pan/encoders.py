@@ -120,8 +120,9 @@ class Propagation:
     sparse operator: A + I in CSR order (rows ascending, columns ascending
     within a row) with one weight d_i^{-1/2} d_j^{-1/2} per stored entry.
 
-    Applying it costs O((E + n) d): each output column is a segment sum of
-    weighted gathered entries, one segment per row of A + I. The entries are
+    Applying it costs O((E + n) d) time and O(E + n) working memory: each
+    output column is a segment sum of weighted gathered entries, one segment
+    per row of A + I, built one column at a time. The entries are
     exactly those of the dense matrix that the tests build as a reference; only
     the order of the sums differs from a dense product. Entry (i, j) and entry
     (j, i) carry the same weight bit for bit, so the operator is its own
@@ -151,9 +152,13 @@ class Propagation:
             raise DimensionError(f"operator has {self.n} nodes but values have {h.shape[0]} rows")
         if self.cols is None:
             return h.copy()
-        entries = h.T.take(self.cols, axis=1)  # one row per column of h
-        entries *= self.weights
-        return np.ascontiguousarray(np.add.reduceat(entries, self.starts, axis=1).T)
+        out = np.empty(h.shape)
+        for out_col, column in zip(out.T, h.T):
+            # one column at a time: the gathered entries are O(E), not O(E d)
+            entries = column.take(self.cols)
+            entries *= self.weights
+            np.add.reduceat(entries, self.starts, out=out_col)
+        return out
 
 
 def drop_edges(g: SimilarityGraph, p: float, seed: int) -> SimilarityGraph:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attributes import AttributeTable, pair_label_matrix
+from .autodiff import row_sum_values
 from .encoders import SimilarityGraph, pair_array, within_pairs
 from .errors import ContractError
 
@@ -163,14 +164,19 @@ def episode_accuracy(model, episode: Episode, features) -> float:
     supports = np.array([s for cls in episode.support for s in cls], dtype=np.int64)
     pairs = product_pairs(queries, supports)
     per_query = score_pairs(model, pairs, features).reshape(len(queries), len(supports))
-    # one column block per class; a row-wise mean over a row-major block adds
-    # in the same order as the mean of one row's slice (np.add.reduceat does not)
-    ends = np.cumsum([len(c) for c in episode.support])
-    class_scores = np.stack(
-        [per_query[:, e - len(c) : e].mean(axis=1) for c, e in zip(episode.support, ends)],
-        axis=1,
-    )
+    class_scores = _class_means(per_query, [len(c) for c in episode.support])
     return int(np.count_nonzero(class_scores.argmax(axis=1) == truth)) / len(queries)
+
+
+def _class_means(per_query: np.ndarray, sizes) -> np.ndarray:
+    """(queries, classes): each row's mean over each class's column block,
+    the blocks of ``sizes`` columns laid side by side in ``per_query``."""
+    # autodiff.row_sum_values adds each row of a row-major block in np.mean's
+    # order (np.add.reduceat does not); the mean is that sum over the block's width
+    ends = np.cumsum(sizes)
+    return np.concatenate(
+        [row_sum_values(per_query[:, e - k : e]) / k for k, e in zip(sizes, ends)], axis=1
+    )
 
 
 def few_shot_accuracy(model, episodes: list[Episode], features) -> MetricReport:

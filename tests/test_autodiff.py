@@ -165,6 +165,108 @@ class TestRowSoftmax:
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _numpy_row_sum(x):
+    return x.sum(axis=1, keepdims=True)
+
+
+def _numpy_row_max(x):
+    return x.max(axis=1, keepdims=True)
+
+
+class TestRowReductions:
+    """``row_sum_values`` and ``row_max_values`` against numpy's own row
+    reductions. A numpy whose summation order moved fails here first, before
+    any recorded artifact hash does."""
+
+    def _rows(self, rng, width):
+        # magnitudes spread over 10^-8 to 10^8 within and across rows
+        return rng.normal(size=(9, width)) * 10.0 ** rng.uniform(-8, 8, size=(9, width))
+
+    @pytest.mark.parametrize("helper, reference", [
+        (ad.row_sum_values, _numpy_row_sum), (ad.row_max_values, _numpy_row_max),
+    ])
+    def test_every_width_matches_numpy_bitwise(self, helper, reference):
+        # widths cross the 8-column partial sums and the 128-column split
+        rng = np.random.default_rng(30)
+        for width in range(1, 141):
+            x = self._rows(rng, width)
+            for rows in (x, x * 1e8, x * 1e-8):
+                got = helper(rows)
+                assert got.shape == (9, 1), width
+                assert np.array_equal(_bits(got), _bits(reference(rows))), width
+
+    def test_sum_order_is_not_left_to_right(self):
+        # the test above can tell the pairwise order from a running sum
+        rng = np.random.default_rng(31)
+        x = self._rows(rng, 24)
+        running = x[:, :1] + 0.0
+        for c in range(1, 24):
+            running += x[:, c : c + 1]
+        assert not np.array_equal(_bits(running), _bits(ad.row_sum_values(x)))
+
+    def test_signed_zero_rows(self):
+        rng = np.random.default_rng(32)
+        for width in (1, 6, 9, 16, 130):
+            negative = np.full((3, width), -0.0)
+            assert np.array_equal(_bits(ad.row_sum_values(negative)), _bits(np.zeros((3, 1))))
+            assert np.array_equal(_bits(ad.row_max_values(negative)),
+                                  _bits(_numpy_row_max(negative)))
+            mixed = np.where(rng.random((40, width)) < 0.5, 0.0, -0.0)
+            assert np.array_equal(_bits(ad.row_sum_values(mixed)), _bits(_numpy_row_sum(mixed)))
+            # a maximum over mixed zeros is 0 in value; its sign follows the
+            # lane order of numpy's SIMD loop, which no column order reproduces
+            # on every machine
+            np.testing.assert_array_equal(ad.row_max_values(mixed), 0.0)
+
+    def test_empty_row_sums_to_zero(self):
+        np.testing.assert_array_equal(ad.row_sum_values(np.zeros((2, 0))), np.zeros((2, 1)))
+
+    def test_softmax_vjp_and_row_sum_keep_the_numpy_bits(self):
+        rng = np.random.default_rng(33)
+        for width in (1, 6, 16):
+            x = rng.normal(scale=3.0, size=(50, width))
+            shifted = np.exp(x - x.max(axis=1, keepdims=True))
+            s = shifted / shifted.sum(axis=1, keepdims=True)
+            tape = ad.Tape()
+            out = ad.row_softmax(tape.parameter(x, "x"))
+            assert np.array_equal(_bits(out.value), _bits(s))
+            g = rng.normal(size=(50, width))
+            (piece,) = tape.records[-1][2](g)
+            want = s * (g - (g * s).sum(axis=1, keepdims=True))
+            assert np.array_equal(_bits(piece), _bits(want))
+            assert np.array_equal(_bits(ad.row_sum(x).value), _bits(_numpy_row_sum(x)))
+
+
+class TestSameBitsRewrites:
+    """The one-division sigmoid and the minimum/maximum clamp give the bits
+    of the expressions they replaced."""
+
+    EDGES = [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0]
+
+    def test_sigmoid_matches_the_two_branch_form(self):
+        x = np.concatenate([self.EDGES, np.random.default_rng(34).normal(scale=20.0, size=200)])
+        x = x.reshape(1, -1)
+        ex = np.exp(-np.abs(x))
+        old = np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+        assert np.array_equal(_bits(ad.sigmoid_values(x)), _bits(old))
+
+    def test_clamp_matches_np_clip(self):
+        rng = np.random.default_rng(35)
+        p = np.concatenate([self.EDGES, [ad.BCE_EPS, 1.0 - ad.BCE_EPS, 1.0, 1e-13],
+                            rng.random(200), 1.0 - rng.random(20) * 1e-11])
+        p = p.reshape(-1, 1)
+        y = rng.integers(0, 2, size=p.shape).astype(float)
+        ph = np.clip(p, ad.BCE_EPS, 1.0 - ad.BCE_EPS)
+        old_values = -(y * np.log(ph) + (1.0 - y) * np.log1p(-ph))
+        old_grad = np.where(p == ph, (ph - y) / (ph * (1.0 - ph)), 0.0)
+        assert np.array_equal(_bits(ad.bce_values(p, y)), _bits(old_values))
+        assert np.array_equal(_bits(ad._bce_grad(p, y)), _bits(old_grad))
+
+
 class TestBce:
     def test_symmetric_point(self):
         assert abs(ad.bce([[0.5]], [[1.0]]).item() - math.log(2.0)) < 1e-15

@@ -207,6 +207,27 @@ class TestFewShot:
         assert abs(report.value - 0.2) < 3 * sigma
         assert report.interval is not None and report.count == 300
 
+    def test_unequal_classes_match_a_mean_reference(self):
+        # support sizes 1, 3 and 9: the 9-wide block adds with numpy's
+        # pairwise partial sums, the narrower ones left to right
+        rng = np.random.default_rng(41)
+        table = rng.random((40, 40)) * 10.0 ** rng.uniform(-6, 0, size=(40, 40))
+        table = np.minimum(table, table.T)
+        sizes = (1, 3, 9)
+        support = ((0,), (1, 2, 3), tuple(range(4, 13)))
+        queries = np.arange(13, 40)
+        truth = rng.integers(0, 3, size=queries.size)
+        ep = ev.Episode(support, tuple(zip(queries.tolist(), truth.tolist())))
+        per_query = table[np.ix_(queries, np.arange(13))]
+        reference = np.stack(
+            [per_query[:, 0:1].mean(axis=1), per_query[:, 1:4].mean(axis=1),
+             per_query[:, 4:13].mean(axis=1)], axis=1,
+        )
+        got = ev._class_means(per_query, sizes)
+        assert np.array_equal(got.view(np.uint64), reference.view(np.uint64))
+        want = np.count_nonzero(reference.argmax(axis=1) == truth) / queries.size
+        assert ev.episode_accuracy(TablePairModel(table), ep, FEATS) == want
+
     def test_disjointness_enforced(self):
         with pytest.raises(ContractError):
             ev.Episode(support=((0, 1), (1, 2)), query=((3, 0),))
