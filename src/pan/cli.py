@@ -4,7 +4,7 @@ Every command is a pure function of (input files, flags, seed) to output
 files; re-running with identical inputs reproduces every artifact byte for
 byte. Exit codes: 0 success, 1 runtime or assertion failure, 2 usage error.
 The fully resolved configuration is echoed to ``run.json`` in the output
-directory before any work starts. ``PAN_SEED`` provides the default seed.
+directory before any work starts. ``PAN_SEED`` is the default text of ``--seed``.
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ FA_FLAGS = {"and": "and", "or": "or", "xor": "xor", "xnor": "xnor", "and-xor": "
 EVAL_TASKS = ("pair-acc", "fitb", "auc", "fewshot", "recall", "attr-map", "rank-report")
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("PAN_SEED", "0"))
-
-
 def _config_fingerprint(config: dict) -> str:
     blob = json.dumps(config, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -95,7 +91,7 @@ def _add_gen_parser(sub) -> None:
     p.add_argument("--items", type=int, default=500)
     p.add_argument("--dim", type=int, default=16)
     p.add_argument("--attrs", type=int, default=6)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=os.environ.get("PAN_SEED", "0"))
     p.add_argument("--noise", type=float, default=0.2)
     p.add_argument("--manifestations", type=int, default=2)
     p.add_argument("--density", type=float, default=0.8)
@@ -105,7 +101,6 @@ def _add_gen_parser(sub) -> None:
 
 
 def _cmd_gen(args) -> int:
-    seed = _default_seed() if args.seed is None else args.seed
     spec = data_mod.SyntheticSpec(
         n_items=args.items,
         d=args.dim,
@@ -119,9 +114,9 @@ def _cmd_gen(args) -> int:
         hamming_threshold=args.hamming,
     )
     out_dir = Path(args.out)
-    config = {"task": args.task, "seed": seed, **spec.__dict__}
+    config = {"task": args.task, "seed": args.seed, **spec.__dict__}
     _write_run_manifest(out_dir, "gen", config)
-    bundle, report = data_mod.generate(spec, seed)
+    bundle, report = data_mod.generate(spec, args.seed)
     data_mod.save_bundle(out_dir, bundle)
     tr.write_json(out_dir / "oracle_report.json", report)
     print(f"wrote bundle with {bundle.n} items, {bundle.graph.num_edges} edges to {out_dir}")
@@ -134,7 +129,8 @@ def _cmd_gen(args) -> int:
 
 def _add_train_flags(p) -> None:
     p.add_argument("--encoder", choices=("identity", "mlp", "gcn"), default="identity")
-    p.add_argument("--mlp-dims", default="24,16", help="comma-separated MLP layer dims")
+    p.add_argument("--mlp-dims", type=_positive_ints, default="24,16",
+                   help="comma-separated MLP layer dims")
     p.add_argument("--activation", choices=("relu", "linear"), default="relu")
     p.add_argument("--gcn-layers", type=int, default=2)
     p.add_argument("--gcn-hidden", type=int, default=16)
@@ -153,7 +149,7 @@ def _add_train_flags(p) -> None:
     p.add_argument("--batch-size", type=int, default=96)
     p.add_argument("--val-every", type=int, default=100)
     p.add_argument("--pairs-per-epoch", type=int, default=4096)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=os.environ.get("PAN_SEED", "0"))
     p.add_argument("--randomize-labels", action="store_true",
                    help="sanity check: replace labelled attributes with coin flips")
     p.add_argument("--baseline", choices=("none", "siamese", "multitask", "attr-sim"),
@@ -199,20 +195,23 @@ def _finite_nonnegative(text) -> float:
     return value
 
 
-def _positive_int(flag: str, text: str) -> int:
-    """``text`` as an integer >= 1; anything else is a usage error naming ``flag``."""
+def _positive_int(text: str) -> int:
+    """``text`` as an integer >= 1."""
     if not text.strip().isdecimal() or int(text) < 1:
-        raise UsageError(f"{flag}: expected positive integers, got {text.strip()!r}")
+        raise argparse.ArgumentTypeError(f"expected positive integers, got {text.strip()!r}")
     return int(text)
 
 
+def _positive_ints(text: str) -> tuple[int, ...]:
+    """An argparse ``type``: comma-separated integers >= 1."""
+    return tuple(_positive_int(x) for x in text.split(",") if x.strip())
+
+
 def _encoder_spec_from_args(args) -> EncoderSpec:
-    # checked whichever encoder is chosen, like every other flag's value
-    dims = tuple(_positive_int("--mlp-dims", x) for x in args.mlp_dims.split(",") if x.strip())
     if args.encoder == "identity":
         return EncoderSpec(kind="identity")
     if args.encoder == "mlp":
-        return EncoderSpec(kind="mlp", layer_dims=dims, activation=args.activation)
+        return EncoderSpec(kind="mlp", layer_dims=args.mlp_dims, activation=args.activation)
     return EncoderSpec(
         kind="gcn",
         num_layers=args.gcn_layers,
@@ -313,9 +312,8 @@ def _train_baseline(args, bundle, config: tr.TrainConfig, table):
 
 
 def _cmd_train(args) -> int:
-    seed = _default_seed() if args.seed is None else args.seed
     bundle = data_mod.load_bundle(args.bundle)
-    facts = _train_once(args, bundle, Path(args.out), seed)
+    facts = _train_once(args, bundle, Path(args.out), args.seed)
     print(f"trained ({args.baseline}) -> {args.out}  {facts['summary']}")
     return 0
 
@@ -343,7 +341,7 @@ def _add_eval_parser(sub) -> None:
     p.add_argument("--gallery-split", default="train")
     p.add_argument("--fa", choices=sorted(FA_FLAGS), default="or")
     p.add_argument("--max-pairs", type=_at_least(1), default=20000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=os.environ.get("PAN_SEED", "0"))
 
 
 def _split_name(bundle, name: str | None) -> str:
@@ -372,7 +370,8 @@ def _sampled_split_pairs(bundle, split: str, seed: int, cap: int) -> np.ndarray:
 
 
 def _cmd_eval(args) -> int:
-    seed = _default_seed() if args.seed is None else args.seed
+    if len(args.checkpoint) > 1 and args.task != "rank-report":
+        raise ContractError(f"task {args.task} takes one checkpoint, got {len(args.checkpoint)}")
     bundle = data_mod.load_bundle(args.bundle)
     # every split name, and the bundle fields a task reads, are checked before any work
     if args.task == "recall":
@@ -391,7 +390,7 @@ def _cmd_eval(args) -> int:
     out_dir = Path(args.out)
     config = {
         "task": args.task, "checkpoints": [str(c) for c in args.checkpoint],
-        "bundle": str(args.bundle), "seed": seed, "split": args.split,
+        "bundle": str(args.bundle), "seed": args.seed, "split": args.split,
         "choices": args.choices, "way": args.way, "shot": args.shot,
         "query": args.query, "episodes": args.episodes, "k": args.k,
         "query_split": args.query_split, "gallery_split": args.gallery_split,
@@ -414,20 +413,20 @@ def _cmd_eval(args) -> int:
     elif args.task == "fitb":
         questions = data_mod.build_fitb_questions(
             bundle.sets[split], args.choices, bundle.categories,
-            derive_seed(seed, "fitb"), pool=bundle.splits[split],
+            derive_seed(args.seed, "fitb"), pool=bundle.splits[split],
         )
         report = ev.fitb_accuracy(model, questions, bundle.features)
     elif args.task == "auc":
         positives = [s for s in bundle.sets[split] if len(s) >= 2]
         negatives = data_mod.resample_negative_sets(
-            positives, bundle.categories, derive_seed(seed, "neg-sets"),
+            positives, bundle.categories, derive_seed(args.seed, "neg-sets"),
             pool=bundle.splits[split],
         )
         report = ev.compatibility_auc(model, positives, negatives, bundle.features)
     elif args.task == "fewshot":
         episodes = data_mod.build_episodes(
             bundle, args.way, args.shot, args.query, args.episodes,
-            derive_seed(seed, "episodes"), split=split,
+            derive_seed(args.seed, "episodes"), split=split,
         )
         report = ev.few_shot_accuracy(model, episodes, bundle.features)
     elif args.task == "recall":
@@ -439,7 +438,7 @@ def _cmd_eval(args) -> int:
             bundle.categories[q_idx], bundle.categories[g_idx], args.k, model=model,
         )
     elif args.task == "attr-map":
-        pairs = _sampled_split_pairs(bundle, split, seed, args.max_pairs)
+        pairs = _sampled_split_pairs(bundle, split, args.seed, args.max_pairs)
         report = ev.attribute_map(
             model, pairs, bundle.attributes, FA_FLAGS[args.fa], bundle.features
         )
@@ -448,7 +447,7 @@ def _cmd_eval(args) -> int:
             for a, ap in enumerate(report.detail["per_attribute_ap"])
         ])
     else:  # rank-report
-        pairs = _sampled_split_pairs(bundle, split, seed, args.max_pairs)
+        pairs = _sampled_split_pairs(bundle, split, args.seed, args.max_pairs)
         rows = ev.attribute_rank_report(models, pairs, bundle.features)
         header = ("attribute", "mean_rank_relevance", "sd_rank_relevance",
                   "mean_rank_contribution", "sd_rank_contribution")
@@ -469,25 +468,26 @@ def _cmd_eval(args) -> int:
 
 def _add_gradcheck_parser(sub) -> None:
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--dims", default="d=6,M=4", help="like d=6,M=4")
+    p.add_argument("--dims", type=_dims, default="d=6,M=4", help="like d=6,M=4")
     p.add_argument("--seeds", type=_at_least(1), default=100)
     p.add_argument("--tolerance", type=_finite_positive, default=1e-4)
     p.add_argument("--negate-analytic", action="store_true", help=argparse.SUPPRESS)
 
 
-def _parse_dims(text: str) -> tuple[int, int]:
+def _dims(text: str) -> tuple[int, int]:
+    """An argparse ``type``: ``d=…,M=…`` as (d, M); a key left out keeps 6 or 4."""
     out = {"d": 6, "m": 4}
     for part in text.split(","):
         key, _, value = part.partition("=")
         key = key.strip().lower()
         if key not in out:
-            raise UsageError(f"--dims: unknown key {key!r}, expected d and M")
-        out[key] = _positive_int("--dims", value)
+            raise argparse.ArgumentTypeError(f"unknown key {key!r}, expected d and M")
+        out[key] = _positive_int(value)
     return out["d"], out["m"]
 
 
 def _cmd_gradcheck(args) -> int:
-    d, m = _parse_dims(args.dims)
+    d, m = args.dims
     transform = None
     if args.negate_analytic:
         def transform(store):
@@ -519,7 +519,8 @@ def _cmd_gradcheck(args) -> int:
 def _add_sweep_parser(sub) -> None:
     p = sub.add_parser("sweep", help="train+eval across one axis of values")
     p.add_argument("--axis", choices=("lambda", "conditions", "fa"), required=True)
-    p.add_argument("--values", required=True, help="comma-separated axis values")
+    p.add_argument("--values", type=_axis_values, required=True,
+                   help="comma-separated axis values, none repeated")
     p.add_argument("--bundle", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--runs", type=_at_least(1), default=1)
@@ -530,10 +531,13 @@ def _add_sweep_parser(sub) -> None:
     _add_train_flags(p)
 
 
-def _sweep_axis_values(args) -> list[str]:
-    values = [v.strip() for v in args.values.split(",") if v.strip()]
+def _axis_values(text: str) -> tuple[str, ...]:
+    """An argparse ``type``: comma-separated values, at least one, none repeated."""
+    values = tuple(v.strip() for v in text.split(",") if v.strip())
     if not values:
-        raise UsageError("--values must list at least one value")
+        raise argparse.ArgumentTypeError("must list at least one value")
+    if repeated := sorted({v for v in values if values.count(v) > 1}):
+        raise argparse.ArgumentTypeError(f"repeats {', '.join(map(repr, repeated))}")
     return values
 
 
@@ -553,8 +557,7 @@ def _sweep_one(packed) -> tuple[str, int, float | None, str | None]:
         bundle = data_mod.load_bundle(bundle_dir)
         split = _split_name(bundle, args.eval_split)  # before any training
         run_dir = Path(out_dir) / "runs" / f"{axis}-{value}-run{run}"
-        seed = derive_seed(args.seed if args.seed is not None else _default_seed(),
-                           "sweep", value, run)
+        seed = derive_seed(args.seed, "sweep", value, run)
         _train_once(args, bundle, run_dir, seed)
         model = tr.load_checkpoint(run_dir / "checkpoint.json")
         report = ev.balanced_pair_accuracy(
@@ -566,12 +569,11 @@ def _sweep_one(packed) -> tuple[str, int, float | None, str | None]:
 
 
 def _cmd_sweep(args) -> int:
-    values = _sweep_axis_values(args)
     out_dir = Path(args.out)
     args_dict = {k: v for k, v in vars(args).items() if k != "func"}
     _write_run_manifest(out_dir, "sweep", {k: str(v) for k, v in sorted(args_dict.items())})
     jobs = []
-    for value in values:
+    for value in args.values:
         for run in range(args.runs):
             jobs.append((args_dict, args.axis, value, run, str(args.bundle), str(out_dir)))
     # the pool forks all its workers at once, however few runs there are
@@ -593,7 +595,7 @@ def _cmd_sweep(args) -> int:
                  [(value, run, metric) for value, run, metric, _ in results])
 
     summary = []
-    for value in values:
+    for value in args.values:
         metrics = by_value.get(value, [])
         if metrics:
             mean = float(np.mean(metrics))
@@ -616,10 +618,6 @@ def _cmd_sweep(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-class UsageError(Exception):
-    """Flag-level validation failure; maps to exit code 2."""
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pan",
@@ -639,24 +637,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flag_accepts(action: argparse.Action, value) -> bool:
-    """Whether a config value is one the flag itself could give: a JSON
-    boolean for a switch, else a value its ``type`` returns unchanged, of the
-    type it returns (an integer also for a float flag), and one of its
-    ``choices``. So 3.0 is no value of an integer flag."""
+def _config_value(action: argparse.Action, value):
+    """What the flag parses from a config value's text, or None if no flag text
+    gives that value: a switch takes a JSON boolean; a number must parse back to
+    itself (an integer also for a float flag, so 3.0 is no value of an integer
+    flag); any other flag takes a string. The result must be one of ``choices``."""
     if action.nargs == 0:  # store_true
-        return isinstance(value, bool)
+        return value if isinstance(value, bool) else None
+    number = type(value) in (int, float)
+    if not (number or type(value) is str):
+        return None
     try:
-        parsed = (action.type or str)(value)
-    except (TypeError, ValueError, argparse.ArgumentTypeError):
-        return False
-    same_type = type(value) is type(parsed) or (type(value) is int and type(parsed) is float)
-    return (same_type and parsed == value
-            and (action.choices is None or value in action.choices))
+        parsed = (action.type or str)(str(value))
+    except (ValueError, argparse.ArgumentTypeError):
+        return None
+    fits = parsed == value if number else type(parsed) not in (int, float)
+    return parsed if fits and (action.choices is None or parsed in action.choices) else None
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Load --config JSON into parser defaults; explicit flags still win."""
+    """Load --config JSON into parser defaults, parsed by each flag; explicit flags still win."""
     if "--config" not in argv:
         return argv
     pos = argv.index("--config")
@@ -677,10 +677,12 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
         parser.error(f"config file {path}: unknown key(s) {', '.join(unknown)}")
     for key, value in defaults.items():
         flags = [a for a in actions if a.dest == key]
-        if not any(_flag_accepts(a, value) for a in flags):
+        parsed = [v for a in flags if (v := _config_value(a, value)) is not None]
+        if not parsed:
             names = "/".join(sorted({a.option_strings[0] for a in flags if a.option_strings}))
             parser.error(f"config file {path}: key {key}: no flag ({names}) takes the value "
                          f"{value!r}")
+        defaults[key] = parsed[0]
     for p in parsers:
         p.set_defaults(**defaults)
     return argv[:pos] + argv[pos + 2 :]
@@ -700,9 +702,6 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except UsageError as exc:
-        parser.error(str(exc))  # exits 2
-        return 2
     except PAN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

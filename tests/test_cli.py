@@ -219,6 +219,16 @@ class TestEval:
             values.append(value)
         assert values[0] != values[1]
 
+    def test_several_checkpoints_need_rank_report(self, bundle_dir, trained_dir, tmp_path,
+                                                  capsys):
+        out = tmp_path / "two"
+        ckpt = trained_dir / "checkpoint.json"
+        assert run_cli("eval", "--checkpoint", ckpt, ckpt, "--bundle", bundle_dir,
+                       "--task", "pair-acc", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "pair-acc" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_rank_report(self, bundle_dir, trained_dir, tmp_path):
         out = tmp_path / "ranks"
         code = run_cli(
@@ -232,6 +242,12 @@ class TestEval:
         assert len(lines) == 5  # four conditions
         for line in lines[1:]:
             assert line.split(",")[2] == "0.0"  # identical runs: sd 0
+
+
+@pytest.mark.parametrize("command", ["", *cli.build_parser()._pan_subparsers])
+def test_help_exits_zero(capsys, command):
+    assert run_cli_expect_usage_exit(*([command] if command else []), "--help") == 0
+    assert capsys.readouterr().out.startswith(f"usage: pan {command}".rstrip())
 
 
 class TestGradcheck:
@@ -365,12 +381,93 @@ class TestConfigFile:
         assert run_cli("--config", cfg_path, "train", "--bundle", bundle_dir, "--out", out) == 0
         assert json.loads((out / "run.json").read_text())["config"]["train"]["learning_rate"] == 1
 
+    def test_config_numbers_record_as_their_flags_do(self, bundle_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lr": 1, "lambda_": 0}))
+        common = ["--bundle", bundle_dir, "--epochs", 2, "--seed", 1]
+        assert run_cli("--config", cfg, "train", *common, "--out", tmp_path / "a") == 0
+        assert run_cli("train", *common, "--lr", 1, "--lambda", 0, "--out", tmp_path / "b") == 0
+        assert (tmp_path / "a" / "run.json").read_bytes() == (
+            tmp_path / "b" / "run.json").read_bytes()
+
     def test_env_seed_default(self, bundle_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("PAN_SEED", "123")
         out = tmp_path / "envseed"
         assert run_cli("train", "--bundle", bundle_dir, "--out", out, "--epochs", 3) == 0
         manifest = json.loads((out / "run.json").read_text())
         assert manifest["config"]["train"]["seed"] == 123
+
+    @pytest.mark.parametrize("command", ["gen", "train", "eval", "sweep"])
+    def test_bad_env_seed_is_usage_error(self, bundle_dir, trained_dir, tmp_path, monkeypatch,
+                                         capsys, command):
+        monkeypatch.setenv("PAN_SEED", "abc")
+        out = tmp_path / "out"
+        argv = {
+            "gen": ["gen", "--task", "compat-manifest", "--items", 60, "--out", out],
+            "train": ["train", "--bundle", bundle_dir, "--out", out, "--epochs", 1],
+            "eval": ["eval", "--checkpoint", trained_dir / "checkpoint.json",
+                     "--bundle", bundle_dir, "--task", "pair-acc", "--out", out],
+            "sweep": ["sweep", "--axis", "lambda", "--values", "0", "--bundle", bundle_dir,
+                      "--out", out, "--epochs", 1],
+        }[command]
+        assert run_cli_expect_usage_exit(*argv) == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "Traceback" not in err
+        assert not out.exists()
+        assert run_cli(*argv, "--seed", 7) == 0  # an explicit seed runs
+        config = json.loads((out / "run.json").read_text())["config"]
+        assert (config["train"] if command == "train" else config)["seed"] == (
+            "7" if command == "sweep" else 7)
+
+
+class TestSingleParsePath:
+    """Flag text becomes a value in one place, the flag's own parser, whether it
+    comes from the command line or from ``--config``."""
+
+    # JSON values, by dest, for every flag that takes a value and has no
+    # choices; each float flag gets a JSON integer
+    VALUES = {
+        "out": ["o"], "items": [500], "dim": [16], "attrs": [6], "seed": [7],
+        "noise": [1, 0.25], "manifestations": [2], "density": [1], "classes": [20],
+        "separation": [10], "hamming": [1],
+        "bundle": ["b"], "mlp_dims": ["24,16", " 8 , 4 "], "gcn_layers": [2],
+        "gcn_hidden": [16], "dropout": [0], "edge_dropout": [0], "conditions": [4],
+        "lambda_": [0, 1e-5], "lr": [1], "epochs": [3], "batch_size": [8], "val_every": [2],
+        "pairs_per_epoch": [64], "margin": [1],
+        "checkpoint": ["c.json"], "split": ["test"], "choices": [4], "way": [3], "shot": [2],
+        "query": [4], "episodes": [5], "k": [2], "query_split": ["test"],
+        "gallery_split": ["val"], "max_pairs": [9],
+        "dims": ["d=5,M=3", "M=2"], "seeds": [3], "tolerance": [1, 1e-6],
+        "values": ["0,1e-5, 1"], "runs": [2], "jobs": [2], "eval_split": ["val"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(cli.build_parser()._pan_subparsers))
+    def test_config_value_equals_command_line_value(self, tmp_path, monkeypatch, command):
+        monkeypatch.delenv("PAN_SEED", raising=False)
+        sub = cli.build_parser()._pan_subparsers[command]
+        flags = [a for a in sub._actions if a.option_strings and a.nargs != 0]
+        # argparse takes a required flag from the command line only
+        required = [x for a in flags if a.required
+                    for x in (a.option_strings[0], sorted(a.choices or ["0"])[0])]
+        cfg = tmp_path / "cfg.json"
+        float_flags, given_ints = set(), set()
+        for action in (a for a in flags if not a.required):
+            values = [sorted(action.choices)[0]] if action.choices else self.VALUES[action.dest]
+            for value in values:
+                by_flag = cli.build_parser().parse_args(
+                    [command, *required, action.option_strings[0], str(value)])
+                cfg.write_text(json.dumps({action.dest: value}))
+                parser = cli.build_parser()
+                by_config = parser.parse_args(
+                    cli._apply_config_file(parser, ["--config", str(cfg), command, *required]))
+                # repr tells 1 from 1.0 and a tuple from a string
+                assert repr(sorted(vars(by_config).items())) == repr(
+                    sorted(vars(by_flag).items())), (action.dest, value)
+                if isinstance(getattr(by_flag, action.dest), float):
+                    float_flags.add(action.dest)
+                    if type(value) is int:
+                        given_ints.add(action.dest)
+        assert given_ints == float_flags
 
 
 class TestCleanFailures:
@@ -534,8 +631,9 @@ class TestCleanFailures:
         (["train", "--encoder", "mlp", "--mlp-dims", "24,x"], "--mlp-dims"),
         (["train", "--encoder", "mlp", "--mlp-dims", "0"], "--mlp-dims"),
         (["--config", "CONFIG", "train", "--encoder", "mlp"], "--mlp-dims"),
+        (["train", "--mlp-dims", "24,x"], "--mlp-dims"),
     ], ids=["dims-no-equals", "dims-zero", "mlp-dims-not-integer", "mlp-dims-zero",
-            "config-mlp-dims-not-integer"])
+            "config-mlp-dims-not-integer", "mlp-dims-identity-encoder"])
     def test_malformed_layer_list_is_usage_error(self, bundle_dir, tmp_path, capsys, argv, flag):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"mlp_dims": "24,x"}))
@@ -581,14 +679,21 @@ class TestCleanFailures:
         (["gradcheck"], {"seeds": 0}, "--seeds"),
         (["eval", "--task", "attr-map", "--max-pairs", "-1"], None, "--max-pairs"),
         (["eval", "--task", "attr-map"], {"max_pairs": -1}, "--max-pairs"),
+        (["sweep", "--axis", "lambda", "--values", "0,0", "--runs", "1"], None, "--values"),
+        (["sweep", "--axis", "lambda", "--values", "0"], {"values": "0,1,0"}, "--values"),
+        (["sweep", "--axis", "fa", "--values", " , "], None, "--values"),
+        (["sweep", "--axis", "fa", "--values", "or"], {"values": ","}, "--values"),
     ], ids=["dims-unknown-key", "config-dims-unknown-key", "seeds-zero", "config-seeds-zero",
-            "max-pairs-negative", "config-max-pairs-negative"])
+            "max-pairs-negative", "config-max-pairs-negative", "values-repeated",
+            "config-values-repeated", "values-empty", "config-values-empty"])
     def test_value_no_run_can_use_is_usage_error(self, bundle_dir, trained_dir, tmp_path,
                                                  capsys, argv, config, flag):
         out = tmp_path / "out"
         if argv[0] == "eval":
             argv += ["--checkpoint", trained_dir / "checkpoint.json", "--bundle", bundle_dir,
                      "--out", out]
+        if argv[0] == "sweep":
+            argv += ["--bundle", bundle_dir, "--out", out, "--epochs", 1]
         if config is not None:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(config))
