@@ -93,8 +93,10 @@ def pair_label_matrix(
     """Vectorised combine_pair over index arrays; rows align with the pairs."""
     idx_i = np.asarray(idx_i, dtype=np.int64)
     idx_j = np.asarray(idx_j, dtype=np.int64)
-    labels = _combine_values(table.values[idx_i], table.values[idx_j], fa)
-    mask = table.mask[idx_i] * table.mask[idx_j]
+    # take: the rows of fancy indexing, gathered several times faster
+    values, mask = table.values, table.mask
+    labels = _combine_values(values.take(idx_i, axis=0), values.take(idx_j, axis=0), fa)
+    mask = mask.take(idx_i, axis=0) * mask.take(idx_j, axis=0)
     if fa == "and_xor":
         mask = np.concatenate([mask, mask], axis=1)
     return labels, mask

@@ -368,31 +368,33 @@ def _scatter_rows(g: Array, idx: Array, shape: tuple[int, int]) -> Array:
 def gather_rows(a, indices) -> Tensor:
     a = _as_tensor(a)
     idx = _row_indices(a, indices, "gather_rows")
-    # fancy indexing already returns a new array
-    return _emit(a.value[idx], (a,), lambda g: (_scatter_rows(g, idx, a.shape),))
+    # take returns a new array, with the values of a.value[idx], in a fraction of the time
+    return _emit(a.value.take(idx, axis=0), (a,), lambda g: (_scatter_rows(g, idx, a.shape),))
 
 
 def pair_abs_diff(a, i, j) -> Tensor:
     """Row k is |a[i[k]] - a[j[k]]|: the joint representation of index pairs.
 
     Value and gradient equal those of ``absolute(subtract(gather_rows(a, i),
-    gather_rows(a, j)))`` bit for bit, without keeping the gathered rows: the
-    vjp hands back the j-scatter and then the i-scatter, the order in which
-    ``backward`` reaches the two gathers of that composition.
+    gather_rows(a, j)))`` bit for bit, keeping only the sign of the difference
+    (int8), not the gathered rows: the vjp hands back the j-scatter and then the
+    i-scatter, the order in which ``backward`` reaches the two gathers of that
+    composition.
     """
     a = _as_tensor(a)
     i = _row_indices(a, i, "pair_abs_diff")
     j = _row_indices(a, j, "pair_abs_diff")
     if i.shape != j.shape:
         raise DimensionError(f"pair_abs_diff: {i.size} left indices, {j.size} right")
-    out = a.value[i]
-    out -= a.value[j]  # in place: two (N, cols) arrays at the peak, not three
+    out = a.value.take(i, axis=0)
+    out -= a.value.take(j, axis=0)  # in place: two (N, cols) arrays at the peak, not three
+    # np.sign of the difference as int8, kept for the vjp of a taped operand:
+    # subgradient 0 at exactly 0, as in absolute
+    sign = None if a._tape is None else (out > 0.0).view(np.int8) - (out < 0.0).view(np.int8)
     np.abs(out, out=out)
 
     def vjp(g):
-        # the sign is recomputed from the operand, unchanged since the forward;
-        # subgradient 0 at exactly 0, as in absolute
-        signed = g * np.sign(a.value[i] - a.value[j])
+        signed = g * sign
         return _scatter_rows(-signed, j, a.shape), _scatter_rows(signed, i, a.shape)
 
     return _emit(out, (a, a), vjp, kink=(out, False))

@@ -516,9 +516,12 @@ def _cmd_gradcheck(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
+AXIS_DESTS = {"lambda": "lambda_", "conditions": "conditions", "fa": "fa"}  # set by --{axis}
+
+
 def _add_sweep_parser(sub) -> None:
     p = sub.add_parser("sweep", help="train+eval across one axis of values")
-    p.add_argument("--axis", choices=("lambda", "conditions", "fa"), required=True)
+    p.add_argument("--axis", choices=tuple(AXIS_DESTS), required=True)
     p.add_argument("--values", type=_axis_values, required=True,
                    help="comma-separated axis values, none repeated")
     p.add_argument("--bundle", required=True)
@@ -541,19 +544,27 @@ def _axis_values(text: str) -> tuple[str, ...]:
     return values
 
 
+def _parse_axis_values(args) -> list:
+    """Each ``--values`` entry as the axis flag ``--{axis}`` parses it. A value
+    that flag rejects is a usage error (exit 2) naming the flag."""
+    axis = args.axis
+    p = argparse.ArgumentParser(prog=f"pan sweep --axis {axis} --values", usage=argparse.SUPPRESS)
+    _add_train_flags(p)
+    # "--flag=text", so that a value such as -1e-5 is not read as an option; into
+    # a copy of args, so that no other flag's default text is parsed again
+    return [
+        getattr(p.parse_args([f"--{axis}={value}"], argparse.Namespace(**vars(args))),
+                AXIS_DESTS[axis])
+        for value in args.values
+    ]
+
+
 def _sweep_one(packed) -> tuple[str, int, float | None, str | None]:
     """Worker: train with one axis value, return the evaluated metric."""
-    args_dict, axis, value, run, bundle_dir, out_dir = packed
+    args_dict, axis, (value, parsed), run, bundle_dir, out_dir = packed
     args = argparse.Namespace(**args_dict)
+    setattr(args, AXIS_DESTS[axis], parsed)
     try:
-        if axis == "lambda":
-            args.lambda_ = float(value)
-        elif axis == "conditions":
-            args.conditions = int(value)
-        else:
-            if value not in FA_FLAGS:
-                raise ContractError(f"unknown fa value {value!r}")
-            args.fa = value
         bundle = data_mod.load_bundle(bundle_dir)
         split = _split_name(bundle, args.eval_split)  # before any training
         run_dir = Path(out_dir) / "runs" / f"{axis}-{value}-run{run}"
@@ -569,13 +580,16 @@ def _sweep_one(packed) -> tuple[str, int, float | None, str | None]:
 
 
 def _cmd_sweep(args) -> int:
+    parsed = _parse_axis_values(args)
     out_dir = Path(args.out)
     args_dict = {k: v for k, v in vars(args).items() if k != "func"}
     _write_run_manifest(out_dir, "sweep", {k: str(v) for k, v in sorted(args_dict.items())})
     jobs = []
-    for value in args.values:
+    # a run's seed and directory come from the value's text
+    for text_and_value in zip(args.values, parsed):
         for run in range(args.runs):
-            jobs.append((args_dict, args.axis, value, run, str(args.bundle), str(out_dir)))
+            jobs.append((args_dict, args.axis, text_and_value, run, str(args.bundle),
+                         str(out_dir)))
     # the pool forks all its workers at once, however few runs there are
     workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
     if workers > 1:
@@ -683,6 +697,11 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
             parser.error(f"config file {path}: key {key}: no flag ({names}) takes the value "
                          f"{value!r}")
         defaults[key] = parsed[0]
+    if required := sorted({(a.dest, "/".join(a.option_strings) or a.dest)
+                           for a in actions if a.required and a.dest in defaults}):
+        parser.error(f"config file {path}: key(s) {', '.join(k for k, _ in required)} set "
+                     f"required flags ({', '.join(f for _, f in required)}), which come from "
+                     "the command line only")
     for p in parsers:
         p.set_defaults(**defaults)
     return argv[:pos] + argv[pos + 2 :]

@@ -191,7 +191,8 @@ def _sample_pair_arrays(
             needed -= len(keep)
         neg = np.concatenate(chunks)
 
-    i, j = np.concatenate([pos, neg]).T
+    # contiguous, not columns of one (N, 2) array: each gather would copy a strided index
+    i, j = (np.concatenate([pos[:, c], neg[:, c]]) for c in (0, 1))
     return i, j, np.repeat(np.array([1, 0], dtype=np.int64), count_per_class)
 
 
@@ -539,10 +540,12 @@ class _Validator:
         return float(((scores >= 0.5) == (self.labels == 1)).mean())
 
 
-def _epoch_batches(n_pairs: int, config: TrainConfig, rng) -> list[np.ndarray]:
-    order = np.arange(n_pairs)
+def _epoch_batches(n_pairs: int, config: TrainConfig, rng) -> list[slice | np.ndarray]:
+    """Each step's pairs: in single-batch mode one slice over all of them, so
+    that a step indexes views, not copies; else shuffled index batches."""
     if config.mode == "single_batch":
-        return [order]
+        return [slice(0, n_pairs)]
+    order = np.arange(n_pairs)
     rng.shuffle(order)
     return [
         order[start : start + config.batch_size]
@@ -614,12 +617,14 @@ def train_pan(
             if masks is not None:  # drawn for every item, so no mask depends on the split
                 masks = [item_masks[idx] for item_masks in masks]
 
+            bi, bj, be, b_labels, b_mask = (arr[batch] for arr in (li, lj, e, labels, mask))
+
             def loss_fn(tape, tensors):
                 h = model.encode(tensors, tape.constant(x_train), propagation, masks)
-                rho, _, p = model.head(tensors, h, li[batch], lj[batch])
-                return _objective(rho, p, e[batch], labels[batch], mask[batch], config.lambda_)
+                rho, _, p = model.head(tensors, h, bi, bj)
+                return _objective(rho, p, be, b_labels, b_mask, config.lambda_)
 
-            yield loss_fn, batch.size
+            yield loss_fn, len(be)
 
     return _fit(model, config, epoch_steps, validator=_Validator(bundle, config))
 

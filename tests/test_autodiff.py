@@ -128,6 +128,32 @@ class TestPairAbsDiff:
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
 
+    def test_gradient_equals_the_composition_with_zeros_in_the_input(self):
+        # a training-sized step: 8192 pairs over 300 rows, with +0.0 and -0.0
+        # entries, zero rows and equal rows, so that many differences are
+        # exactly 0 (some of them -0.0 - +0.0) and take the subgradient 0
+        rng = np.random.default_rng(7)
+        a0 = rng.normal(size=(300, 16))
+        a0[rng.random(a0.shape) < 0.3] = 0.0
+        a0[rng.random(a0.shape) < 0.1] = -0.0
+        a0[:20] = 0.0
+        a0[20:40] = a0[40:60]
+        i = rng.integers(0, 300, size=8192)
+        j = rng.integers(0, 300, size=8192)
+        w = rng.normal(size=(16, 6))
+
+        def grad(make_diff):
+            tape = ad.Tape()
+            a = tape.parameter(a0, "a")
+            diff = make_diff(a, i, j)
+            loss = ad.mean_all(ad.sigmoid(ad.matmul(diff, w)))
+            return diff.value, ad.backward(tape, loss)["a"]
+
+        got, want = grad(ad.pair_abs_diff), grad(self.composition)
+        assert (got[0] == 0.0).mean() > 0.1
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
     def test_untaped_value(self):
         a = np.array([[1.0, -2.0], [0.5, 4.0], [-3.0, 0.0]])
         out = ad.pair_abs_diff(a, [0, 2, 1], [1, 0, 1])

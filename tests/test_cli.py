@@ -390,6 +390,30 @@ class TestConfigFile:
         assert (tmp_path / "a" / "run.json").read_bytes() == (
             tmp_path / "b" / "run.json").read_bytes()
 
+    @pytest.mark.parametrize("command,key", [
+        ("train", "bundle"), ("train", "out"), ("eval", "checkpoint"), ("eval", "task"),
+        ("sweep", "axis"), ("sweep", "values"),
+    ])
+    def test_required_flag_key_is_usage_error(self, bundle_dir, trained_dir, tmp_path,
+                                              capsys, command, key):
+        # the key is given both in the file and on the command line, so only
+        # its presence in the file can fail the call
+        out = tmp_path / "out"
+        argv = {
+            "train": ["--bundle", bundle_dir, "--out", out, "--epochs", 1],
+            "eval": ["--checkpoint", trained_dir / "checkpoint.json", "--bundle", bundle_dir,
+                     "--task", "pair-acc", "--out", out],
+            "sweep": ["--axis", "lambda", "--values", "0", "--bundle", bundle_dir,
+                      "--out", out, "--epochs", 1],
+        }[command]
+        value = str(argv[argv.index(f"--{key}") + 1])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run_cli_expect_usage_exit("--config", cfg, command, *argv) == 2
+        err = capsys.readouterr().err
+        assert f"key(s) {key} " in err and f"--{key}" in err
+        assert not out.exists()
+
     def test_env_seed_default(self, bundle_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("PAN_SEED", "123")
         out = tmp_path / "envseed"
@@ -683,9 +707,13 @@ class TestCleanFailures:
         (["sweep", "--axis", "lambda", "--values", "0"], {"values": "0,1,0"}, "--values"),
         (["sweep", "--axis", "fa", "--values", " , "], None, "--values"),
         (["sweep", "--axis", "fa", "--values", "or"], {"values": ","}, "--values"),
+        (["sweep", "--axis", "conditions", "--values", "2.5,3"], None, "--conditions"),
+        (["sweep", "--axis", "fa", "--values", "or,nope"], None, "--fa"),
+        (["sweep", "--axis", "lambda", "--values", "0,x"], None, "--lambda"),
     ], ids=["dims-unknown-key", "config-dims-unknown-key", "seeds-zero", "config-seeds-zero",
             "max-pairs-negative", "config-max-pairs-negative", "values-repeated",
-            "config-values-repeated", "values-empty", "config-values-empty"])
+            "config-values-repeated", "values-empty", "config-values-empty",
+            "values-not-conditions", "values-not-fa", "values-not-lambda"])
     def test_value_no_run_can_use_is_usage_error(self, bundle_dir, trained_dir, tmp_path,
                                                  capsys, argv, config, flag):
         out = tmp_path / "out"

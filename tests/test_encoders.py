@@ -85,6 +85,63 @@ class TestSimilarityGraph:
         assert g != enc.SimilarityGraph(6, [(0, 4), (1, 3)])
         assert g != enc.SimilarityGraph(5, [(0, 4)])
 
+    @staticmethod
+    def _searchsorted_has_edges(g, i, j):
+        """Membership by binary search over the sorted edge keys: the lookup
+        the bit table replaced, as a reference."""
+        sorted_keys = g.pairs[:, 0] * g.n + g.pairs[:, 1]
+        keys = np.minimum(i, j) * g.n + np.maximum(i, j)
+        pos = np.searchsorted(sorted_keys, keys)
+        found = np.zeros(np.shape(keys), dtype=bool)
+        inside = pos < len(sorted_keys)
+        found[inside] = sorted_keys[pos[inside]] == keys[inside]
+        return found
+
+    @pytest.mark.parametrize("kind", ["random", "edgeless", "single-node", "complete"])
+    def test_has_edges_matches_a_searchsorted_reference(self, kind):
+        rng = np.random.default_rng(21)
+        g = {
+            "random": lambda: _random_graph(rng, 37, 30, 120),  # 37 * 37 keys: not whole bytes
+            "edgeless": lambda: enc.SimilarityGraph(5),
+            "single-node": lambda: enc.SimilarityGraph(1),
+            "complete": lambda: enc.SimilarityGraph(6, enc.within_pairs(np.arange(6))),
+        }[kind]()
+        # every ordered pair, self pairs included, in both argument orders
+        i, j = (a.ravel() for a in np.meshgrid(np.arange(g.n), np.arange(g.n)))
+        want = self._searchsorted_has_edges(g, i, j)
+        assert g.has_edges(i, j).dtype == bool
+        np.testing.assert_array_equal(g.has_edges(i, j), want)
+        np.testing.assert_array_equal(g.has_edges(j, i), want)
+        # scalar queries, as Python and numpy integers
+        for a, b in zip(i[::7], j[::7]):
+            expected = bool(self._searchsorted_has_edges(g, np.array([a]), np.array([b]))[0])
+            assert bool(g.has_edges(int(a), int(b))) == expected
+            assert bool(g.has_edges(b, a)) == expected
+        if kind == "complete":
+            assert want.sum() == g.n * (g.n - 1)
+        elif kind != "random":
+            assert not want.any()
+
+    @pytest.mark.parametrize("order", ["ascending", "permuted"])
+    def test_subgraph_equals_the_constructor_path(self, order):
+        rng = np.random.default_rng(22)
+        g = _random_graph(rng, 50, 45, 300)
+        for size in (1, 2, 17, 50):
+            indices = rng.choice(50, size=size, replace=False)
+            if order == "ascending":
+                indices = np.sort(indices)
+            position = {int(v): k for k, v in enumerate(indices)}
+            want = enc.SimilarityGraph(size, [
+                (position[i], position[j]) for i, j in g.edges if i in position and j in position
+            ])
+            got = g.subgraph(indices)
+            assert got == want
+            np.testing.assert_array_equal(got.pairs, want.pairs)
+            assert got.pairs.dtype == np.int64 and not got.pairs.flags.writeable
+            assert not got._keys.flags.writeable
+            i, j = (a.ravel() for a in np.meshgrid(np.arange(size), np.arange(size)))
+            np.testing.assert_array_equal(got.has_edges(i, j), want.has_edges(i, j))
+
     def test_empty_inputs(self):
         for edges in ((), [], np.zeros((0, 2), dtype=np.int64), iter([])):
             g = enc.SimilarityGraph(4, edges)
