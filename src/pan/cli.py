@@ -583,7 +583,7 @@ def _cmd_sweep(args) -> int:
     parsed = _parse_axis_values(args)
     out_dir = Path(args.out)
     args_dict = {k: v for k, v in vars(args).items() if k != "func"}
-    _write_run_manifest(out_dir, "sweep", {k: str(v) for k, v in sorted(args_dict.items())})
+    _write_run_manifest(out_dir, "sweep", args_dict)
     jobs = []
     # a run's seed and directory come from the value's text
     for text_and_value in zip(args.values, parsed):

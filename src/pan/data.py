@@ -49,10 +49,18 @@ class SyntheticSpec:
         for name in ("n_items", "d", "m_attributes", "manifestation_count", "n_classes"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.noise_sd < 0:
-            raise ContractError("noise_sd must be nonnegative")
+        if not 0 <= self.noise_sd < np.inf:
+            raise ContractError(f"noise_sd must be finite and nonnegative, got {self.noise_sd}")
+        if not 0 < self.cluster_separation < np.inf:
+            raise ContractError(
+                f"cluster_separation must be finite and positive, got {self.cluster_separation}")
+        if self.hamming_threshold < 0:
+            raise ContractError(f"hamming_threshold must be >= 0, got {self.hamming_threshold}")
         if self.task_kind not in TASK_KINDS:
             raise ContractError(f"unknown task kind {self.task_kind!r}")
+        if self.task_kind == "fewshot_clusters" and self.n_items < self.n_classes:
+            raise ContractError(f"n_items must be >= n_classes for fewshot clusters, got "
+                                f"{self.n_items} < {self.n_classes}")
         if not 0.0 < self.attr_density < 1.0:
             raise ContractError("attr_density must lie strictly between 0 and 1")
 
@@ -103,42 +111,58 @@ class DatasetBundle:
 # oracles
 # ---------------------------------------------------------------------------
 
+_BLOCK = 1 << 18  # entries per block of pairs or chunk of edges in the quadratic passes
+
+
 def presence_bayes_accuracy(
     values: np.ndarray, graph: SimilarityGraph, indices
 ) -> float:
     """Exact ceiling for any classifier seeing only binary presence vectors.
 
-    Considers every within-split pair with positives and negatives weighted
-    equally as classes; for each unordered presence configuration the optimal
-    decision takes the heavier side, so the result is
-    0.5 * sum over configurations of max(pos_share, neg_share), added in the
-    order each configuration first appears in the scan of pairs.
-
-    Pairs are scanned one item at a time against all later items, so memory
-    stays linear in the split size plus one count pair per configuration.
+    Over the pairs of distinct ``indices``, linked and unlinked weighing
+    equally, the best decision for each unordered pair (a, b) of presence
+    configurations takes the heavier side: 0.5 * sum of max(pos / n_pos,
+    neg / n_neg). With c_a items of configuration a, (a, b) holds c_a * c_b
+    pairs (c_a * (c_a - 1) / 2 if a = b), pos of them linked (a ``bincount``
+    over chunks of edges). Terms add in the order of each (a, b)'s first pair
+    in the row-major scan of positions: (min(f_a, f_b), max(f_a, f_b)), or
+    (f_a, the second position of a) if a = b, f_a being a's first position.
     """
     indices = np.asarray(indices, dtype=np.int64).ravel()
-    # one integer per distinct presence row, so a configuration is one int key
+    n = len(indices)
+    position = np.full(graph.n, -1, dtype=np.int64)
+    position[indices] = np.arange(n)
+    if (repeated := position[indices] != np.arange(n)).any():
+        raise ContractError(f"index {indices[np.argmax(repeated)]} appears twice in indices")
     rows = np.asarray(values)[indices].astype(int)
-    code = np.unique(rows, axis=0, return_inverse=True)[1].ravel()
-    buckets: dict = {}  # configuration -> [linked, unlinked], in first-seen order
-    for p in range(len(indices) - 1):
-        lo, hi = np.minimum(code[p], code[p + 1 :]), np.maximum(code[p], code[p + 1 :])
-        unlinked = ~graph.has_edges(indices[p], indices[p + 1 :])
-        # 2c for the linked pairs of configuration c, 2c + 1 for the unlinked
-        keys, first, counts = np.unique(2 * (lo * len(indices) + hi) + unlinked,
-                                        return_index=True, return_counts=True)
-        order = np.argsort(first)
-        for key, count in zip(keys[order].tolist(), counts[order].tolist()):
-            buckets.setdefault(key // 2, [0, 0])[key % 2] += count
-    n_pos = sum(pos for pos, _ in buckets.values())
-    n_neg = sum(neg for _, neg in buckets.values())
+    _, first, code, count = np.unique(rows, axis=0, return_index=True, return_inverse=True,
+                                      return_counts=True)
+    order = np.argsort(first)  # configurations renumbered in order of first position
+    code, first, count = np.argsort(order)[code.ravel()], first[order], count[order]
+    second = np.argsort(code, kind="stable")[np.minimum(np.cumsum(count) - count + 1, n - 1)]
+
+    k, acc = len(count), np.zeros(1)
+    keys = [np.zeros(0, dtype=np.int64)]  # configurations lower * k + upper of linked pairs
+    for start in range(0, graph.num_edges, _BLOCK):
+        i, j = position.take(graph.pairs[start : start + _BLOCK].T)
+        i, j = code.take(i[(i >= 0) & (j >= 0)]), code.take(j[(i >= 0) & (j >= 0)])
+        keys.append(np.minimum(i, j) * k + np.maximum(i, j))
+    keys = np.concatenate(keys)
+    n_pos, n_neg = len(keys), n * (n - 1) // 2 - len(keys)
     if n_pos == 0 or n_neg == 0:
         raise GenerationError("split lacks linked or unlinked pairs")
-    acc = 0.0
-    for pos, neg in buckets.values():
-        acc += max(pos / n_pos, neg / n_neg)
-    return 0.5 * acc
+    step = max(1, _BLOCK // k)
+    for lo in range(0, k, step):  # a block of about _BLOCK configuration pairs (a, b)
+        a, b = np.arange(lo, min(lo + step, k))[:, None], np.arange(k)
+        here = keys[(keys >= lo * k) & (keys < (lo + step) * k)] - lo * k
+        pairs = np.where(a == b, count[a] * (count[a] - 1) // 2, count[a] * count)
+        kept = (b >= a) & (pairs > 0)
+        scan = np.argsort((a * n + np.where(a == b, second[a], first))[kept])
+        pos = np.bincount(here, minlength=pairs.size)[kept.ravel()][scan]
+        share = np.maximum(pos / n_pos, (pairs[kept][scan] - pos) / n_neg)
+        # accumulate adds one term at a time, where sum would add pairwise
+        acc = np.add.accumulate(np.concatenate([acc, share]))[-1:]
+    return 0.5 * float(acc[0])
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +190,22 @@ def _assign_splits(n: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
     }
 
 
-def _row_edges(partners: list[np.ndarray]) -> np.ndarray:
-    """(E, 2) edges (i, j) from the partners j of each row i, in row order."""
-    rows = np.repeat(np.arange(len(partners)), [len(p) for p in partners])
-    return np.stack([rows, np.concatenate([np.zeros(0, np.int64), *partners])], axis=1)
+def _type_links(types: np.ndarray, linked) -> np.ndarray:
+    """(E, 2) edges (i, j), i < j, in row-major order, between items whose
+    ``types`` rows are ``linked``. ``linked(rows, kinds)`` relates a block of
+    about ``_BLOCK / n`` rows to the distinct rows, found by ``np.unique(axis=0)``
+    (no integer key to overflow), and is read out at the later items' kinds."""
+    kinds, code = np.unique(types, axis=0, return_inverse=True)
+    n, code = len(types), code.ravel()
+    step = max(1, _BLOCK // n)
+    blocks = [np.zeros((0, 2), dtype=np.int64)]
+    for lo in range(0, n - 1, step):
+        # row r is item lo + r, column c item lo + 1 + c: a later item iff c >= r
+        later = linked(types[lo : lo + step], kinds)[:, code[lo + 1 :]]
+        later[np.tril_indices(len(later), -1)] = False
+        i, j = np.divmod(np.flatnonzero(later), later.shape[1])
+        blocks.append(np.stack([lo + i, lo + 1 + j], axis=1))
+    return np.concatenate(blocks)
 
 
 def _split_of(n: int, splits: dict[str, np.ndarray]) -> np.ndarray:
@@ -249,14 +285,12 @@ def gen_compatibility_manifestation(
     feats += spec.noise_sd * rng.normal(size=(n, d))
     feats = _round_to_f32(feats)
 
-    present = values.astype(bool)
-    partners = []
-    for i in range(n - 1):
-        shared = present[i] & present[i + 1 :]
-        agree = (manifest[i] == manifest[i + 1 :]) | ~shared
-        link = shared.any(axis=1) & agree.all(axis=1)
-        partners.append(i + 1 + np.flatnonzero(link))
-    edges = _row_edges(partners)
+    def compatible(a, b):  # type rows: presence, then (attribute, manifestation) cells
+        shared, agree = a[:, :m] @ b[:, :m].T, a[:, m:] @ b[:, m:].T
+        return (shared > 0) & (agree == shared)
+
+    cells = (manifest[:, :, None] == np.arange(v)) & (values[:, :, None] > 0)
+    edges = _type_links(np.hstack([values, cells.reshape(n, m * v)]), compatible)
 
     splits = _assign_splits(n, rng)
     graph = SimilarityGraph(n, _within_split_edges(n, edges, splits))
@@ -347,11 +381,9 @@ def gen_linear_separable(spec: SyntheticSpec, seed: int) -> tuple[DatasetBundle,
     values = (rng.random((n, m)) < spec.attr_density).astype(np.float64)
     basis = _orthonormal_columns(rng, d, m)
     feats = _round_to_f32(values @ basis.T + spec.noise_sd * rng.normal(size=(n, d)))
-    edges = _row_edges([
-        i + 1 + np.flatnonzero(np.abs(values[i] - values[i + 1 :]).sum(axis=1)
-                               <= spec.hamming_threshold)
-        for i in range(n - 1)
-    ])
+    # |a - b| summed over 0/1 rows is |a| + |b| - 2 a.b
+    edges = _type_links(values, lambda a, b: a.sum(axis=1)[:, None] + b.sum(axis=1)
+                        - 2 * (a @ b.T) <= spec.hamming_threshold)
     splits = _assign_splits(n, rng)
     graph = SimilarityGraph(n, _within_split_edges(n, edges, splits))
     table = AttributeTable(values, np.ones_like(values))

@@ -76,6 +76,27 @@ class TestGen:
         }
 
 
+    @pytest.mark.parametrize("argv,manifest,oracle", [
+        ("compat-manifest --items 500 --dim 16 --attrs 6 --seed 7",
+         "870ef0e3d4b434abf7c97955b958988d5a8e71c740468ef48038f682ccef062a",
+         "f6456ae9b58dcf3428ee9fba2b512f85f8607810120aa907bd616d9eaceecdc3"),
+        ("compat-manifest --items 2000 --dim 16 --attrs 6 --density 0.8 --noise 0.2 --seed 1",
+         "1cffd121a2cf439f7cc7ccca45616f4bb160eb564b075277729390551c7d9e8c",
+         "1cbf3c2fee081791f531959be96c335ca4737f5283a758430cdc4ce9b5867773"),
+        ("fewshot-clusters --items 1000 --dim 32 --attrs 6 --noise 0.05 --classes 20 --seed 1",
+         "e7301209df9db55fc54c2e3b9bd28e1850253cf7944f5607ffd8ca644185f581",
+         "c717a11f49890cfdc225e4354be6e6fd56bccf45e200836c2c589c14b9b56c7d"),
+        ("linear-separable --items 300 --dim 16 --attrs 6 --seed 1",
+         "b98f840c2a42165ef0a21880f083d78194106ad283052f440ee5f97f8de71c47",
+         "6bacec832a4e06b6be2394f1bfe9b1c2be64915203022c6e9fff8a105ef0d70d"),
+    ], ids=["compat-500", "compat-2000", "fewshot-1000", "linear-300"])
+    def test_pinned_bundle_bytes(self, tmp_path, argv, manifest, oracle):
+        # the manifest holds the SHA-256 of every other bundle file
+        assert run_cli("gen", "--task", *argv.split(), "--out", tmp_path) == 0
+        digest = dir_digest(tmp_path)
+        assert (digest["manifest.json"], digest["oracle_report.json"]) == (manifest, oracle)
+
+
 class TestTrain:
     def test_outputs_exist(self, trained_dir):
         for name in ("run.json", "checkpoint.json", "history.csv", "summary.json"):
@@ -300,6 +321,14 @@ class TestSweep:
         payload = json.loads((ev_dir / "metrics.json").read_text())
         assert payload["value"] == value
 
+    def test_run_json_records_json_values(self, bundle_dir, tmp_path):
+        out = tmp_path / "sweep"
+        assert run_cli("sweep", "--axis", "lambda", "--values", "0,1e-5", "--bundle", bundle_dir,
+                       "--out", out, "--epochs", 1, "--mlp-dims", "24,16") == 0
+        config = json.loads((out / "run.json").read_text())["config"]
+        assert config["values"] == ["0", "1e-5"] and config["mlp_dims"] == [24, 16]
+        assert config["runs"] == 1 and config["lambda_"] == 1.0 and config["eval_split"] is None
+
     def test_three_runs_interval_matches_hand_formula(self, bundle_dir, tmp_path):
         out = tmp_path / "sweep3"
         assert run_cli(
@@ -440,8 +469,7 @@ class TestConfigFile:
         assert not out.exists()
         assert run_cli(*argv, "--seed", 7) == 0  # an explicit seed runs
         config = json.loads((out / "run.json").read_text())["config"]
-        assert (config["train"] if command == "train" else config)["seed"] == (
-            "7" if command == "sweep" else 7)
+        assert (config["train"] if command == "train" else config)["seed"] == 7
 
 
 class TestSingleParsePath:
@@ -767,6 +795,21 @@ class TestCleanFailures:
             argv = ["--config", cfg, *argv]
         assert run_cli_expect_usage_exit(*argv) == 2
         assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,field", [
+        (["--noise", "nan"], "noise_sd"),
+        (["--noise", "inf"], "noise_sd"),
+        (["--separation", "nan"], "cluster_separation"),
+        (["--hamming", -1], "hamming_threshold"),
+        (["--task", "fewshot-clusters", "--items", 10, "--classes", 20], "n_items"),
+    ], ids=["noise-nan", "noise-inf", "separation-nan", "hamming-negative",
+            "fewshot-items-below-classes"])
+    def test_out_of_range_spec_exits_one(self, tmp_path, capsys, flags, field):
+        out = tmp_path / "out"
+        argv = ["gen", "--task", "linear-separable", "--items", 60, "--dim", 32, "--out", out]
+        assert run_cli(*argv, *flags) == 1
+        assert field in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("config", [False, True], ids=["flag", "config"])

@@ -83,6 +83,118 @@ class TestPresenceBayesOracle:
         got = data.presence_bayes_accuracy(values, graph, indices)
         assert got.hex() == self.list_oracle(values, graph, indices).hex()
 
+    @pytest.mark.parametrize("rows, edges", [
+        # (0, 1) is configuration (1,)'s pair with itself and the scan's first pair
+        ([[1], [1], [0], [1], [0]], [(0, 1), (1, 3), (2, 4)]),
+        # (1, 1) and (0, 0) each have one member, so no pair with themselves
+        ([[1, 1], [0, 1], [1, 0], [0, 1], [0, 0], [1, 0]], [(0, 1), (1, 3), (2, 5), (0, 4)]),
+        # every configuration's first pair is with itself
+        ([[0], [0], [1], [1], [1]], [(0, 1), (2, 3), (0, 2)]),
+    ], ids=["self-first", "one-member", "all-self-first"])
+    def test_first_pair_order_matches_pair_loop(self, rows, edges):
+        values = np.array(rows, dtype=float)
+        graph = SimilarityGraph(len(rows), edges)
+        got = data.presence_bayes_accuracy(values, graph, np.arange(len(rows)))
+        assert got.hex() == self.list_oracle(values, graph, np.arange(len(rows))).hex()
+
+    @pytest.mark.parametrize("block", [7, 100, 1000])
+    def test_blocks_and_chunks_match_pair_loop(self, monkeypatch, block):
+        # blocks of configuration pairs and chunks of edges that split unevenly;
+        # 32 configurations of about 6 members, so most first pairs of a configuration
+        # with itself come after its first pairs with others, and a wrong order
+        # moves the bits
+        monkeypatch.setattr(data, "_BLOCK", block)
+        rng = np.random.default_rng(block)
+        values = (rng.random((220, 5)) < 0.5).astype(float)
+        a, b = np.triu_indices(220, 1)
+        linked = rng.random(len(a)) < 0.3
+        graph = SimilarityGraph(220, np.stack([a[linked], b[linked]], axis=1))
+        indices = rng.permutation(220)[:201]
+        got = data.presence_bayes_accuracy(values, graph, indices)
+        assert got.hex() == self.list_oracle(values, graph, indices).hex()
+
+    def test_repeated_index_rejected(self):
+        values = np.array([[1], [0], [1]], dtype=float)
+        with pytest.raises(ContractError, match="index 2 appears twice"):
+            data.presence_bayes_accuracy(values, SimilarityGraph(3, [(0, 2)]), [0, 2, 1, 2])
+
+
+def row_edges(partners):
+    """(E, 2) edges (i, j) from the partners j of each row i, in row order."""
+    rows = np.repeat(np.arange(len(partners)), [len(p) for p in partners])
+    return np.stack([rows, np.concatenate([np.zeros(0, np.int64), *partners])], axis=1)
+
+
+def compat_row_links(present, manifest):
+    """The compatibility rule, one item against all later items at a time."""
+    partners = []
+    for i in range(len(present) - 1):
+        shared = present[i] & present[i + 1 :]
+        agree = (manifest[i] == manifest[i + 1 :]) | ~shared
+        partners.append(i + 1 + np.flatnonzero(shared.any(axis=1) & agree.all(axis=1)))
+    return row_edges(partners)
+
+
+def hamming_row_links(values, threshold):
+    """The Hamming rule, one item against all later items at a time."""
+    return row_edges([
+        i + 1 + np.flatnonzero(np.abs(values[i] - values[i + 1 :]).sum(axis=1) <= threshold)
+        for i in range(len(values) - 1)
+    ])
+
+
+class Captured(Exception):
+    pass
+
+
+def generated_links(monkeypatch, spec, seed):
+    """The types and edges of a generator's ``_type_links`` call; the generator
+    stops there, so a rule that links every pair needs no unlinked one."""
+    type_links = data._type_links
+
+    def spy(types, linked):
+        raise Captured(types, type_links(types, linked))
+
+    monkeypatch.setattr(data, "_type_links", spy)
+    with pytest.raises(Captured) as caught:
+        data.generate(spec, seed)
+    return caught.value.args
+
+
+class TestTypeLinks:
+    @pytest.mark.parametrize("n, m, v, density, block", [
+        (300, 40, 2, 0.12, 1 << 18),  # 3^40 types: a base-3 integer key overflows int64
+        (400, 2, 2, 0.5, 1 << 18),    # at most 9 types, so many items share one
+        (101, 4, 3, 0.6, 1000),       # blocks of 9 rows: 101 is no multiple of 9
+        (60, 5, 2, 0.7, 1),           # one row per block
+    ])
+    def test_compat_rule_matches_row_loop(self, monkeypatch, n, m, v, density, block):
+        monkeypatch.setattr(data, "_BLOCK", block)
+        spec = small_compat_spec(n_items=n, d=m * v, m_attributes=m, manifestation_count=v,
+                                 attr_density=density)
+        types, got = generated_links(monkeypatch, spec, seed=n)
+        present = types[:, :m].astype(bool)
+        manifest = types[:, m:].reshape(n, m, v).argmax(axis=2)  # read where present
+        want = compat_row_links(present, manifest)
+        assert 0 < len(want) < n * (n - 1) // 2
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("threshold", [0, 1, 2, 7])
+    @pytest.mark.parametrize("block", [1 << 18, 500])
+    def test_hamming_rule_matches_row_loop(self, monkeypatch, threshold, block):
+        monkeypatch.setattr(data, "_BLOCK", block)
+        spec = data.SyntheticSpec(n_items=150, d=8, m_attributes=7, attr_density=0.5,
+                                  task_kind="linear_separable", hamming_threshold=threshold)
+        values, got = generated_links(monkeypatch, spec, seed=threshold)
+        want = hamming_row_links(values, threshold)
+        assert (len(want) == 150 * 149 // 2) == (threshold == 7)  # m = 7 links every pair
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fewer_than_two_items(self, n):
+        got = data._type_links(np.ones((n, 3)), lambda a, b: np.ones((len(a), len(b)), bool))
+        assert got.shape == (n - 1, 2) and got.dtype == np.int64
+
 
 class TestCompatibilityManifestation:
     def test_deterministic_under_seed(self):
