@@ -26,7 +26,7 @@ from . import data as data_mod
 from . import evaluation as ev
 from . import training as tr
 from .attributes import label_dimension, randomize_labels
-from .encoders import EncoderSpec, within_pairs
+from .encoders import EncoderSpec
 from .errors import (
     BundleFormatError,
     ContractError,
@@ -35,7 +35,7 @@ from .errors import (
     NumericError,
     SamplingError,
 )
-from .rng import derive_seed, generator
+from .rng import derive_seed
 from .training import gradcheck_composition
 
 PAN_ERRORS = (
@@ -49,7 +49,6 @@ GEN_TASKS = {
     "linear-separable": "linear_separable",
 }
 FA_FLAGS = {"and": "and", "or": "or", "xor": "xor", "xnor": "xnor", "and-xor": "and_xor"}
-EVAL_TASKS = ("pair-acc", "fitb", "auc", "fewshot", "recall", "attr-map", "rank-report")
 
 
 def _config_fingerprint(config: dict) -> str:
@@ -259,8 +258,8 @@ def _train_config_from_args(args, seed: int, fa: str) -> tr.TrainConfig:
     )
 
 
-def _train_once(args, bundle, out_dir: Path, seed: int) -> dict:
-    """Shared by cmd_train and sweep workers; returns summary facts."""
+def _train_once(args, bundle, out_dir: Path, seed: int) -> tuple:
+    """Shared by cmd_train and sweep workers; returns the model and its summary facts."""
     encoder_spec, csm_config, fa = _resolve_model_config(args, bundle)
     config = _train_config_from_args(args, seed, fa)
     resolved = {
@@ -300,7 +299,7 @@ def _train_once(args, bundle, out_dir: Path, seed: int) -> dict:
         summary = {"baseline": args.baseline}
     tr.save_checkpoint(out_dir / "checkpoint.json", model)
     tr.write_json(out_dir / "summary.json", summary)
-    return {"summary": summary, "fingerprint": manifest["fingerprint"]}
+    return model, summary
 
 
 def _train_baseline(args, bundle, config: tr.TrainConfig, table):
@@ -313,8 +312,8 @@ def _train_baseline(args, bundle, config: tr.TrainConfig, table):
 
 def _cmd_train(args) -> int:
     bundle = data_mod.load_bundle(args.bundle)
-    facts = _train_once(args, bundle, Path(args.out), args.seed)
-    print(f"trained ({args.baseline}) -> {args.out}  {facts['summary']}")
+    _, summary = _train_once(args, bundle, Path(args.out), args.seed)
+    print(f"trained ({args.baseline}) -> {args.out}  {summary}")
     return 0
 
 
@@ -325,13 +324,13 @@ def _cmd_train(args) -> int:
 def _add_eval_parser(sub) -> None:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a task")
     p.add_argument("--checkpoint", nargs="+", required=True,
-                   help="checkpoint file(s); rank-report accepts several")
+                   help="checkpoint file(s); several only for a task that compares runs")
     p.add_argument("--bundle", required=True)
-    p.add_argument("--task", choices=EVAL_TASKS, required=True)
+    p.add_argument("--task", choices=ev.TASKS, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--split", default=None, help="evaluation split (default test/novel)")
     p.add_argument("--choices", type=_at_least(2), default=10,
-                   help="candidates per question (fitb)")
+                   help="candidates per fill-in-the-blank question")
     p.add_argument("--way", type=_at_least(1), default=5)
     p.add_argument("--shot", type=_at_least(1), default=5)
     p.add_argument("--query", type=_at_least(1), default=16)
@@ -344,119 +343,25 @@ def _add_eval_parser(sub) -> None:
     p.add_argument("--seed", type=int, default=os.environ.get("PAN_SEED", "0"))
 
 
-def _split_name(bundle, name: str | None) -> str:
-    """``name``, or for None the bundle's test (else novel) split, once the
-    bundle is known to have it."""
-    if name is None:
-        name = next((s for s in ("test", "novel") if s in bundle.splits), "test")
-    if name not in bundle.splits:
-        raise ContractError(f"bundle has no split {name!r}")
-    return name
-
-
-def _check_dims(model, bundle) -> None:
-    if model.input_dim != bundle.d:
-        raise DimensionError(
-            f"checkpoint expects {model.input_dim}-dimensional features, bundle has {bundle.d}"
-        )
-
-
-def _sampled_split_pairs(bundle, split: str, seed: int, cap: int) -> np.ndarray:
-    pairs = within_pairs(bundle.splits[split])
-    if len(pairs) > cap:
-        rng = generator(seed, "eval-pairs", split)
-        pairs = pairs[np.sort(rng.choice(len(pairs), size=cap, replace=False))]
-    return pairs
+EVAL_OPTIONS = ("choices", "way", "shot", "query", "episodes", "k", "query_split",
+                "gallery_split", "fa", "max_pairs")
 
 
 def _cmd_eval(args) -> int:
-    if len(args.checkpoint) > 1 and args.task != "rank-report":
-        raise ContractError(f"task {args.task} takes one checkpoint, got {len(args.checkpoint)}")
     bundle = data_mod.load_bundle(args.bundle)
-    # every split name, and the bundle fields a task reads, are checked before any work
-    if args.task == "recall":
-        q_idx = bundle.splits[_split_name(bundle, args.query_split)]
-        g_idx = bundle.splits[_split_name(bundle, args.gallery_split)]
-    elif args.task == "fewshot":
-        split = _split_name(bundle, args.split or ("novel" if "novel" in bundle.splits else "test"))
-    else:
-        split = _split_name(bundle, args.split)
-        if args.task in ("fitb", "auc") and not (bundle.sets or {}).get(split):
-            raise ContractError(f"bundle has no item sets for split {split!r}")
-    if args.task in ("fitb", "auc", "recall") and bundle.categories is None:
-        raise ContractError(f"{args.task} needs item categories")
-    if args.task == "attr-map" and bundle.attributes is None:
-        raise ContractError("attr-map needs a bundle with attributes")
+    options = {name: getattr(args, name) for name in EVAL_OPTIONS}
+    split = ev.check_task(args.task, bundle, len(args.checkpoint), args.split, **options)
     out_dir = Path(args.out)
     config = {
         "task": args.task, "checkpoints": [str(c) for c in args.checkpoint],
-        "bundle": str(args.bundle), "seed": args.seed, "split": args.split,
-        "choices": args.choices, "way": args.way, "shot": args.shot,
-        "query": args.query, "episodes": args.episodes, "k": args.k,
-        "query_split": args.query_split, "gallery_split": args.gallery_split,
-        "fa": args.fa, "max_pairs": args.max_pairs,
+        "bundle": str(args.bundle), "seed": args.seed, "split": args.split, **options,
     }
-    manifest = _write_run_manifest(out_dir, "eval", config)
-    fingerprint = manifest["fingerprint"]
-    models = [tr.load_checkpoint(c) for c in args.checkpoint]
-    for path, model in zip(args.checkpoint, models):
-        _check_dims(model, bundle)
-        if args.task in ("attr-map", "rank-report") and not isinstance(model, tr.ModelBundle):
-            raise ContractError(f"{path}: task {args.task} needs a PAN checkpoint, "
-                                f"not a {type(model).__name__} baseline")
-    model = models[0]
-
-    if args.task == "pair-acc":
-        report = ev.balanced_pair_accuracy(
-            model, bundle.features, bundle.graph, bundle.splits[split]
-        )
-    elif args.task == "fitb":
-        questions = data_mod.build_fitb_questions(
-            bundle.sets[split], args.choices, bundle.categories,
-            derive_seed(args.seed, "fitb"), pool=bundle.splits[split],
-        )
-        report = ev.fitb_accuracy(model, questions, bundle.features)
-    elif args.task == "auc":
-        positives = [s for s in bundle.sets[split] if len(s) >= 2]
-        negatives = data_mod.resample_negative_sets(
-            positives, bundle.categories, derive_seed(args.seed, "neg-sets"),
-            pool=bundle.splits[split],
-        )
-        report = ev.compatibility_auc(model, positives, negatives, bundle.features)
-    elif args.task == "fewshot":
-        episodes = data_mod.build_episodes(
-            bundle, args.way, args.shot, args.query, args.episodes,
-            derive_seed(args.seed, "episodes"), split=split,
-        )
-        report = ev.few_shot_accuracy(model, episodes, bundle.features)
-    elif args.task == "recall":
-        if args.query_split == args.gallery_split:
-            # retrieval within one split: disjoint query/gallery halves
-            q_idx, g_idx = q_idx[0::2], q_idx[1::2]
-        report = ev.recall_at_k(
-            bundle.features[q_idx], bundle.features[g_idx],
-            bundle.categories[q_idx], bundle.categories[g_idx], args.k, model=model,
-        )
-    elif args.task == "attr-map":
-        pairs = _sampled_split_pairs(bundle, split, args.seed, args.max_pairs)
-        report = ev.attribute_map(
-            model, pairs, bundle.attributes, FA_FLAGS[args.fa], bundle.features
-        )
-        tr.write_csv(out_dir / "per_attribute_ap.csv", ("attribute", "ap"), [
-            (a, None if np.isnan(ap) else ap)
-            for a, ap in enumerate(report.detail["per_attribute_ap"])
-        ])
-    else:  # rank-report
-        pairs = _sampled_split_pairs(bundle, split, args.seed, args.max_pairs)
-        rows = ev.attribute_rank_report(models, pairs, bundle.features)
-        header = ("attribute", "mean_rank_relevance", "sd_rank_relevance",
-                  "mean_rank_contribution", "sd_rank_contribution")
-        tr.write_csv(out_dir / "rank_report.csv", header,
-                     [[r[key] for key in header] for r in rows])
-        mean_top = min(r["mean_rank_relevance"] for r in rows)
-        report = ev.MetricReport("rank_report_runs", float(len(models)), None, len(rows),
-                                 detail={"best_mean_rank_relevance": mean_top})
-
+    fingerprint = _write_run_manifest(out_dir, "eval", config)["fingerprint"]
+    models = [(path, tr.load_checkpoint(path)) for path in args.checkpoint]
+    report, tables = ev.run_task(args.task, models, bundle, split, args.seed,
+                                 **options | {"fa": FA_FLAGS[args.fa]})
+    for name, (header, rows) in tables.items():
+        tr.write_csv(out_dir / name, header, rows)
     _write_metric_files(out_dir, report, fingerprint)
     print(f"{report.name} = {report.value:.6f} (count {report.count}) -> {out_dir}")
     return 0
@@ -561,19 +466,14 @@ def _parse_axis_values(args) -> list:
 
 def _sweep_one(packed) -> tuple[str, int, float | None, str | None]:
     """Worker: train with one axis value, return the evaluated metric."""
-    args_dict, axis, (value, parsed), run, bundle_dir, out_dir = packed
+    args_dict, axis, (value, parsed), run, bundle, split, out_dir = packed
     args = argparse.Namespace(**args_dict)
     setattr(args, AXIS_DESTS[axis], parsed)
     try:
-        bundle = data_mod.load_bundle(bundle_dir)
-        split = _split_name(bundle, args.eval_split)  # before any training
         run_dir = Path(out_dir) / "runs" / f"{axis}-{value}-run{run}"
-        seed = derive_seed(args.seed, "sweep", value, run)
-        _train_once(args, bundle, run_dir, seed)
-        model = tr.load_checkpoint(run_dir / "checkpoint.json")
-        report = ev.balanced_pair_accuracy(
-            model, bundle.features, bundle.graph, bundle.splits[split]
-        )
+        model, _ = _train_once(args, bundle, run_dir, derive_seed(args.seed, "sweep", value, run))
+        named = [(str(run_dir / "checkpoint.json"), model)]
+        report, _ = ev.run_task(args.eval_task, named, bundle, split, args.seed)
         return value, run, report.value, None
     except Exception as exc:  # noqa: BLE001 - failures are recorded, sweep continues
         return value, run, None, f"{type(exc).__name__}: {exc}"
@@ -581,6 +481,8 @@ def _sweep_one(packed) -> tuple[str, int, float | None, str | None]:
 
 def _cmd_sweep(args) -> int:
     parsed = _parse_axis_values(args)
+    bundle = data_mod.load_bundle(args.bundle)
+    split = ev.check_task(args.eval_task, bundle, 1, args.eval_split)
     out_dir = Path(args.out)
     args_dict = {k: v for k, v in vars(args).items() if k != "func"}
     _write_run_manifest(out_dir, "sweep", args_dict)
@@ -588,7 +490,7 @@ def _cmd_sweep(args) -> int:
     # a run's seed and directory come from the value's text
     for text_and_value in zip(args.values, parsed):
         for run in range(args.runs):
-            jobs.append((args_dict, args.axis, text_and_value, run, str(args.bundle),
+            jobs.append((args_dict, args.axis, text_and_value, run, bundle, split,
                          str(out_dir)))
     # the pool forks all its workers at once, however few runs there are
     workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
@@ -598,29 +500,20 @@ def _cmd_sweep(args) -> int:
     else:
         results = [_sweep_one(job) for job in jobs]
 
-    failures = []
-    by_value: dict[str, list[float]] = {}
-    for value, run, metric, error in results:
-        if metric is None:
-            failures.append((value, run, error))
-        else:
-            by_value.setdefault(value, []).append(metric)
     tr.write_csv(out_dir / "sweep.csv", ("value", "run", "metric"),
                  [(value, run, metric) for value, run, metric, _ in results])
-
     summary = []
     for value in args.values:
-        metrics = by_value.get(value, [])
-        if metrics:
-            mean = float(np.mean(metrics))
-            half = (
-                float(1.96 * np.std(metrics, ddof=1) / np.sqrt(len(metrics)))
-                if len(metrics) > 1 else 0.0
-            )
-            summary.append((value, mean, half, len(metrics)))
-        else:
+        metrics = [metric for v, _, metric, _ in results if v == value and metric is not None]
+        if not metrics:
             summary.append((value, None, None, 0))
+            continue
+        n = len(metrics)
+        half = float(ev.INTERVAL_Z * np.std(metrics, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+        summary.append((value, float(np.mean(metrics)), half, n))
     tr.write_csv(out_dir / "summary.csv", ("value", "mean", "half_width_95", "runs"), summary)
+
+    failures = [(value, run, error) for value, run, metric, error in results if metric is None]
 
     for value, run, error in failures:
         print(f"run failed: {args.axis}={value} run={run}: {error}", file=sys.stderr)

@@ -25,7 +25,6 @@ from .attributes import AttributeTable
 from .autodiff import as_matrix
 from .encoders import SimilarityGraph, within_pairs
 from .errors import BundleFormatError, ContractError, GenerationError
-from .evaluation import Episode, FitbQuestion
 from .rng import generator
 
 TASK_KINDS = ("compatibility_manifestation", "fewshot_clusters", "linear_separable")
@@ -413,6 +412,43 @@ def generate(spec: SyntheticSpec, seed: int) -> tuple[DatasetBundle, dict]:
 # ---------------------------------------------------------------------------
 # questions, negative sets, episodes
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FitbQuestion:
+    question_items: tuple[int, ...]
+    candidates: tuple[int, ...]
+    answer_index: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "question_items", tuple(int(i) for i in self.question_items))
+        object.__setattr__(self, "candidates", tuple(int(i) for i in self.candidates))
+        if not self.candidates:
+            raise ContractError("a question needs at least one candidate")
+        if not 0 <= self.answer_index < len(self.candidates):
+            raise ContractError(
+                f"answer index {self.answer_index} invalid for {len(self.candidates)} candidates"
+            )
+        if set(self.question_items) & set(self.candidates):
+            raise ContractError("question items and candidates must be disjoint")
+
+
+@dataclass(frozen=True)
+class Episode:
+    support: tuple[tuple[int, ...], ...]      # per-class support indices
+    query: tuple[tuple[int, int], ...]        # (item index, class position)
+
+    def __post_init__(self):
+        flat = [i for cls in self.support for i in cls]
+        if len(set(flat)) != len(flat):
+            raise ContractError("support sets overlap across classes")
+        q_items = [q for q, _ in self.query]
+        if set(q_items) & set(flat):
+            raise ContractError("queries must be disjoint from supports")
+
+    @property
+    def n_way(self) -> int:
+        return len(self.support)
+
 
 def build_fitb_questions(
     outfit_sets, num_choices: int, categories, seed: int, pool

@@ -1,6 +1,7 @@
 """End-task metrics: pair scoring, fill-in-the-blank, set compatibility AUC,
 episodic few-shot accuracy, retrieval recall@k, attribute mAP, and the
-attribute rank report.
+attribute rank report; and the task runner (``check_task``, ``run_task``)
+that turns models, a bundle, a split and a seed into one of them.
 
 All metrics are read-only over immutable models and features. Ties break
 toward the lowest index everywhere. Pairs are built as (N, 2) int64 index
@@ -16,49 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import data as data_mod
 from .attributes import AttributeTable, pair_label_matrix
 from .autodiff import row_sum_values
+from .data import Episode, FitbQuestion
 from .encoders import SimilarityGraph, pair_array, within_pairs
-from .errors import ContractError
+from .errors import ContractError, DimensionError
+from .rng import derive_seed, generator
 
 INTERVAL_Z = 1.96
-
-
-@dataclass(frozen=True)
-class FitbQuestion:
-    question_items: tuple[int, ...]
-    candidates: tuple[int, ...]
-    answer_index: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "question_items", tuple(int(i) for i in self.question_items))
-        object.__setattr__(self, "candidates", tuple(int(i) for i in self.candidates))
-        if not self.candidates:
-            raise ContractError("a question needs at least one candidate")
-        if not 0 <= self.answer_index < len(self.candidates):
-            raise ContractError(
-                f"answer index {self.answer_index} invalid for {len(self.candidates)} candidates"
-            )
-        if set(self.question_items) & set(self.candidates):
-            raise ContractError("question items and candidates must be disjoint")
-
-
-@dataclass(frozen=True)
-class Episode:
-    support: tuple[tuple[int, ...], ...]      # per-class support indices
-    query: tuple[tuple[int, int], ...]        # (item index, class position)
-
-    def __post_init__(self):
-        flat = [i for cls in self.support for i in cls]
-        if len(set(flat)) != len(flat):
-            raise ContractError("support sets overlap across classes")
-        q_items = [q for q, _ in self.query]
-        if set(q_items) & set(flat):
-            raise ContractError("queries must be disjoint from supports")
-
-    @property
-    def n_way(self) -> int:
-        return len(self.support)
 
 
 @dataclass
@@ -357,3 +324,103 @@ def balanced_pair_accuracy(
         "balanced_pair_accuracy", value, None, len(pos_pairs) + len(neg_pairs),
         detail={"true_positive_rate": tpr, "true_negative_rate": tnr},
     )
+
+
+# ---------------------------------------------------------------------------
+# the task runner of `pan eval` and `pan sweep`
+# ---------------------------------------------------------------------------
+
+TASKS = ("pair-acc", "fitb", "auc", "fewshot", "recall", "attr-map", "rank-report")
+
+
+def _split_name(bundle, name: str | None) -> str:
+    """``name``, or for None the bundle's test (else novel) split, once the
+    bundle is known to have it."""
+    if name is None:
+        name = next((s for s in ("test", "novel") if s in bundle.splits), "test")
+    if name not in bundle.splits:
+        raise ContractError(f"bundle has no split {name!r}")
+    return name
+
+
+def _sampled_split_pairs(bundle, split: str, seed: int, cap: int) -> np.ndarray:
+    pairs = within_pairs(bundle.splits[split])
+    if len(pairs) > cap:
+        rng = generator(seed, "eval-pairs", split)
+        pairs = pairs[np.sort(rng.choice(len(pairs), size=cap, replace=False))]
+    return pairs
+
+
+def check_task(task: str, bundle, n_models: int, split: str | None, **options) -> str:
+    """The split ``task`` reads (recall: ``options["query_split"]``; None: the
+    test split, novel first for fewshot), once every split name, bundle field
+    and model count it needs is known to be good. It does no other work."""
+    if n_models > 1 and task != "rank-report":
+        raise ContractError(f"task {task} takes one checkpoint, got {n_models}")
+    if task == "recall":
+        split = _split_name(bundle, options["query_split"])
+        _split_name(bundle, options["gallery_split"])
+    elif task == "fewshot":
+        split = _split_name(bundle, split or ("novel" if "novel" in bundle.splits else "test"))
+    else:
+        split = _split_name(bundle, split)
+        if task in ("fitb", "auc") and not (bundle.sets or {}).get(split):
+            raise ContractError(f"bundle has no item sets for split {split!r}")
+    if task in ("fitb", "auc", "fewshot", "recall") and bundle.categories is None:
+        raise ContractError(f"{task} needs item categories")
+    if task == "attr-map" and bundle.attributes is None:
+        raise ContractError("attr-map needs a bundle with attributes")
+    return split
+
+
+def run_task(task: str, models, bundle, split: str, seed: int,
+             **options) -> tuple[MetricReport, dict]:
+    """``task``'s report on ``split`` of ``bundle`` (as ``check_task`` gives
+    it), and the CSV tables it adds as {file name: (header, rows)}. ``models``
+    are (checkpoint name, model) pairs; ``options`` holds the task's flags. Its
+    questions, negative sets, episodes and sampled pairs come from ``seed``."""
+    for name, model in models:
+        if model.input_dim != bundle.d:
+            raise DimensionError(f"checkpoint expects {model.input_dim}-dimensional features, "
+                                 f"bundle has {bundle.d}")
+        if task in ("attr-map", "rank-report") and not hasattr(model, "pair_conditions"):
+            raise ContractError(f"{name}: task {task} needs a PAN checkpoint, "
+                                f"not a {type(model).__name__} baseline")
+    model = models[0][1]
+    features, cats, idx = bundle.features, bundle.categories, bundle.splits[split]
+    if task == "pair-acc":
+        return balanced_pair_accuracy(model, features, bundle.graph, idx), {}
+    if task == "fitb":
+        questions = data_mod.build_fitb_questions(
+            bundle.sets[split], options["choices"], cats, derive_seed(seed, "fitb"), pool=idx)
+        return fitb_accuracy(model, questions, features), {}
+    if task == "auc":
+        positives = [s for s in bundle.sets[split] if len(s) >= 2]
+        negatives = data_mod.resample_negative_sets(
+            positives, cats, derive_seed(seed, "neg-sets"), pool=idx)
+        return compatibility_auc(model, positives, negatives, features), {}
+    if task == "fewshot":
+        episodes = data_mod.build_episodes(
+            bundle, options["way"], options["shot"], options["query"], options["episodes"],
+            derive_seed(seed, "episodes"), split=split)
+        return few_shot_accuracy(model, episodes, features), {}
+    if task == "recall":
+        q_idx, g_idx = idx, bundle.splits[options["gallery_split"]]
+        if split == options["gallery_split"]:
+            # retrieval within one split: disjoint query/gallery halves
+            q_idx, g_idx = q_idx[0::2], q_idx[1::2]
+        return recall_at_k(features[q_idx], features[g_idx], cats[q_idx], cats[g_idx],
+                           options["k"], model=model), {}
+    pairs = _sampled_split_pairs(bundle, split, seed, options["max_pairs"])
+    if task == "attr-map":
+        report = attribute_map(model, pairs, bundle.attributes, options["fa"], features)
+        rows = [(a, None if np.isnan(ap) else ap)
+                for a, ap in enumerate(report.detail["per_attribute_ap"])]
+        return report, {"per_attribute_ap.csv": (("attribute", "ap"), rows)}
+    # rank-report
+    rows = attribute_rank_report([m for _, m in models], pairs, features)
+    report = MetricReport(
+        "rank_report_runs", float(len(models)), None, len(rows),
+        detail={"best_mean_rank_relevance": min(r["mean_rank_relevance"] for r in rows)},
+    )
+    return report, {"rank_report.csv": (tuple(rows[0]), [list(r.values()) for r in rows])}

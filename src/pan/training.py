@@ -520,8 +520,8 @@ class _Validator:
             else:
                 row = {int(item): k for k, item in enumerate(val_idx)}  # bundle id -> val row
                 self.episodes = [
-                    ev.Episode(tuple(tuple(row[i] for i in cls) for cls in ep.support),
-                               tuple((row[i], c) for i, c in ep.query))
+                    data_mod.Episode(tuple(tuple(row[i] for i in cls) for cls in ep.support),
+                                     tuple((row[i], c) for i, c in ep.query))
                     for ep in episodes
                 ]
                 return

@@ -264,6 +264,63 @@ class TestEval:
         for line in lines[1:]:
             assert line.split(",")[2] == "0.0"  # identical runs: sd 0
 
+    @pytest.mark.parametrize("task,flags", [
+        ("pair-acc", []),
+        ("fitb", ["--choices", 3]),
+        ("auc", []),
+        ("fewshot", ["--way", 2, "--shot", 1, "--query", 1, "--episodes", 6]),
+        ("recall", ["--k", 2]),
+        ("recall", ["--query-split", "test", "--gallery-split", "test"]),
+        ("attr-map", ["--max-pairs", 300, "--fa", "xor"]),
+    ], ids=["pair-acc", "fitb", "auc", "fewshot", "recall", "recall-one-split", "attr-map"])
+    def test_report_is_the_metric_on_the_documented_streams(self, bundle_dir, trained_dir,
+                                                            tmp_path, task, flags):
+        """pan eval's value and count are, bit for bit, the metric's on inputs
+        built here from the labelled streams of --seed."""
+        from pan import evaluation as ev
+        from pan.data import (
+            build_episodes, build_fitb_questions, load_bundle, resample_negative_sets,
+        )
+        from pan.encoders import within_pairs
+        from pan.rng import generator
+
+        seed, out, ckpt = 4, tmp_path / "out", trained_dir / "checkpoint.json"
+        assert run_cli("eval", "--checkpoint", ckpt, "--bundle", bundle_dir, "--task", task,
+                       "--seed", seed, "--out", out, *flags) == 0
+        payload = json.loads((out / "metrics.json").read_text())
+        model, bundle = tr.load_checkpoint(ckpt), load_bundle(bundle_dir)
+        feats, cats, test = bundle.features, bundle.categories, bundle.splits["test"]
+        if task == "pair-acc":
+            report = ev.balanced_pair_accuracy(model, feats, bundle.graph, test)
+        elif task == "fitb":
+            questions = build_fitb_questions(bundle.sets["test"], 3, cats,
+                                             derive_seed(seed, "fitb"), pool=test)
+            report = ev.fitb_accuracy(model, questions, feats)
+        elif task == "auc":
+            positives = [s for s in bundle.sets["test"] if len(s) >= 2]
+            negatives = resample_negative_sets(positives, cats, derive_seed(seed, "neg-sets"),
+                                               pool=test)
+            report = ev.compatibility_auc(model, positives, negatives, feats)
+        elif task == "fewshot":  # no novel split in this bundle: test
+            episodes = build_episodes(bundle, 2, 1, 1, 6, derive_seed(seed, "episodes"),
+                                      split="test")
+            report = ev.few_shot_accuracy(model, episodes, feats)
+        elif task == "recall" and "--gallery-split" in flags:  # alternate halves of test
+            q, g = test[0::2], test[1::2]
+            report = ev.recall_at_k(feats[q], feats[g], cats[q], cats[g], 1, model=model)
+        elif task == "recall":
+            train = bundle.splits["train"]
+            report = ev.recall_at_k(feats[test], feats[train], cats[test], cats[train], 2,
+                                    model=model)
+        else:
+            pairs = within_pairs(test)
+            assert len(pairs) > 300  # so that the cap samples
+            rng = generator(seed, "eval-pairs", "test")
+            pairs = pairs[np.sort(rng.choice(len(pairs), size=300, replace=False))]
+            report = ev.attribute_map(model, pairs, bundle.attributes, "xor", feats)
+        assert float(payload["value"]).hex() == float(report.value).hex()
+        assert payload["count"] == report.count
+
 
 @pytest.mark.parametrize("command", ["", *cli.build_parser()._pan_subparsers])
 def test_help_exits_zero(capsys, command):
@@ -712,6 +769,29 @@ class TestCleanFailures:
         assert run_cli("eval", "--checkpoint", trained_dir / "checkpoint.json",
                        "--bundle", bundle_dir, "--task", "fewshot", "--split", "nope",
                        "--out", out) == 1
+        assert "no split 'nope'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fewshot_without_categories_fails_before_run_json(self, bundle_dir, trained_dir,
+                                                              tmp_path, capsys):
+        broken = tmp_path / "broken"
+        shutil.copytree(bundle_dir, broken)
+        (broken / "categories.csv").unlink()
+        manifest = json.loads((broken / "manifest.json").read_text())
+        del manifest["files"]["categories.csv"]
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        assert run_cli("eval", "--checkpoint", trained_dir / "checkpoint.json",
+                       "--bundle", broken, "--task", "fewshot", "--out", out) == 1
+        assert "fewshot needs item categories" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_sweep_split_writes_nothing(self, bundle_dir, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert run_cli(
+            "sweep", "--axis", "lambda", "--values", "0,1", "--bundle", bundle_dir,
+            "--out", out, "--epochs", 2, "--eval-split", "nope",
+        ) == 1
         assert "no split 'nope'" in capsys.readouterr().err
         assert not out.exists()
 

@@ -647,13 +647,11 @@ class TestIndexArraysMatchListLoops:
     def test_sampled_split_pairs_above_and_below_cap(self):
         from types import SimpleNamespace
 
-        from pan import cli
-
         rng = np.random.default_rng(14)
         bundle = SimpleNamespace(splits={"test": rng.permutation(90)[:70]})
         n_pairs = 70 * 69 // 2
         for cap in (10, n_pairs - 1, n_pairs, n_pairs + 5):
-            got = cli._sampled_split_pairs(bundle, "test", 5, cap)
+            got = ev._sampled_split_pairs(bundle, "test", 5, cap)
             want = list_sampled_split_pairs(bundle, "test", 5, cap)
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
