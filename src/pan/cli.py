@@ -25,7 +25,7 @@ from . import csm as csm_mod
 from . import data as data_mod
 from . import evaluation as ev
 from . import training as tr
-from .attributes import label_dimension, randomize_labels
+from .attributes import FA_CHOICES, label_dimension, randomize_labels
 from .encoders import EncoderSpec
 from .errors import (
     BundleFormatError,
@@ -48,7 +48,7 @@ GEN_TASKS = {
     "fewshot-clusters": "fewshot_clusters",
     "linear-separable": "linear_separable",
 }
-FA_FLAGS = {"and": "and", "or": "or", "xor": "xor", "xnor": "xnor", "and-xor": "and_xor"}
+FA_FLAGS = {fa.replace("_", "-"): fa for fa in FA_CHOICES}  # flag text -> combination
 
 
 def _config_fingerprint(config: dict) -> str:
@@ -137,22 +137,21 @@ def _add_train_flags(p) -> None:
     p.add_argument("--edge-dropout", type=float, default=0.15)
     p.add_argument("--conditions", type=int, default=None,
                    help="condition count M; defaults to the attribute label dimension")
-    p.add_argument("--supervision", choices=("auto", "unsupervised", "supervised", "hybrid"),
-                   default="auto")
+    p.add_argument("--supervision", choices=("auto", *csm_mod.SUPERVISION_MODES), default="auto")
     p.add_argument("--relevance", choices=("on", "off"), default="on")
     p.add_argument("--fa", choices=sorted(FA_FLAGS), default="or")
     p.add_argument("--lambda", dest="lambda_", type=float, default=1.0)
     p.add_argument("--lr", type=float, default=0.03)
     p.add_argument("--epochs", type=int, default=1200)
-    p.add_argument("--mode", choices=("single-batch", "minibatch"), default="single-batch")
+    p.add_argument("--mode", choices=tuple(m.replace("_", "-") for m in tr.TRAIN_MODES),
+                   default="single-batch")
     p.add_argument("--batch-size", type=int, default=96)
     p.add_argument("--val-every", type=int, default=100)
     p.add_argument("--pairs-per-epoch", type=int, default=4096)
     p.add_argument("--seed", type=int, default=os.environ.get("PAN_SEED", "0"))
     p.add_argument("--randomize-labels", action="store_true",
                    help="sanity check: replace labelled attributes with coin flips")
-    p.add_argument("--baseline", choices=("none", "siamese", "multitask", "attr-sim"),
-                   default="none")
+    p.add_argument("--baseline", choices=("none", *tr.BASELINES), default="none")
     p.add_argument("--margin", type=_finite_nonnegative, default=0.2,
                    help="triplet margin (siamese)")
 
@@ -508,9 +507,8 @@ def _cmd_sweep(args) -> int:
         if not metrics:
             summary.append((value, None, None, 0))
             continue
-        n = len(metrics)
-        half = float(ev.INTERVAL_Z * np.std(metrics, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        summary.append((value, float(np.mean(metrics)), half, n))
+        half = ev.half_width_95(metrics) if len(metrics) > 1 else 0.0
+        summary.append((value, float(np.mean(metrics)), half, len(metrics)))
     tr.write_csv(out_dir / "summary.csv", ("value", "mean", "half_width_95", "runs"), summary)
 
     failures = [(value, run, error) for value, run, metric, error in results if metric is None]

@@ -107,42 +107,3 @@ def csm_on_tape(
         p = ad.scale(ad.row_sum(rho), 1.0 / config.m)
     return rho, omega, p
 
-
-# ---------------------------------------------------------------------------
-# checkpoint serialisation (exact round-trip via hex floats)
-# ---------------------------------------------------------------------------
-
-def matrix_to_hex(arr: np.ndarray) -> dict:
-    return {
-        "rows": int(arr.shape[0]),
-        "cols": int(arr.shape[1]),
-        "values": [float(v).hex() for v in arr.ravel()],
-    }
-
-
-def matrix_from_hex(obj: dict) -> np.ndarray:
-    """The matrix of ``matrix_to_hex``; a wrong value count or non-finite entry raises."""
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    values = [float.fromhex(v) for v in obj["values"]]
-    if len(values) != rows * cols:
-        raise ContractError(
-            f"matrix payload has {len(values)} values for shape ({rows}, {cols})"
-        )
-    return ad.as_matrix(np.reshape(values, (rows, cols)))
-
-
-def params_to_dict(params: dict) -> dict:
-    """The checkpoint's csm block: d, m and w1, b1, w2, b2 as hex matrices."""
-    d, m = params["csm_w1"].shape
-    hexed = {name: matrix_to_hex(params[f"csm_{name}"]) for name in ("w1", "b1", "w2", "b2")}
-    return {"d": d, "m": m, **hexed}
-
-
-def params_from_dict(obj: dict) -> dict[str, np.ndarray]:
-    """The parameter dict of a csm block, with b1, w2, b2 shaped to match w1."""
-    w1 = matrix_from_hex(obj["w1"])
-    d, m = w1.shape
-    params = {"csm_w1": w1}
-    for name, shape in (("b1", (1, m)), ("w2", (d, m)), ("b2", (1, m))):
-        params[f"csm_{name}"] = ad.as_matrix(matrix_from_hex(obj[name]), *shape)
-    return params

@@ -95,7 +95,8 @@ class DatasetBundle:
         if self.categories is not None:
             self.categories = np.asarray(self.categories, dtype=np.int64)
             if self.categories.shape != (n,):
-                raise ContractError("categories must be one label per item")
+                raise ContractError(f"categories have shape {self.categories.shape}, "
+                                    f"features have {n} rows")
 
     @property
     def n(self) -> int:
@@ -505,6 +506,19 @@ def resample_negative_sets(positive_sets, categories, seed: int, pool) -> list[l
     return out
 
 
+def episode_classes(bundle: DatasetBundle, split: str, n_way: int, size: int) -> list:
+    """The items of each class with at least ``size`` items in ``split``, in
+    class-label order; fewer than ``n_way`` such classes raises GenerationError."""
+    idx = np.asarray(bundle.splits[split], dtype=np.int64)
+    labels = bundle.categories[idx]
+    eligible = [items for k in np.unique(labels) if len(items := idx[labels == k]) >= size]
+    if len(eligible) < n_way:
+        raise GenerationError(
+            f"need {n_way} classes with >= {size} items in {split!r}, have {len(eligible)}"
+        )
+    return eligible
+
+
 def build_episodes(
     bundle: DatasetBundle,
     n_way: int,
@@ -521,22 +535,14 @@ def build_episodes(
         raise ContractError("episode construction needs per-item class labels")
     if split not in bundle.splits:
         raise ContractError(f"bundle has no split {split!r}")
-    idx = np.asarray(bundle.splits[split], dtype=np.int64)
-    labels = bundle.categories[idx]
-    per_class = {int(k): idx[labels == k] for k in np.unique(labels)}
-    eligible = sorted(k for k, items in per_class.items() if len(items) >= k_shot + n_query)
-    if len(eligible) < n_way:
-        raise GenerationError(
-            f"need {n_way} classes with >= {k_shot + n_query} items in {split!r}, "
-            f"have {len(eligible)}"
-        )
+    eligible = episode_classes(bundle, split, n_way, k_shot + n_query)
     rng = generator(seed, "episodes")
     episodes = []
     for _ in range(count):
         chosen = rng.choice(len(eligible), size=n_way, replace=False)
         support, query = [], []
         for position, class_pos in enumerate(chosen.tolist()):
-            items = per_class[eligible[class_pos]]
+            items = eligible[class_pos]
             draw = rng.choice(len(items), size=k_shot + n_query, replace=False)
             picked = items[draw]
             support.append(tuple(int(i) for i in picked[:k_shot]))
@@ -593,8 +599,8 @@ def _write_table(path: Path, header: list[str], rows: np.ndarray) -> None:
 def _read_table(path: Path, dtype, valid) -> tuple[list[str], np.ndarray]:
     """The header of a CSV table, and its rows as an (N, len(header)) ``dtype``
     array. A row of another width, or a cell that is no ``dtype`` or that
-    ``valid(cells, columns)`` rejects (elementwise, 0-based columns), raises
-    BundleFormatError naming file:line.
+    ``valid(cells, rows, columns)`` rejects (elementwise, 0-based row and
+    column numbers), raises BundleFormatError naming file:line.
 
     numpy's C parser reads the rows; its row numbers skip empty lines and
     disagree between its messages, so the text is scanned for the line only
@@ -607,20 +613,23 @@ def _read_table(path: Path, dtype, valid) -> tuple[list[str], np.ndarray]:
                 warnings.simplefilter("ignore", UserWarning)  # a table without rows
                 rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=2)
             rows = rows.reshape(-1, len(header)) if rows.size == 0 else rows
-            if rows.shape[1] == len(header) and np.all(valid(rows, np.arange(len(header)))):
+            if rows.shape[1] == len(header) and np.all(
+                    valid(rows, np.arange(len(rows))[:, None], np.arange(len(header)))):
                 return header, rows
         except (ValueError, OverflowError):
             pass
+    row = -1
     for lineno, line in enumerate(path.read_text(errors="replace").splitlines()[1:], start=2):
         if not line:  # numpy skips empty lines
             continue
+        row += 1
         cells = line.split(",")
         if len(cells) != len(header):
             raise BundleFormatError(
                 f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}")
         for col, cell in enumerate(cells):
             try:
-                ok = valid(np.array(cell).astype(dtype), col)
+                ok = valid(np.array(cell).astype(dtype), row, col)
             except (ValueError, OverflowError):
                 ok = False
             if not ok:
@@ -712,7 +721,7 @@ def load_bundle(directory) -> DatasetBundle:
         )
     edges_path = directory / "edges.csv"
     # edges: two item indices in [0, n)
-    header, edges = _read_table(edges_path, np.int64, lambda v, col: (v >= 0) & (v < n))
+    header, edges = _read_table(edges_path, np.int64, lambda v, row, col: (v >= 0) & (v < n))
     if header != ["i", "j"]:
         raise BundleFormatError(f"{edges_path}: bad header {header}")
     splits = _read_json(directory / "splits.json", lambda v: isinstance(v, dict) and all(
@@ -720,26 +729,22 @@ def load_bundle(directory) -> DatasetBundle:
     splits = {k: np.array(v, dtype=np.int64) for k, v in splits.items()}
     attributes = None
     if (attributes_path := directory / "attributes.csv").exists():
-        # attributes: an item id, then 0, 1 or ? (unlabelled) per attribute
-        header, cells = _read_table(attributes_path, str,
-                                    lambda v, col: (col == 0) | np.isin(v, ATTRIBUTE_CELLS))
+        # attributes: row r's item id r, then 0, 1 or ? (unlabelled) per attribute
+        header, cells = _read_table(attributes_path, str, lambda v, row, col: np.where(
+            col == 0, v == np.asarray(row).astype(str), np.isin(v, ATTRIBUTE_CELLS)))
         if header[0] != "item_id":
             raise BundleFormatError(f"{attributes_path}: expected header starting with item_id")
         cells = cells[:, 1:]
         attributes = AttributeTable((cells == "1").astype(np.float64),
                                     (cells != "?").astype(np.float64))
-        if attributes.n != n:
-            raise BundleFormatError(
-                f"attribute table has {attributes.n} rows, features have {n}"
-            )
     categories = None
     if (categories_path := directory / "categories.csv").exists():
-        # categories: an item id and an integer category
-        categories = _read_table(categories_path, np.int64, lambda v, col: True)[1][:, 1]
-        if len(categories) != n:
-            raise BundleFormatError(
-                f"categories file has {len(categories)} rows, features have {n}"
-            )
+        # categories: row r's item id r and an integer category
+        header, rows = _read_table(categories_path, np.int64,
+                                   lambda v, row, col: (col != 0) | (v == row))
+        if header != ["item_id", "category"]:
+            raise BundleFormatError(f"{categories_path}: bad header {header}")
+        categories = rows[:, 1]
     sets = None
     if (directory / "sets.json").exists():
         sets = _read_json(directory / "sets.json", lambda v: isinstance(v, dict) and all(

@@ -80,7 +80,7 @@ class SimilarityGraph:
     @property
     def edges(self) -> list[tuple[int, int]]:
         """``pairs`` as a list of tuples, built on each call."""
-        return list(map(tuple, self.pairs.tolist()))
+        return list(zip(self.pairs[:, 0].tolist(), self.pairs[:, 1].tolist()))
 
     @property
     def num_edges(self) -> int:

@@ -28,6 +28,12 @@ from .rng import derive_seed, generator
 INTERVAL_Z = 1.96
 
 
+def half_width_95(values) -> float:
+    """The half-width of the normal 95% interval of the mean of ``values``:
+    INTERVAL_Z * std(ddof=1) / sqrt(n), for at least two values."""
+    return float(INTERVAL_Z * np.std(values, ddof=1) / math.sqrt(len(values)))
+
+
 @dataclass
 class MetricReport:
     name: str
@@ -153,7 +159,7 @@ def few_shot_accuracy(model, episodes: list[Episode], features) -> MetricReport:
     value = float(accs.mean())
     interval = None
     if len(accs) > 1:
-        half = float(INTERVAL_Z * accs.std(ddof=1) / math.sqrt(len(accs)))
+        half = half_width_95(accs)
         interval = (value - half, value + half)
     return MetricReport("fewshot_accuracy", value, interval, len(episodes))
 
@@ -354,7 +360,8 @@ def _sampled_split_pairs(bundle, split: str, seed: int, cap: int) -> np.ndarray:
 def check_task(task: str, bundle, n_models: int, split: str | None, **options) -> str:
     """The split ``task`` reads (recall: ``options["query_split"]``; None: the
     test split, novel first for fewshot), once every split name, bundle field
-    and model count it needs is known to be good. It does no other work."""
+    and model count it needs is known to be good, and for fewshot that enough
+    classes are large enough for an episode. It does no other work."""
     if n_models > 1 and task != "rank-report":
         raise ContractError(f"task {task} takes one checkpoint, got {n_models}")
     if task == "recall":
@@ -370,6 +377,9 @@ def check_task(task: str, bundle, n_models: int, split: str | None, **options) -
         raise ContractError(f"{task} needs item categories")
     if task == "attr-map" and bundle.attributes is None:
         raise ContractError("attr-map needs a bundle with attributes")
+    if task == "fewshot":  # the episodes' draw is left to run_task
+        data_mod.episode_classes(bundle, split, options["way"],
+                                 options["shot"] + options["query"])
     return split
 
 

@@ -1,5 +1,5 @@
 """Objective assembly, pair sampling, Adam, the one training loop, the
-trainers, and the gradient check's draws.
+trainers, the gradient check's draws, and the checkpoint codec.
 
 Training minimizes, over balanced samples of linked and unlinked pairs,
 
@@ -881,35 +881,58 @@ def write_csv(path, header, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _hex(arr: np.ndarray) -> dict:
+    """A checkpoint matrix: its shape and its entries as hex floats, so that
+    a load gives back every bit."""
+    return {"rows": int(arr.shape[0]), "cols": int(arr.shape[1]),
+            "values": [float(v).hex() for v in arr.ravel()]}
+
+
+def _unhex(obj: dict, *shape: int) -> np.ndarray:
+    """The matrix of ``_hex``; a wrong value count, a non-finite entry or a
+    shape other than ``shape`` (when given) raises."""
+    rows, cols = int(obj["rows"]), int(obj["cols"])
+    values = [float.fromhex(v) for v in obj["values"]]
+    if len(values) != rows * cols:
+        raise ContractError(f"matrix payload has {len(values)} values for shape ({rows}, {cols})")
+    return ad.as_matrix(np.reshape(values, (rows, cols)), *shape)
+
+
 def model_to_dict(model: ModelBundle) -> dict:
+    """PAN's checkpoint: the encoder spec with its weights and biases, and the
+    csm block of d, m, the hex matrices w1, b1, w2, b2 and relevance_enabled."""
     params = model.params
     layers = range(layer_count(params))
+    d, m = params["csm_w1"].shape
     return {
         "format": CHECKPOINT_FORMAT,
         "encoder": {
             **spec_to_dict(model.encoder_spec),
-            "weights": [csm_mod.matrix_to_hex(params[f"enc_w{k}"]) for k in layers],
-            "biases": [csm_mod.matrix_to_hex(params[f"enc_b{k}"])
-                       for k in layers if f"enc_b{k}" in params],
+            "weights": [_hex(params[f"enc_w{k}"]) for k in layers],
+            "biases": [_hex(params[f"enc_b{k}"]) for k in layers if f"enc_b{k}" in params],
         },
         "csm": {
-            **csm_mod.params_to_dict(params),
+            "d": d, "m": m,
+            **{name: _hex(params[f"csm_{name}"]) for name in ("w1", "b1", "w2", "b2")},
             "relevance_enabled": model.csm_config.relevance_enabled,
         },
     }
 
 
 def model_from_dict(obj: dict) -> ModelBundle:
+    """The ModelBundle of ``model_to_dict``, with b1, w2 and b2 shaped to match w1."""
     if obj.get("format") != CHECKPOINT_FORMAT:
         raise ContractError(f"unknown checkpoint format {obj.get('format')!r}")
-    enc = obj["encoder"]
+    enc, head = obj["encoder"], obj["csm"]
     params = {}
     for prefix, key in (("enc_w", "weights"), ("enc_b", "biases")):
         for k, matrix in enumerate(enc[key]):
-            params[f"{prefix}{k}"] = csm_mod.matrix_from_hex(matrix)
-    params |= csm_mod.params_from_dict(obj["csm"])
-    relevance = obj["csm"]["relevance_enabled"]
-    cfg = csm_mod.CsmConfig(m=params["csm_w1"].shape[1], relevance_enabled=relevance)
+            params[f"{prefix}{k}"] = _unhex(matrix)
+    params["csm_w1"] = w1 = _unhex(head["w1"])
+    d, m = w1.shape
+    for name, shape in (("b1", (1, m)), ("w2", (d, m)), ("b2", (1, m))):
+        params[f"csm_{name}"] = _unhex(head[name], *shape)
+    cfg = csm_mod.CsmConfig(m=m, relevance_enabled=head["relevance_enabled"])
     return ModelBundle(spec_from_dict(enc), cfg, params)
 
 
@@ -932,7 +955,7 @@ def save_checkpoint(path, model) -> None:
     write_json(path, {
         "format": BASELINE_FORMAT,
         "kind": kind,
-        "matrices": {k: csm_mod.matrix_to_hex(v) for k, v in model.params.items()},
+        "matrices": {k: _hex(v) for k, v in model.params.items()},
         **extra,
     })
 
@@ -945,7 +968,7 @@ def checkpoint_from_dict(obj: dict):
         model = model_from_dict(obj)
     else:
         model_class = BASELINES[obj["kind"]]
-        params = {k: csm_mod.matrix_from_hex(v) for k, v in obj["matrices"].items()}
+        params = {k: _unhex(v) for k, v in obj["matrices"].items()}
         model = (model_class(spec_from_dict(obj["encoder"]), params)
                  if model_class is MultitaskModel else model_class(params))
     model.pair_scores([(0, 0)], np.zeros((1, model.input_dim)))

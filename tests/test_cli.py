@@ -772,6 +772,14 @@ class TestCleanFailures:
         assert "no split 'nope'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_fewshot_without_enough_large_classes_fails_before_run_json(
+            self, bundle_dir, trained_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("eval", "--checkpoint", trained_dir / "checkpoint.json",
+                       "--bundle", bundle_dir, "--task", "fewshot", "--out", out) == 1
+        assert "need 5 classes with >= 21 items in 'test'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fewshot_without_categories_fails_before_run_json(self, bundle_dir, trained_dir,
                                                               tmp_path, capsys):
         broken = tmp_path / "broken"

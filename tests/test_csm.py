@@ -6,6 +6,8 @@ import pytest
 
 from pan import autodiff as ad
 from pan import csm
+from pan import training as tr
+from pan.encoders import EncoderSpec
 from pan.errors import ContractError, DimensionError
 
 
@@ -181,10 +183,11 @@ class TestGradients:
 
 class TestCheckpointRoundTrip:
     def test_bit_identical_via_hex_floats(self):
-        p = csm.init_params(6, 5, seed=21)
+        model = tr.init_model(EncoderSpec(kind="identity"), make_config(5), 6, seed=21)
+        p = model.params
         p["csm_w1"][0, 0] = 1.0 / 3.0  # not exactly representable in decimal
-        blob = json.dumps(csm.params_to_dict(p), sort_keys=True)
-        q = csm.params_from_dict(json.loads(blob))
+        blob = json.dumps(tr.model_to_dict(model), sort_keys=True)
+        q = tr.model_from_dict(json.loads(blob)).params
         for k in ("csm_w1", "csm_b1", "csm_w2", "csm_b2"):
             x, y = p[k], q[k]
             assert np.array_equal(x.view(np.uint64), y.view(np.uint64))

@@ -481,9 +481,13 @@ class TestBundleIO:
         ("attributes.csv", b"4,0,2,1,?", 5),
         ("attributes.csv", b"4,0,\xff,1,?", 5),
         ("categories.csv", b"4,1.5", 5),
+        ("categories.csv", b"4,1", 5),
+        ("attributes.csv", b"4,0,1,1,?", 5),
+        ("attributes.csv", b"3.0,0,1,1,?", 5),
     ], ids=["edge-not-integer", "edge-three-cells", "edge-beyond-int64", "edge-negative",
             "edge-negative-after-empty-line", "attribute-cell-2", "attribute-not-utf8",
-            "category-not-integer"])
+            "category-not-integer", "category-wrong-item-id", "attribute-wrong-item-id",
+            "attribute-item-id-not-integer"])
     def test_bad_table_row_names_file_and_line(self, tmp_path, name, row, line):
         bundle, _ = data.generate(small_compat_spec(), seed=16)
         data.save_bundle(tmp_path, bundle)
@@ -493,6 +497,20 @@ class TestBundleIO:
         with pytest.raises(BundleFormatError) as err:
             data.load_bundle(tmp_path)
         assert f"{tmp_path / name}:{line}: " in str(err.value)
+
+    def test_categories_need_their_header_and_item_order(self, tmp_path):
+        bundle, _ = data.generate(small_compat_spec(), seed=16)
+        data.save_bundle(tmp_path, bundle)
+        path = tmp_path / "categories.csv"
+        lines = path.read_bytes().splitlines()
+        rewrite_bundle_file(tmp_path, "categories.csv", b"\n".join([b"foo,bar", *lines[1:]]))
+        with pytest.raises(BundleFormatError, match="bad header"):
+            data.load_bundle(tmp_path)
+        lines[1], lines[2] = lines[2], lines[1]  # rows 0 and 1 swapped
+        rewrite_bundle_file(tmp_path, "categories.csv", b"\n".join(lines))
+        with pytest.raises(BundleFormatError) as err:
+            data.load_bundle(tmp_path)
+        assert f"{path}:2: " in str(err.value)
 
     def test_listed_confidence_file_is_hash_checked_not_parsed(self, tmp_path):
         bundle, _ = data.generate(small_compat_spec(), seed=17)

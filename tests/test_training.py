@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import os
@@ -933,6 +934,44 @@ class TestCheckpointAndHistory:
         pairs = [(0, 1), (2, 3), (5, 9), (7, 7)]
         feats = separable_bundle.features
         assert loaded.pair_scores(pairs, feats).tobytes() == model.pair_scores(pairs, feats).tobytes()
+
+    @pytest.mark.parametrize("kind,digest", [
+        ("pan-identity",
+         "caeb30245c78dd696f1dcd57812232ef8317f9f423bbe23514c30d5ba8cc5f82"),
+        ("pan-mlp",
+         "dc820e0c15b1b21756c7700aef595730ca78caa283c260c826c625a4b25245ff"),
+        ("pan-gcn",
+         "af38de7227419bff7bc5910cdacfa7c5b1c5d0772f6d40af51e3998263175120"),
+        ("siamese",
+         "ee015890bcc6360a9e1a38a0648e69b9e8996dd7be2a18f8ccc92264c7887ab6"),
+        ("multitask",
+         "886ee6a2e87f81b71fdc5734c63e9b2caf41193527a8106efb7a22d22f434e73"),
+        ("attr-sim",
+         "6f0f44874dfec3e55fec397e5728ab357c7c52fb3d1a7434a08d661d94e4d7ce"),
+    ])
+    def test_pinned_checkpoint_bytes(self, tmp_path, kind, digest):
+        # each trainer's seeded init at 0 epochs: the bytes depend on no BLAS
+        n, d = 6, 3
+        bundle = DatasetBundle(np.zeros((n, d)), SimilarityGraph(n, [(0, 1), (2, 3)]),
+                               {"train": np.arange(n)},
+                               AttributeTable(np.ones((n, 2)), np.ones((n, 2))))
+        cfg = tr.TrainConfig(epochs=0, seed=11)
+        specs = {"pan-identity": EncoderSpec(kind="identity"),
+                 "pan-mlp": EncoderSpec(kind="mlp", layer_dims=(5, 4)),
+                 "pan-gcn": EncoderSpec(kind="gcn", num_layers=2, hidden_dim=4)}
+        if kind in specs:
+            model = tr.train_pan(bundle, specs[kind], CsmConfig(m=4), cfg).model
+        elif kind == "siamese":
+            model = tr.train_siamese_baseline(bundle, 0.2, cfg)
+        elif kind == "multitask":
+            model = tr.train_multitask_baseline(bundle, cfg)
+        else:
+            model = tr.train_attr_similarity_baseline(bundle, cfg)
+        path, again = tmp_path / "model.json", tmp_path / "model2.json"
+        tr.save_checkpoint(path, model)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        tr.save_checkpoint(again, tr.load_checkpoint(path))
+        assert again.read_bytes() == path.read_bytes()
 
     def test_history_csv_layout(self, tmp_path):
         rows = [tr.HistoryRow(1, 0.5, None), tr.HistoryRow(2, 0.25, 0.75),
