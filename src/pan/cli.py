@@ -26,7 +26,7 @@ from . import data as data_mod
 from . import evaluation as ev
 from . import training as tr
 from .attributes import FA_CHOICES, label_dimension, randomize_labels
-from .encoders import EncoderSpec
+from .encoders import ACTIVATIONS, ENCODER_KINDS, EncoderSpec
 from .errors import (
     BundleFormatError,
     ContractError,
@@ -127,10 +127,10 @@ def _cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_train_flags(p) -> None:
-    p.add_argument("--encoder", choices=("identity", "mlp", "gcn"), default="identity")
+    p.add_argument("--encoder", choices=ENCODER_KINDS, default="identity")
     p.add_argument("--mlp-dims", type=_positive_ints, default="24,16",
                    help="comma-separated MLP layer dims")
-    p.add_argument("--activation", choices=("relu", "linear"), default="relu")
+    p.add_argument("--activation", choices=ACTIVATIONS, default="relu")
     p.add_argument("--gcn-layers", type=int, default=2)
     p.add_argument("--gcn-hidden", type=int, default=16)
     p.add_argument("--dropout", type=float, default=0.5)
@@ -227,19 +227,13 @@ def _resolve_model_config(args, bundle) -> tuple[EncoderSpec, csm_mod.CsmConfig,
         supervision = "supervised" if bundle.attributes is not None else "unsupervised"
     if supervision in ("supervised", "hybrid") and bundle.attributes is None:
         raise ContractError(f"{supervision} training requires a bundle with attributes")
-    relevance = args.relevance == "on"
-    if supervision == "unsupervised":
-        m = args.conditions if args.conditions is not None else 16
-        cfg = csm_mod.CsmConfig(m=m, relevance_enabled=relevance)
-    elif supervision == "supervised":
-        label_dim = label_dimension(bundle.attributes.m, fa)
-        m = args.conditions if args.conditions is not None else label_dim
-        cfg = csm_mod.CsmConfig(m=m, supervision="supervised", relevance_enabled=relevance)
-    else:
-        label_dim = label_dimension(bundle.attributes.m, fa)
-        total = args.conditions if args.conditions is not None else 2 * label_dim
-        cfg = csm_mod.CsmConfig(m=total, supervision="hybrid", m_sup=label_dim,
-                                m_unsup=total - label_dim, relevance_enabled=relevance)
+    label_dim = 0 if supervision == "unsupervised" else label_dimension(bundle.attributes.m, fa)
+    default_m = {"unsupervised": 16, "supervised": label_dim, "hybrid": 2 * label_dim}
+    m = args.conditions if args.conditions is not None else default_m[supervision]
+    hybrid = supervision == "hybrid"
+    cfg = csm_mod.CsmConfig(m=m, supervision=supervision, m_sup=label_dim if hybrid else 0,
+                            m_unsup=m - label_dim if hybrid else 0,
+                            relevance_enabled=args.relevance == "on")
     return _encoder_spec_from_args(args), cfg, fa
 
 

@@ -106,6 +106,18 @@ class DatasetBundle:
     def d(self) -> int:
         return self.features.shape[1]
 
+    def subset(self, split: str) -> "DatasetBundle":
+        """The items of ``split``, renumbered 0..k-1 in split order, with their
+        features, attributes and categories and the links among them. Its one
+        split is ``split`` over all k items, and it has no sets."""
+        idx = self.splits[split]
+        table = self.attributes
+        return DatasetBundle(
+            self.features[idx], self.graph.subgraph(idx), {split: np.arange(len(idx))},
+            None if table is None else AttributeTable(table.values[idx], table.mask[idx]),
+            None if self.categories is None else self.categories[idx], task=self.task,
+        )
+
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -229,9 +241,19 @@ def _split_of(n: int, splits: dict[str, np.ndarray]) -> np.ndarray:
     return split_of
 
 
-def _within_split_edges(n: int, edges: np.ndarray, splits) -> np.ndarray:
+def _split_and_link(spec: SyntheticSpec, values: np.ndarray, edges: np.ndarray,
+                    rng: np.random.Generator):
+    """The shared tail of the attribute generators: 60/20/20 splits of the
+    items, the graph of the ``edges`` within a split, and the report of each
+    split's presence-only ceiling over ``values``."""
+    n = len(values)
+    splits = _assign_splits(n, rng)
     split_of = _split_of(n, splits)
-    return edges[split_of[edges[:, 0]] == split_of[edges[:, 1]]]
+    graph = SimilarityGraph(n, edges[split_of[edges[:, 0]] == split_of[edges[:, 1]]])
+    report = {"task": spec.task_kind, "n_items": n, "edge_count": graph.num_edges,
+              "presence_bayes_accuracy": {name: presence_bayes_accuracy(values, graph, idx)
+                                          for name, idx in splits.items()}}
+    return splits, graph, report
 
 
 def _sample_positive_sets(
@@ -292,9 +314,8 @@ def gen_compatibility_manifestation(
     cells = (manifest[:, :, None] == np.arange(v)) & (values[:, :, None] > 0)
     edges = _type_links(np.hstack([values, cells.reshape(n, m * v)]), compatible)
 
-    splits = _assign_splits(n, rng)
-    graph = SimilarityGraph(n, _within_split_edges(n, edges, splits))
-    categories = rng.integers(0, 4, size=n)
+    splits, graph, report = _split_and_link(spec, values, edges, rng)
+    categories = rng.integers(0, 4, size=n)  # drawn after the splits
     table = AttributeTable(values, np.ones_like(values))
     sets = {
         name: _sample_positive_sets(graph, idx, generator(seed, "sets", name), max(8, len(idx) // 5))
@@ -303,17 +324,7 @@ def gen_compatibility_manifestation(
     bundle = DatasetBundle(
         feats, graph, splits, table, categories, sets, task=spec.task_kind
     )
-    report = {
-        "task": spec.task_kind,
-        "n_items": n,
-        "edge_count": graph.num_edges,
-        "total_edges_before_split_filter": len(edges),
-        "presence_bayes_accuracy": {
-            name: presence_bayes_accuracy(values, graph, idx)
-            for name, idx in splits.items()
-        },
-    }
-    return bundle, report
+    return bundle, report | {"total_edges_before_split_filter": len(edges)}
 
 
 def gen_fewshot_clusters(spec: SyntheticSpec, seed: int) -> tuple[DatasetBundle, dict]:
@@ -384,21 +395,11 @@ def gen_linear_separable(spec: SyntheticSpec, seed: int) -> tuple[DatasetBundle,
     # |a - b| summed over 0/1 rows is |a| + |b| - 2 a.b
     edges = _type_links(values, lambda a, b: a.sum(axis=1)[:, None] + b.sum(axis=1)
                         - 2 * (a @ b.T) <= spec.hamming_threshold)
-    splits = _assign_splits(n, rng)
-    graph = SimilarityGraph(n, _within_split_edges(n, edges, splits))
+    splits, graph, report = _split_and_link(spec, values, edges, rng)
     table = AttributeTable(values, np.ones_like(values))
     bundle = DatasetBundle(
         feats, graph, splits, table, np.zeros(n, dtype=np.int64), None, task=spec.task_kind
     )
-    report = {
-        "task": spec.task_kind,
-        "n_items": n,
-        "edge_count": graph.num_edges,
-        "presence_bayes_accuracy": {
-            name: presence_bayes_accuracy(values, graph, idx)
-            for name, idx in splits.items()
-        },
-    }
     return bundle, report
 
 
@@ -704,6 +705,9 @@ def load_bundle(directory) -> DatasetBundle:
                           and type(m.get("n")) is int and type(m.get("d")) is int)
     if manifest.get("format") != BUNDLE_FORMAT:
         raise BundleFormatError(f"unknown bundle format {manifest.get('format')!r}")
+    if manifest.get("task") not in (None, *TASK_KINDS):
+        raise BundleFormatError(f"{manifest_path}: unknown task {manifest['task']!r}, "
+                                f"expected null or one of {', '.join(TASK_KINDS)}")
     for name, digest in manifest["files"].items():
         path = directory / name
         if not path.exists():
@@ -737,6 +741,11 @@ def load_bundle(directory) -> DatasetBundle:
         cells = cells[:, 1:]
         attributes = AttributeTable((cells == "1").astype(np.float64),
                                     (cells != "?").astype(np.float64))
+    width = None if attributes is None else attributes.m
+    if type(manifest.get("m")) is not type(width) or manifest.get("m") != width:
+        raise BundleFormatError(
+            f"{manifest_path}: m is {manifest.get('m')!r}, but attributes.csv "
+            + ("is absent" if width is None else f"has {width} attribute columns"))
     categories = None
     if (categories_path := directory / "categories.csv").exists():
         # categories: row r's item id r and an integer category

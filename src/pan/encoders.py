@@ -193,58 +193,56 @@ def drop_edges(g: SimilarityGraph, p: float, seed: int) -> SimilarityGraph:
 # encoder specifications and parameters
 # ---------------------------------------------------------------------------
 
+ENCODER_KINDS = ("identity", "mlp", "gcn")
+ACTIVATIONS = ("relu", "linear")
+
+
 @dataclass(frozen=True)
 class EncoderSpec:
-    kind: str = "identity"                  # identity | mlp | gcn
+    kind: str = "identity"                  # one of ENCODER_KINDS
     layer_dims: tuple[int, ...] = ()        # mlp output dims, last is the embedding
-    activation: str = "relu"                # relu | linear, hidden layers only
+    activation: str = "relu"                # one of ACTIVATIONS: gcn layers, mlp hidden layers
     num_layers: int = 2                     # gcn
     hidden_dim: int = 16                    # gcn, output dim of every layer
     layer_dropout_p: float = 0.0
     edge_dropout_p: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("identity", "mlp", "gcn"):
+        if self.kind not in ENCODER_KINDS:
             raise ContractError(f"unknown encoder kind {self.kind!r}")
         if self.kind == "mlp" and not self.layer_dims:
             raise ContractError("mlp encoder needs at least one layer dim")
         if self.kind == "gcn" and self.num_layers < 1:
             raise ContractError("gcn encoder needs num_layers >= 1")
-        if self.activation not in ("relu", "linear"):
+        if self.activation not in ACTIVATIONS:
             raise ContractError(f"unknown activation {self.activation!r}")
         for p in (self.layer_dropout_p, self.edge_dropout_p):
             if not 0.0 <= p < 1.0:
                 raise ContractError(f"dropout probability must be in [0, 1), got {p}")
 
-    def output_dim(self, d_in: int) -> int:
-        if self.kind == "identity":
-            return d_in
+    @property
+    def dims(self) -> tuple[int, ...]:
+        """Each layer's output width, () for identity: the one layer count."""
         if self.kind == "mlp":
-            return self.layer_dims[-1]
-        return self.hidden_dim
+            return tuple(self.layer_dims)
+        if self.kind == "gcn":
+            return (self.hidden_dim,) * self.num_layers
+        return ()
 
 
 def init_encoder_weights(spec: EncoderSpec, d_in: int, seed: int) -> dict[str, np.ndarray]:
     """enc_w{k} per layer, uniform(+-1/sqrt(fan_in)), and zero enc_b{k} for an
     MLP; the identity encoder has no parameters."""
-    if spec.kind == "identity":
-        return {}
     rng = generator(seed, "encoder-init")
     params = {}
-    dims = spec.layer_dims if spec.kind == "mlp" else (spec.hidden_dim,) * spec.num_layers
     fan_in = d_in
-    for idx, dim in enumerate(dims):
+    for idx, dim in enumerate(spec.dims):
         bound = 1.0 / np.sqrt(fan_in)
         params[f"enc_w{idx}"] = rng.uniform(-bound, bound, size=(fan_in, dim))
         if spec.kind == "mlp":
             params[f"enc_b{idx}"] = np.zeros((1, dim))
         fan_in = dim
     return params
-
-
-def layer_count(params: dict) -> int:
-    """How many encoder layers a parameter dict holds (its enc_w{k} entries)."""
-    return sum(1 for k in params if k.startswith("enc_w"))
 
 
 def dropout_masks_for_epoch(
@@ -254,11 +252,8 @@ def dropout_masks_for_epoch(
     if spec.kind != "gcn" or spec.layer_dropout_p <= 0.0:
         return None
     keep = 1.0 - spec.layer_dropout_p
-    masks = []
-    for idx in range(spec.num_layers):
-        mask = generator(seed, "layer-dropout", idx).random((shape_rows, spec.hidden_dim)) < keep
-        masks.append(mask / keep)
-    return masks
+    return [(generator(seed, "layer-dropout", idx).random((shape_rows, dim)) < keep) / keep
+            for idx, dim in enumerate(spec.dims)]
 
 
 def encode_on_tape(
@@ -268,33 +263,28 @@ def encode_on_tape(
     propagation: Propagation | None = None,
     dropout_masks: list[np.ndarray] | None = None,
 ) -> ad.Tensor:
-    """The encoder's only forward, over the full feature matrix ``x``.
+    """The encoder's only forward, over the full feature matrix ``x``: one
+    layer per entry of ``spec.dims``, none for identity.
 
     ``params`` maps enc_w{k} (and enc_b{k} for an MLP) to tensors or arrays.
     On taped parameters the operations are recorded for training; on untaped
     ones this is the evaluation forward. A GCN needs the ``propagation``
     operator of its graph (``SimilarityGraph.propagation()``). ``dropout_masks``
-    (see ``dropout_masks_for_epoch``) multiply each GCN layer's output; without
+    (see ``dropout_masks_for_epoch``) multiply each layer's output; without
     them no dropout is applied.
     """
     x = x if isinstance(x, ad.Tensor) else ad.Tensor(ad.as_matrix(x))
-    if spec.kind == "identity":
-        return x
-    layers = layer_count(params)
-    h = x
-    if spec.kind == "mlp":
-        for idx in range(layers):
-            h = ad.add_row(ad.matmul(h, params[f"enc_w{idx}"]), params[f"enc_b{idx}"])
-            if idx < layers - 1 and spec.activation == "relu":
-                h = ad.relu(h)
-        return h
-    if propagation is None:
+    gcn = spec.kind == "gcn"
+    if gcn and propagation is None:
         raise ContractError("gcn encoder requires a graph propagation operator")
-    for idx in range(layers):
-        h = ad.matmul(ad.self_adjoint(propagation, h), params[f"enc_w{idx}"])
-        if spec.activation == "relu":
+    h, last = x, len(spec.dims) - 1
+    for idx in range(len(spec.dims)):
+        if gcn:
+            h = ad.matmul(ad.self_adjoint(propagation, h), params[f"enc_w{idx}"])
+        else:
+            h = ad.add_row(ad.matmul(h, params[f"enc_w{idx}"]), params[f"enc_b{idx}"])
+        if spec.activation == "relu" and (gcn or idx < last):
             h = ad.relu(h)
         if dropout_masks is not None:
             h = ad.multiply(h, dropout_masks[idx])
     return h
-

@@ -16,7 +16,7 @@ goes through labelled streams from :mod:`pan.rng`.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,6 @@ from .encoders import (
     dropout_masks_for_epoch,
     encode_on_tape,
     init_encoder_weights,
-    layer_count,
     pair_array,
     within_pairs,
 )
@@ -292,16 +291,16 @@ def _fit(model, config: TrainConfig, epoch_steps, params=None, validator=None) -
     return TrainResult(best, history, best_epoch, best_metric)
 
 
-def _fit_head(model, x_train, local: SimilarityGraph, config: TrainConfig,
+def _fit_head(model, train: data_mod.DatasetBundle, config: TrainConfig,
               pairs_label: str, init: dict[str, np.ndarray]) -> None:
-    """Train ``model.head`` over the model's frozen encoding of ``x_train``, on
-    balanced pairs drawn afresh each epoch. Only the parameters in ``init``
-    are trained; they then join ``model.params``."""
-    h = ad.Tensor(model.encode_all(x_train))
+    """Train ``model.head`` over the model's frozen encoding of the ``train``
+    split, on balanced pairs drawn afresh each epoch. Only the parameters in
+    ``init`` are trained; they then join ``model.params``."""
+    h = ad.Tensor(model.encode_all(train.features))
 
     def epoch_steps(epoch):
         rng = generator(config.seed, pairs_label, epoch)
-        li, lj, e = _sample_pair_arrays(local, local.num_edges, rng)
+        li, lj, e = _sample_pair_arrays(train.graph, train.graph.num_edges, rng)
         y = e.reshape(-1, 1).astype(np.float64)
         yield (lambda tape, t: ad.bce_mean(model.head(t, h, li, lj)[-1], y)), len(e)
 
@@ -357,6 +356,11 @@ class _PairModel:
     does not grow with the pair count."""
 
     uses_graph = False  # whether encode reads a propagation operator
+    input_matrix: str  # the parameter whose rows the item features enter
+
+    @property
+    def input_dim(self) -> int:
+        return self.params[self.input_matrix].shape[0]
 
     def encode_all(self, features, graph_context: SimilarityGraph | None = None) -> np.ndarray:
         """Evaluation-mode encoding of every item row, no dropout. Only a model
@@ -388,11 +392,16 @@ class _PairModel:
 
 
 class _SpecEncoded(_PairModel):
-    """A model whose encoder is its ``encoder_spec`` over the enc_* params."""
+    """A model whose encoder is its ``encoder_spec`` over the enc_* params;
+    without encoder layers the features go straight into ``input_matrix``."""
 
     @property
     def uses_graph(self) -> bool:
         return self.encoder_spec.kind == "gcn"
+
+    @property
+    def input_dim(self) -> int:
+        return self.params["enc_w0" if self.encoder_spec.dims else self.input_matrix].shape[0]
 
     def encode(self, params, x, propagation=None, masks=None) -> ad.Tensor:
         return encode_on_tape(self.encoder_spec, x, params, propagation, masks)
@@ -416,16 +425,12 @@ class ModelBundle(_SpecEncoded):
     encoder_spec: EncoderSpec
     csm_config: csm_mod.CsmConfig
     params: dict[str, np.ndarray]
+    input_matrix = "csm_w1"
 
     def copy(self) -> "ModelBundle":
         return ModelBundle(
             self.encoder_spec, self.csm_config, {k: v.copy() for k, v in self.params.items()}
         )
-
-    @property
-    def input_dim(self) -> int:
-        first = "csm_w1" if self.encoder_spec.kind == "identity" else "enc_w0"
-        return self.params[first].shape[0]
 
     def head(self, params, h: ad.Tensor, i, j) -> tuple[ad.Tensor, ad.Tensor, ad.Tensor]:
         """(rho, omega, p): the CSM on |h_i - h_j|."""
@@ -442,7 +447,7 @@ class ModelBundle(_SpecEncoded):
 def init_model(
     encoder_spec: EncoderSpec, csm_config: csm_mod.CsmConfig, d_in: int, seed: int
 ) -> ModelBundle:
-    d_out = encoder_spec.output_dim(d_in)
+    d_out = (encoder_spec.dims or (d_in,))[-1]  # identity passes the features on
     params = init_encoder_weights(encoder_spec, d_in, seed) | csm_mod.init_params(
         d_out, csm_config.m, seed
     )
@@ -454,22 +459,20 @@ def init_model(
 # ---------------------------------------------------------------------------
 
 def _train_split(
-    bundle, attribute_table: AttributeTable | None = None
-) -> tuple[np.ndarray, np.ndarray, SimilarityGraph, AttributeTable | None]:
+    bundle: data_mod.DatasetBundle, attribute_table: AttributeTable | None = None
+) -> tuple[np.ndarray, data_mod.DatasetBundle]:
     """All a trainer reads of the bundle: the train (else base) split's item
-    ids, their feature rows, the links among them numbered by position in the
-    split, and the attribute table of every item (``attribute_table``, else the
-    bundle's own, else None)."""
-    features = ad.as_matrix(bundle.features)
+    ids, and that split as a bundle of its own (``DatasetBundle.subset``),
+    with ``attribute_table`` in place of the bundle's table when given."""
     train_key = next((k for k in ("train", "base") if k in bundle.splits), None)
     if train_key is None:
         raise ContractError("bundle has no train/base split")
-    idx = np.asarray(bundle.splits[train_key], dtype=np.int64)
-    local = bundle.graph.subgraph(idx)
-    if local.num_edges == 0:
+    if attribute_table is not None:
+        bundle = replace(bundle, attributes=attribute_table)
+    train = bundle.subset(train_key)
+    if train.graph.num_edges == 0:
         raise SamplingError("training split has no linked pairs")
-    table = attribute_table if attribute_table is not None else getattr(bundle, "attributes", None)
-    return idx, features[idx], local, table
+    return bundle.splits[train_key], train
 
 
 def _uniform(seed: int, label: str, rows: int, cols: int) -> np.ndarray:
@@ -495,39 +498,28 @@ def _balanced_eval_pairs(local: SimilarityGraph, seed: int, cap: int = 2000):
 
 
 class _Validator:
-    """Scores a model on the val rows alone (its pairs and episodes index
-    them): few-shot accuracy for a fewshot_clusters bundle, else pair
-    accuracy."""
+    """Scores a model on the val split alone (``DatasetBundle.subset``, whose
+    rows its pairs and episodes index): few-shot accuracy for a
+    fewshot_clusters bundle, else pair accuracy."""
 
-    def __init__(self, bundle, config: TrainConfig):
-        fewshot = getattr(bundle, "task", None) == "fewshot_clusters"
-        self.metric = "fewshot" if fewshot else "pair_accuracy"
+    def __init__(self, bundle: data_mod.DatasetBundle, config: TrainConfig):
+        self.metric = "fewshot" if bundle.task == "fewshot_clusters" else "pair_accuracy"
         self.pairs = self.labels = self.episodes = None
         if "val" not in bundle.splits:
             return
-        val_idx = np.asarray(bundle.splits["val"], dtype=np.int64)
-        self.features = bundle.features[val_idx]
-        if self.metric == "fewshot" and getattr(bundle, "categories", None) is None:
-            self.metric = "pair_accuracy"
-        if self.metric == "fewshot":
+        val = bundle.subset("val")
+        self.features = val.features
+        if self.metric == "fewshot" and val.categories is not None:
             try:
-                episodes = data_mod.build_episodes(
-                    bundle, n_way=5, k_shot=5, n_query=8, count=20,
+                self.episodes = data_mod.build_episodes(
+                    val, n_way=5, k_shot=5, n_query=8, count=20,
                     seed=derive_seed(config.seed, "val-episodes"), split="val",
                 )
-            except GenerationError:  # too few val classes for an episode
-                self.metric = "pair_accuracy"
-            else:
-                row = {int(item): k for k, item in enumerate(val_idx)}  # bundle id -> val row
-                self.episodes = [
-                    data_mod.Episode(tuple(tuple(row[i] for i in cls) for cls in ep.support),
-                                     tuple((row[i], c) for i, c in ep.query))
-                    for ep in episodes
-                ]
                 return
-        sampled = _balanced_eval_pairs(
-            bundle.graph.subgraph(val_idx), derive_seed(config.seed, "val-pairs")
-        )
+            except GenerationError:  # too few val classes for an episode
+                pass
+        self.metric = "pair_accuracy"
+        sampled = _balanced_eval_pairs(val.graph, derive_seed(config.seed, "val-pairs"))
         if sampled is not None:
             self.pairs, self.labels = sampled
 
@@ -570,7 +562,8 @@ def train_pan(
     randomization); by default the bundle's own attributes are used whenever
     the configuration calls for supervision.
     """
-    idx, x_train, local, table = _train_split(bundle, attribute_table)
+    ids, train = _train_split(bundle, attribute_table)
+    x_train, local, table = train.features, train.graph, train.attributes
     supervised_count = csm_config.supervised_count
     if supervised_count > 0:
         if table is None:
@@ -581,9 +574,8 @@ def train_pan(
                 f"supervised condition count {supervised_count} does not match the "
                 f"{config.fa} label dimension {expected}"
             )
-        table = AttributeTable(table.values[idx], table.mask[idx])
 
-    model = init_model(encoder_spec, csm_config, x_train.shape[1], config.seed)
+    model = init_model(encoder_spec, csm_config, train.d, config.seed)
     count_per_class = local.num_edges
     if config.pairs_per_epoch is not None:
         count_per_class = min(count_per_class, config.pairs_per_epoch)
@@ -592,17 +584,13 @@ def train_pan(
         pair_rng = generator(config.seed, "pairs", epoch)
         li, lj, e = _sample_pair_arrays(local, count_per_class, pair_rng)
 
+        propagation = None
         if encoder_spec.kind == "gcn":
             g_epoch = local
             if encoder_spec.edge_dropout_p > 0.0:
-                g_epoch = drop_edges(
-                    local,
-                    encoder_spec.edge_dropout_p,
-                    derive_seed(config.seed, "edge-drop", epoch),
-                )
+                g_epoch = drop_edges(local, encoder_spec.edge_dropout_p,
+                                     derive_seed(config.seed, "edge-drop", epoch))
             propagation = g_epoch.propagation()
-        else:
-            propagation = None
 
         labels = mask = np.zeros((len(e), 0))  # no labels: the attribute term is left out
         if supervised_count > 0 and config.lambda_ > 0.0:
@@ -612,10 +600,10 @@ def train_pan(
         for step, batch in enumerate(_epoch_batches(len(e), config, batch_rng)):
             # drawn one batch at a time: _fit takes each step before asking for the next
             masks = dropout_masks_for_epoch(
-                encoder_spec, bundle.graph.n, derive_seed(config.seed, "layer-drop", epoch, step)
+                encoder_spec, bundle.n, derive_seed(config.seed, "layer-drop", epoch, step)
             )
             if masks is not None:  # drawn for every item, so no mask depends on the split
-                masks = [item_masks[idx] for item_masks in masks]
+                masks = [item_masks[ids] for item_masks in masks]
 
             bi, bj, be, b_labels, b_mask = (arr[batch] for arr in (li, lj, e, labels, mask))
 
@@ -640,10 +628,7 @@ class SiameseModel(_PairModel):
 
     params: dict[str, np.ndarray]
     head = _abs_diff_link
-
-    @property
-    def input_dim(self) -> int:
-        return self.params["embed_w"].shape[0]
+    input_matrix = "embed_w"
 
     def encode(self, params, x, propagation=None, masks=None) -> ad.Tensor:
         return ad.matmul(x, params["embed_w"])
@@ -688,16 +673,17 @@ def train_siamese_baseline(
     """Triplet-loss embedding over frozen features, then a logistic link head."""
     if not (np.isfinite(margin) and margin >= 0):
         raise ContractError(f"margin must be finite and nonnegative, got {margin}")
-    _, x_train, local, _ = _train_split(bundle)
-    d = x_train.shape[1]
+    _, train = _train_split(bundle)
+    d = train.d
     e_dim = embed_dim or d
     model = SiameseModel({"embed_w": _uniform(config.seed, "siamese-init", d, e_dim)})
 
     def epoch_steps(epoch):
-        a_idx, p_idx, n_idx = _sample_triplets(local, generator(config.seed, "triplets", epoch))
+        a_idx, p_idx, n_idx = _sample_triplets(train.graph,
+                                               generator(config.seed, "triplets", epoch))
 
         def loss_fn(tape, tensors):
-            emb = model.encode(tensors, tape.constant(x_train))
+            emb = model.encode(tensors, tape.constant(train.features))
             anc = ad.gather_rows(emb, a_idx)
             pos = ad.gather_rows(emb, p_idx)
             neg = ad.gather_rows(emb, n_idx)
@@ -710,7 +696,7 @@ def train_siamese_baseline(
 
     _fit(model, config, epoch_steps)
     # stage 2: frozen embedding, logistic link prediction on |f_i - f_j|
-    _fit_head(model, x_train, local, config, "link-pairs", {
+    _fit_head(model, train, config, "link-pairs", {
         "link_w": _uniform(config.seed, "link-init", e_dim, 1), "link_b": np.zeros((1, 1)),
     })
     return model
@@ -728,11 +714,7 @@ class MultitaskModel(_SpecEncoded):
     encoder_spec: EncoderSpec
     params: dict[str, np.ndarray]
     head = _abs_diff_link
-
-    @property
-    def input_dim(self) -> int:
-        first = "link_w" if self.encoder_spec.kind == "identity" else "enc_w0"
-        return self.params[first].shape[0]
+    input_matrix = "link_w"
 
     def attribute_head(self, params, h: ad.Tensor) -> ad.Tensor:
         """Per-item attribute probabilities from the shared encoding h."""
@@ -755,14 +737,14 @@ def train_multitask_baseline(
     is 0 or there are no attributes, which makes those runs bit-identical to a
     link-only model under the same seed. ``attribute_table`` overrides the
     bundle's table."""
-    idx, x_train, local, table = _train_split(bundle, attribute_table)
-    d = x_train.shape[1]
+    _, train = _train_split(bundle, attribute_table)
+    table, d = train.attributes, train.d
     spec = EncoderSpec(kind="mlp", layer_dims=(d,))
 
     params = init_encoder_weights(spec, d, config.seed)
     params["link_w"] = _uniform(config.seed, "link-init", d, 1)
     params["link_b"] = np.zeros((1, 1))
-    use_attrs = table is not None and config.lambda_ > 0.0 and table.mask[idx].any()
+    use_attrs = table is not None and config.lambda_ > 0.0 and table.mask.any()
     if table is not None:
         # drawn from its own stream so presence never shifts the link-path init
         params["attr_w"] = _uniform(config.seed, "attr-head-init", d, table.m)
@@ -771,15 +753,15 @@ def train_multitask_baseline(
 
     def epoch_steps(epoch):
         rng = generator(config.seed, "pairs", epoch)
-        li, lj, e = _sample_pair_arrays(local, local.num_edges, rng)
+        li, lj, e = _sample_pair_arrays(train.graph, train.graph.num_edges, rng)
 
         def loss_fn(tape, tensors):
-            h = model.encode(tensors, tape.constant(x_train))
+            h = model.encode(tensors, tape.constant(train.features))
             (link,) = model.head(tensors, h, li, lj)
             loss = ad.bce_mean(link, e.reshape(-1, 1).astype(np.float64))
             if use_attrs:
                 attr_loss = ad.masked_bce_mean(
-                    model.attribute_head(tensors, h), table.values[idx], table.mask[idx],
+                    model.attribute_head(tensors, h), table.values, table.mask,
                 )
                 loss = ad.add(loss, ad.scale(attr_loss, config.lambda_))
             return loss
@@ -800,10 +782,7 @@ class AttrSimilarityModel(_PairModel):
     features (attr_w, attr_b), then a dense pair head (pair_w, pair_b)."""
 
     params: dict[str, np.ndarray]
-
-    @property
-    def input_dim(self) -> int:
-        return self.params["attr_w"].shape[0]
+    input_matrix = "attr_w"
 
     def encode(self, params, x, propagation=None, masks=None) -> ad.Tensor:
         """Predicted attribute probabilities per item."""
@@ -820,22 +799,21 @@ def train_attr_similarity_baseline(
     """Stage 1 predicts attributes per image (from ``attribute_table`` if given,
     else the bundle's); stage 2 maps the concatenated attribute vectors of a
     pair to a similarity logit."""
-    idx, x_train, local, table = _train_split(bundle, attribute_table)
+    _, train = _train_split(bundle, attribute_table)
+    table = train.attributes
     if table is None:
         raise ContractError("attribute-similarity baseline requires an attribute table")
 
     model = AttrSimilarityModel({
-        "attr_w": _uniform(config.seed, "attr-stage1-init", x_train.shape[1], table.m),
+        "attr_w": _uniform(config.seed, "attr-stage1-init", train.d, table.m),
         "attr_b": np.zeros((1, table.m)),
     })
-    v_train = table.values[idx]
-    m_train = table.mask[idx]
 
     def attribute_loss(tape, tensors):
-        return ad.masked_bce_mean(model.encode(tensors, x_train), v_train, m_train)
+        return ad.masked_bce_mean(model.encode(tensors, train.features), table.values, table.mask)
 
-    _fit(model, config, lambda epoch: [(attribute_loss, len(idx))])
-    _fit_head(model, x_train, local, config, "pairs", {
+    _fit(model, config, lambda epoch: [(attribute_loss, train.n)])
+    _fit_head(model, train, config, "pairs", {
         "pair_w": _uniform(config.seed, "attr-stage2-init", 2 * table.m, 1),
         "pair_b": np.zeros((1, 1)),
     })
@@ -901,15 +879,15 @@ def _unhex(obj: dict, *shape: int) -> np.ndarray:
 def model_to_dict(model: ModelBundle) -> dict:
     """PAN's checkpoint: the encoder spec with its weights and biases, and the
     csm block of d, m, the hex matrices w1, b1, w2, b2 and relevance_enabled."""
-    params = model.params
-    layers = range(layer_count(params))
+    params, spec = model.params, model.encoder_spec
+    layers = range(len(spec.dims))
     d, m = params["csm_w1"].shape
     return {
         "format": CHECKPOINT_FORMAT,
         "encoder": {
-            **spec_to_dict(model.encoder_spec),
+            **spec_to_dict(spec),
             "weights": [_hex(params[f"enc_w{k}"]) for k in layers],
-            "biases": [_hex(params[f"enc_b{k}"]) for k in layers if f"enc_b{k}" in params],
+            "biases": [_hex(params[f"enc_b{k}"]) for k in layers if spec.kind == "mlp"],
         },
         "csm": {
             "d": d, "m": m,
@@ -919,21 +897,43 @@ def model_to_dict(model: ModelBundle) -> dict:
     }
 
 
+def _check_encoder(spec: EncoderSpec, params: dict, layers: int) -> None:
+    """Raise unless a checkpoint's encoder is the one ``spec.dims`` describes:
+    ``layers`` (the count the file states) is its length, and the enc_*
+    matrices in ``params`` are enc_w{k} of (fan-in, width), each fan-in the
+    width before it, and for an MLP an enc_b{k} of (1, width)."""
+    fan_ins = [params["enc_w0"].shape[0] if "enc_w0" in params else None, *spec.dims]
+    shapes = {f"enc_w{k}": (fan_ins[k], width) for k, width in enumerate(spec.dims)}
+    if spec.kind == "mlp":
+        shapes |= {f"enc_b{k}": (1, width) for k, width in enumerate(spec.dims)}
+    held = {k: v.shape for k, v in params.items() if k.startswith("enc_")}
+    if (layers, held) != (len(spec.dims), shapes):
+        raise ContractError(f"a {spec.kind} encoder of dims {list(spec.dims)} has matrices "
+                            f"{shapes}, the checkpoint holds {layers} layers of {held}")
+
+
 def model_from_dict(obj: dict) -> ModelBundle:
-    """The ModelBundle of ``model_to_dict``, with b1, w2 and b2 shaped to match w1."""
+    """The ModelBundle of ``model_to_dict``: the encoder matrices must be those
+    of its spec, the csm block's d and m the shape of w1, and b1, w2 and b2
+    shaped to match."""
     if obj.get("format") != CHECKPOINT_FORMAT:
         raise ContractError(f"unknown checkpoint format {obj.get('format')!r}")
     enc, head = obj["encoder"], obj["csm"]
+    spec = spec_from_dict(enc)
     params = {}
     for prefix, key in (("enc_w", "weights"), ("enc_b", "biases")):
         for k, matrix in enumerate(enc[key]):
             params[f"{prefix}{k}"] = _unhex(matrix)
+    _check_encoder(spec, params, len(enc["weights"]))
     params["csm_w1"] = w1 = _unhex(head["w1"])
     d, m = w1.shape
+    if (head["d"], head["m"]) != (d, m):
+        raise ContractError(f"csm block says d={head['d']!r}, m={head['m']!r}, "
+                            f"but w1 is {d} x {m}")
     for name, shape in (("b1", (1, m)), ("w2", (d, m)), ("b2", (1, m))):
         params[f"csm_{name}"] = _unhex(head[name], *shape)
     cfg = csm_mod.CsmConfig(m=m, relevance_enabled=head["relevance_enabled"])
-    return ModelBundle(spec_from_dict(enc), cfg, params)
+    return ModelBundle(spec, cfg, params)
 
 
 BASELINES = {
@@ -949,9 +949,9 @@ def save_checkpoint(path, model) -> None:
         return
     kind = next(k for k, cls in BASELINES.items() if type(model) is cls)
     extra = {}
-    if kind == "multitask":  # n_enc_layers is not read back; it keeps the file layout
+    if kind == "multitask":  # n_enc_layers repeats the spec's layer count
         extra = {"encoder": spec_to_dict(model.encoder_spec),
-                 "n_enc_layers": layer_count(model.params)}
+                 "n_enc_layers": len(model.encoder_spec.dims)}
     write_json(path, {
         "format": BASELINE_FORMAT,
         "kind": kind,
@@ -961,16 +961,20 @@ def save_checkpoint(path, model) -> None:
 
 
 def checkpoint_from_dict(obj: dict):
-    """A PAN or baseline model from a checkpoint's JSON object, after one
-    forward through it, so a checkpoint whose matrices do not chain fails here
-    rather than at scoring."""
+    """A PAN or baseline model from a checkpoint's JSON object, after its
+    structure fields are checked and one forward has run through it, so a
+    checkpoint whose matrices do not chain fails here rather than at scoring."""
     if obj.get("format") != BASELINE_FORMAT:
         model = model_from_dict(obj)
     else:
         model_class = BASELINES[obj["kind"]]
         params = {k: _unhex(v) for k, v in obj["matrices"].items()}
-        model = (model_class(spec_from_dict(obj["encoder"]), params)
-                 if model_class is MultitaskModel else model_class(params))
+        if model_class is MultitaskModel:
+            spec = spec_from_dict(obj["encoder"])
+            _check_encoder(spec, params, obj["n_enc_layers"])
+            model = MultitaskModel(spec, params)
+        else:
+            model = model_class(params)
     model.pair_scores([(0, 0)], np.zeros((1, model.input_dim)))
     return model
 

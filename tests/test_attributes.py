@@ -101,11 +101,13 @@ class TestRandomizeLabels:
 
 def attribute_bundle(directory, table=None, text=None):
     """The bundle loaded back from ``directory`` after saving a featureless
-    bundle around ``table``, or around a table whose attributes.csv is then
-    replaced by ``text`` (with the manifest hash updated)."""
+    bundle around ``table``, or around a table of ``text``'s shape whose
+    attributes.csv is then replaced by ``text`` (with the manifest hash
+    updated)."""
     if table is None:
-        n = len(text.splitlines()) - 1
-        table = attrs.AttributeTable(np.zeros((n, 1)), np.ones((n, 1)))
+        lines = text.splitlines()
+        shape = (len(lines) - 1, lines[0].count(","))
+        table = attrs.AttributeTable(np.zeros(shape), np.ones(shape))
     bundle = data.DatasetBundle(np.zeros((table.n, 1)), SimilarityGraph(table.n),
                                 {"train": np.arange(table.n)}, table)
     data.save_bundle(directory, bundle)

@@ -588,13 +588,18 @@ class TestCleanFailures:
 
     @pytest.mark.parametrize("case", [
         "not-json", "missing-key", "wrong-type", "non-finite", "wrong-shape",
-        "non-finite-baseline", "wrong-shape-baseline",
+        "non-finite-baseline", "wrong-shape-baseline", "spec-deeper-than-weights",
+        "spec-width-not-weight-width", "weights-on-identity", "csm-m-not-w1-width",
+        "n-enc-layers-multitask",
     ])
     def test_malformed_checkpoint(self, bundle_dir, trained_dir, tmp_path, capsys, case):
-        if case.endswith("-baseline"):
-            trained_dir = tmp_path / "siamese"
+        # the last five chain and score; only the checks against the spec reject them
+        flags = {"baseline": ["--baseline", "siamese"], "identity": [],
+                 "multitask": ["--baseline", "multitask"]}.get(case.split("-")[-1])
+        if flags is not None:
+            trained_dir = tmp_path / "trained"
             assert run_cli("train", "--bundle", bundle_dir, "--out", trained_dir,
-                           "--epochs", 2, "--seed", 1, "--baseline", "siamese") == 0
+                           "--epochs", 2, "--seed", 1, *flags) == 0
             capsys.readouterr()
         obj = json.loads((trained_dir / "checkpoint.json").read_text())
         bad = tmp_path / f"{case}.json"
@@ -616,6 +621,21 @@ class TestCleanFailures:
         elif case == "wrong-shape-baseline":
             link = obj["matrices"]["link_w"]
             link["rows"], link["cols"] = link["cols"], link["rows"]
+            bad.write_text(json.dumps(obj))
+        elif case == "spec-deeper-than-weights":  # trained as 16,8
+            obj["encoder"]["layer_dims"] = [16, 8, 8]
+            bad.write_text(json.dumps(obj))
+        elif case == "spec-width-not-weight-width":
+            obj["encoder"]["layer_dims"] = [24, 8]
+            bad.write_text(json.dumps(obj))
+        elif case == "weights-on-identity":
+            obj["encoder"]["weights"] = [obj["csm"]["w2"]]
+            bad.write_text(json.dumps(obj))
+        elif case == "csm-m-not-w1-width":
+            obj["csm"]["m"] = 99
+            bad.write_text(json.dumps(obj))
+        elif case == "n-enc-layers-multitask":
+            obj["n_enc_layers"] = 2
             bad.write_text(json.dumps(obj))
         else:
             obj["matrices"]["embed_w"]["values"][0] = "inf"
@@ -665,8 +685,16 @@ class TestCleanFailures:
         ("splits.json", lambda obj: {**obj, "test": 3}),
         ("sets.json", lambda obj: "[1, 2"),
         ("sets.json", lambda obj: {**obj, "train": [[0, 1.5]]}),
+        ("manifest.json", lambda obj: {**obj, "m": 5}),
+        ("manifest.json", lambda obj: {**obj, "m": None}),
+        ("manifest.json", lambda obj: {**obj, "m": 4.0}),
+        ("manifest.json", lambda obj: {k: v for k, v in obj.items() if k != "m"}),
+        ("manifest.json", lambda obj: {**obj, "task": "compat-manifest"}),
+        ("manifest.json", lambda obj: {**obj, "task": 3}),
     ], ids=["manifest-not-json", "manifest-no-files", "manifest-no-n", "splits-string-id",
-            "splits-not-a-list", "sets-not-json", "sets-float-id"])
+            "splits-not-a-list", "sets-not-json", "sets-float-id", "manifest-m-not-width",
+            "manifest-m-null", "manifest-m-float", "manifest-no-m", "manifest-unknown-task",
+            "manifest-task-not-a-string"])
     def test_malformed_bundle_metadata_names_the_file(self, bundle_dir, trained_dir, tmp_path,
                                                       capsys, name, edit):
         broken = tmp_path / "broken"

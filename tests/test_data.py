@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pan import data
-from pan.encoders import SimilarityGraph
+from pan.encoders import SimilarityGraph, within_pairs
 from pan.errors import BundleFormatError, ContractError, GenerationError
 
 
@@ -523,6 +523,18 @@ class TestBundleIO:
         with pytest.raises(BundleFormatError, match="hash"):
             data.load_bundle(tmp_path)
 
+    def test_manifest_m_is_null_exactly_without_attributes(self, tmp_path):
+        bundle, _ = data.generate(small_compat_spec(), seed=18)
+        bundle.attributes = None
+        data.save_bundle(tmp_path, bundle)
+        assert data.load_bundle(tmp_path).attributes is None
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert manifest["m"] is None
+        path.write_text(json.dumps({**manifest, "m": 4}))
+        with pytest.raises(BundleFormatError, match="m is 4, but attributes.csv is absent"):
+            data.load_bundle(tmp_path)
+
     def test_cross_split_edge_rejected(self):
         feats = np.zeros((4, 2))
         graph = SimilarityGraph(4, [(0, 3)])
@@ -551,3 +563,30 @@ class TestBundleIO:
             with pytest.raises(ContractError, match=f"split 'test' index {bad} out of range"):
                 data.DatasetBundle(np.zeros((4, 2)), SimilarityGraph(4),
                                    {"train": [0, 1], "test": [2, bad, 1]})
+
+
+class TestSubset:
+    def test_a_split_renumbered_in_split_order(self):
+        bundle, _ = data.generate(small_compat_spec(), seed=19)
+        for split, idx in bundle.splits.items():
+            sub = bundle.subset(split)
+            assert sub.n == len(idx) and list(sub.splits) == [split]
+            np.testing.assert_array_equal(sub.splits[split], np.arange(len(idx)))
+            assert sub.features.tobytes() == bundle.features[idx].tobytes()
+            np.testing.assert_array_equal(sub.attributes.values, bundle.attributes.values[idx])
+            np.testing.assert_array_equal(sub.attributes.mask, bundle.attributes.mask[idx])
+            np.testing.assert_array_equal(sub.categories, bundle.categories[idx])
+            assert sub.graph == bundle.graph.subgraph(idx)
+            # every link of the split, and only those, in the new numbering
+            assert sub.graph.num_edges == sum(
+                int(bundle.graph.has_edges(i, j)) for i, j in within_pairs(idx))
+            assert sub.sets is None and sub.task == bundle.task
+
+    def test_optional_fields_stay_absent(self):
+        bundle = data.DatasetBundle(np.arange(8.0).reshape(4, 2), SimilarityGraph(4, [(1, 3)]),
+                                    {"train": [3, 1], "test": [0, 2]})
+        sub = bundle.subset("train")
+        assert sub.attributes is None and sub.categories is None and sub.task is None
+        # split order, not id order: item 3 is row 0
+        np.testing.assert_array_equal(sub.features, [[6.0, 7.0], [2.0, 3.0]])
+        assert sub.graph.pairs.tolist() == [[0, 1]]

@@ -370,6 +370,25 @@ class TestEncode:
         out = untaped(spec, x, w)
         np.testing.assert_allclose(out, expected, atol=1e-15)
 
+    @pytest.mark.parametrize("spec,dims", [
+        (enc.EncoderSpec(kind="identity"), ()),
+        (enc.EncoderSpec(kind="mlp", layer_dims=(24, 16)), (24, 16)),
+        (enc.EncoderSpec(kind="gcn", num_layers=3, hidden_dim=5, layer_dropout_p=0.5),
+         (5, 5, 5)),
+    ], ids=["identity", "mlp", "gcn"])
+    def test_dims_are_the_one_layer_count(self, spec, dims):
+        assert spec.dims == dims
+        w = enc.init_encoder_weights(spec, 7, seed=1)
+        assert {k: v.shape[1] for k, v in w.items() if k.startswith("enc_w")} == {
+            f"enc_w{k}": width for k, width in enumerate(dims)}
+        masks = enc.dropout_masks_for_epoch(spec, 4, seed=2)
+        assert masks is None or [m.shape for m in masks] == [(4, width) for width in dims]
+        # a surplus layer in params is not read: the spec says how deep the encoder is
+        g = enc.SimilarityGraph(4, [(0, 1)])
+        x = np.random.default_rng(3).normal(size=(4, 7))
+        surplus = w | {f"enc_w{len(dims)}": np.ones((dims[-1] if dims else 7, 2))}
+        assert untaped(spec, x, surplus, g).tobytes() == untaped(spec, x, w, g).tobytes()
+
     def test_gcn_requires_graph(self):
         spec = enc.EncoderSpec(kind="gcn", num_layers=1, hidden_dim=2)
         w = enc.init_encoder_weights(spec, 3, seed=0)

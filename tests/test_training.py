@@ -413,6 +413,21 @@ def test_every_trainer_rejects_a_bundle_it_cannot_train_on(separable_bundle, tra
         train(no_links, quick_config(epochs=0))
 
 
+@pytest.mark.parametrize("train", [
+    lambda b, cfg, t: tr.train_pan(b, EncoderSpec(kind="identity"),
+                                   CsmConfig(m=4, supervision="supervised"), cfg, t),
+    lambda b, cfg, t: tr.train_pan(b, EncoderSpec(kind="identity"), CsmConfig(m=3), cfg, t),
+    lambda b, cfg, t: tr.train_multitask_baseline(b, cfg, attribute_table=t),
+    lambda b, cfg, t: tr.train_attr_similarity_baseline(b, cfg, attribute_table=t),
+], ids=["pan-supervised", "pan-unsupervised", "multitask", "attr-sim"])
+def test_an_attribute_table_of_other_rows_is_rejected(separable_bundle, train):
+    b = separable_bundle
+    for rows in (b.n - 10, b.n + 30):
+        table = AttributeTable(np.ones((rows, 4)), np.ones((rows, 4)))
+        with pytest.raises(ContractError, match=f"attribute table has {rows} rows"):
+            train(b, quick_config(epochs=1, lambda_=1.0), table)
+
+
 def _pan_checkpoint(spec, csm_config):
     def train(b, cfg, path):
         tr.save_checkpoint(path, tr.train_pan(b, spec, csm_config, cfg).model)
