@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, NumericError
+from .errors import ContractError, DimensionError, NumericError, check_range
 
 BCE_EPS = 1e-12
 PROBE_STEP = 1e-5  # finite_diff_errors' step; training.gradcheck_composition screens kinks in it
@@ -129,22 +129,15 @@ class Tape:
         return min((float(d.min()) for d in dists if d.size), default=np.inf)
 
 
-class GradientStore:
+class GradientStore(dict):
     """Gradients keyed by parameter name, shaped exactly like the parameters."""
 
-    __slots__ = ("grads",)
+    __slots__ = ()
 
-    def __init__(self, grads: dict[str, Array]):
-        self.grads = grads
-
-    def __getitem__(self, name: str) -> Array:
-        return self.grads[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.grads
-
-    def items(self):
-        return self.grads.items()
+    @property
+    def grads(self) -> GradientStore:
+        """The store itself, for callers that read ``store.grads``."""
+        return self
 
 
 def _as_tensor(x) -> Tensor:
@@ -553,8 +546,7 @@ def finite_diff_errors(
     error denominator is max(|analytic|, |numeric|, 1e-8). ``grad_transform``
     lets a caller corrupt the analytic gradients first (negative-control hook).
     """
-    if step <= 0:
-        raise ContractError("finite_diff_errors: step must be positive")
+    check_range("step", step, 0, above=True)
     arrays = {name: as_matrix(v) for name, v in params.items()}
 
     tape = Tape()

@@ -34,6 +34,7 @@ from .errors import (
     GenerationError,
     NumericError,
     SamplingError,
+    check_range,
 )
 from .rng import derive_seed
 from .training import gradcheck_composition
@@ -152,7 +153,7 @@ def _add_train_flags(p) -> None:
     p.add_argument("--randomize-labels", action="store_true",
                    help="sanity check: replace labelled attributes with coin flips")
     p.add_argument("--baseline", choices=("none", *tr.BASELINES), default="none")
-    p.add_argument("--margin", type=_finite_nonnegative, default=0.2,
+    p.add_argument("--margin", type=_in_range(float, 0), default=0.2,
                    help="triplet margin (siamese)")
 
 
@@ -163,34 +164,19 @@ def _add_train_parser(sub) -> None:
     _add_train_flags(p)
 
 
-def _at_least(low: int):
-    """An argparse ``type``: an integer >= ``low``. Any other value, on the
-    command line or in ``--config``, is a usage error naming the flag."""
+def _in_range(kind, low, *, above: bool = False):
+    """An argparse ``type``: ``kind(text)`` in ``errors.check_range``'s range
+    from ``low`` up. Any other value, on the command line or in ``--config``,
+    is a usage error naming the flag."""
 
-    def parse(text) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
+    def parse(text):
+        try:
+            return check_range("value", kind(text), low, above=above)
+        except ContractError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
     return parse
-
-
-def _finite_positive(text) -> float:
-    """An argparse ``type``: a finite float > 0."""
-    value = float(text)
-    if not (np.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
-    return value
-
-
-def _finite_nonnegative(text) -> float:
-    """An argparse ``type``: a finite float >= 0."""
-    value = float(text)
-    if not (np.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
-    return value
 
 
 def _positive_int(text: str) -> int:
@@ -322,17 +308,17 @@ def _add_eval_parser(sub) -> None:
     p.add_argument("--task", choices=ev.TASKS, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--split", default=None, help="evaluation split (default test/novel)")
-    p.add_argument("--choices", type=_at_least(2), default=10,
+    p.add_argument("--choices", type=_in_range(int, 2), default=10,
                    help="candidates per fill-in-the-blank question")
-    p.add_argument("--way", type=_at_least(1), default=5)
-    p.add_argument("--shot", type=_at_least(1), default=5)
-    p.add_argument("--query", type=_at_least(1), default=16)
-    p.add_argument("--episodes", type=_at_least(1), default=600)
-    p.add_argument("--k", type=_at_least(1), default=1)
+    p.add_argument("--way", type=_in_range(int, 1), default=5)
+    p.add_argument("--shot", type=_in_range(int, 1), default=5)
+    p.add_argument("--query", type=_in_range(int, 1), default=16)
+    p.add_argument("--episodes", type=_in_range(int, 1), default=600)
+    p.add_argument("--k", type=_in_range(int, 1), default=1)
     p.add_argument("--query-split", default="test")
     p.add_argument("--gallery-split", default="train")
     p.add_argument("--fa", choices=sorted(FA_FLAGS), default="or")
-    p.add_argument("--max-pairs", type=_at_least(1), default=20000)
+    p.add_argument("--max-pairs", type=_in_range(int, 1), default=20000)
     p.add_argument("--seed", type=int, default=os.environ.get("PAN_SEED", "0"))
 
 
@@ -367,8 +353,8 @@ def _cmd_eval(args) -> int:
 def _add_gradcheck_parser(sub) -> None:
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--dims", type=_dims, default="d=6,M=4", help="like d=6,M=4")
-    p.add_argument("--seeds", type=_at_least(1), default=100)
-    p.add_argument("--tolerance", type=_finite_positive, default=1e-4)
+    p.add_argument("--seeds", type=_in_range(int, 1), default=100)
+    p.add_argument("--tolerance", type=_in_range(float, 0, above=True), default=1e-4)
     p.add_argument("--negate-analytic", action="store_true", help=argparse.SUPPRESS)
 
 
@@ -389,7 +375,7 @@ def _cmd_gradcheck(args) -> int:
     transform = None
     if args.negate_analytic:
         def transform(store):
-            return ad.GradientStore({k: -v for k, v in store.grads.items()})
+            return ad.GradientStore({k: -v for k, v in store.items()})
 
     worst, worst_where = 0.0, ("", -1, -1)
     for seed in range(args.seeds):
@@ -424,8 +410,8 @@ def _add_sweep_parser(sub) -> None:
                    help="comma-separated axis values, none repeated")
     p.add_argument("--bundle", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--runs", type=_at_least(1), default=1)
-    p.add_argument("--jobs", type=_at_least(1), default=1,
+    p.add_argument("--runs", type=_in_range(int, 1), default=1)
+    p.add_argument("--jobs", type=_in_range(int, 1), default=1,
                    help="worker processes; at most one per run and per CPU")
     p.add_argument("--eval-task", choices=("pair-acc",), default="pair-acc")
     p.add_argument("--eval-split", default=None)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, check_choice, check_range
 from .rng import generator
 
 SUPERVISION_MODES = ("unsupervised", "supervised", "hybrid")
@@ -29,13 +29,11 @@ class CsmConfig:
     relevance_enabled: bool = True
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ContractError(f"condition count must be >= 1, got {self.m}")
-        if self.supervision not in SUPERVISION_MODES:
-            raise ContractError(f"unknown supervision mode {self.supervision!r}")
+        check_range("m", self.m, 1)
+        check_choice("supervision", self.supervision, SUPERVISION_MODES)
         if self.supervision == "hybrid":
-            if self.m_sup < 1 or self.m_unsup < 1:
-                raise ContractError("hybrid mode needs both supervised and unsupervised conditions")
+            check_range("m_sup", self.m_sup, 1)
+            check_range("m_unsup", self.m_unsup, 1)
             if self.m != self.m_sup + self.m_unsup:
                 raise ContractError(
                     f"hybrid condition count {self.m} != {self.m_sup} + {self.m_unsup}"
@@ -64,8 +62,8 @@ def init_params(d: int, m: int, seed: int) -> dict[str, np.ndarray]:
 
     With zero biases an untrained model scores identical inputs at exactly 0.5.
     """
-    if d < 1 or m < 1:
-        raise ContractError(f"init_params needs d >= 1 and m >= 1, got d={d}, m={m}")
+    check_range("d", d, 1)
+    check_range("m", m, 1)
     rng = generator(seed, "csm-init")
     bound = 1.0 / np.sqrt(d)
     w1 = rng.uniform(-bound, bound, size=(d, m))

@@ -24,7 +24,7 @@ import numpy as np
 from .attributes import AttributeTable
 from .autodiff import as_matrix
 from .encoders import SimilarityGraph, within_pairs
-from .errors import BundleFormatError, ContractError, GenerationError
+from .errors import BundleFormatError, ContractError, GenerationError, check_choice, check_range
 from .rng import generator
 
 TASK_KINDS = ("compatibility_manifestation", "fewshot_clusters", "linear_separable")
@@ -45,23 +45,26 @@ class SyntheticSpec:
     hamming_threshold: int = 1
 
     def __post_init__(self):
-        for name in ("n_items", "d", "m_attributes", "manifestation_count", "n_classes"):
-            if getattr(self, name) < 1:
-                raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0 <= self.noise_sd < np.inf:
-            raise ContractError(f"noise_sd must be finite and nonnegative, got {self.noise_sd}")
-        if not 0 < self.cluster_separation < np.inf:
-            raise ContractError(
-                f"cluster_separation must be finite and positive, got {self.cluster_separation}")
-        if self.hamming_threshold < 0:
-            raise ContractError(f"hamming_threshold must be >= 0, got {self.hamming_threshold}")
-        if self.task_kind not in TASK_KINDS:
-            raise ContractError(f"unknown task kind {self.task_kind!r}")
-        if self.task_kind == "fewshot_clusters" and self.n_items < self.n_classes:
+        check_choice("task_kind", self.task_kind, TASK_KINDS)
+        for name in ("n_items", "d", "m_attributes", "manifestation_count"):
+            check_range(name, getattr(self, name), 1)
+        check_range("noise_sd", self.noise_sd, 0)
+        check_range("cluster_separation", self.cluster_separation, 0, above=True)
+        check_range("hamming_threshold", self.hamming_threshold, 0)
+        check_range("attr_density", self.attr_density, 0, 1, above=True)
+        # each kind's limits: one feature direction per attribute (and per
+        # manifestation), one center per class, and three class-split groups
+        m, v, d = self.m_attributes, self.manifestation_count, self.d
+        if self.task_kind == "compatibility_manifestation":
+            check_range("m_attributes * manifestation_count", m * v, 1, d + 1)
+        elif self.task_kind == "linear_separable":
+            check_range("m_attributes", m, 1, d + 1)
+        fewshot = self.task_kind == "fewshot_clusters"
+        check_range("n_classes", self.n_classes, 3 if fewshot else 1,
+                    d + 1 if fewshot else np.inf)
+        if fewshot and self.n_items < self.n_classes:
             raise ContractError(f"n_items must be >= n_classes for fewshot clusters, got "
                                 f"{self.n_items} < {self.n_classes}")
-        if not 0.0 < self.attr_density < 1.0:
-            raise ContractError("attr_density must lie strictly between 0 and 1")
 
 
 @dataclass
@@ -292,10 +295,6 @@ def gen_compatibility_manifestation(
     manifestation; pairs link iff some attribute is shared and all shared
     attributes agree in manifestation."""
     m, v, d, n = spec.m_attributes, spec.manifestation_count, spec.d, spec.n_items
-    if m * v > d:
-        raise ContractError(
-            f"need m_attributes * manifestation_count <= d, got {m} * {v} > {d}"
-        )
     rng = generator(seed, "gen-compat")
     values = (rng.random((n, m)) < spec.attr_density).astype(np.float64)
     manifest = rng.integers(0, v, size=(n, m))
@@ -331,10 +330,6 @@ def gen_fewshot_clusters(spec: SyntheticSpec, seed: int) -> tuple[DatasetBundle,
     """Gaussian class clusters with per-class attribute signatures; links join
     same-class items. Some attribute pairs are mutually exclusive by design."""
     c, d, m = spec.n_classes, spec.d, spec.m_attributes
-    if c > d:
-        raise GenerationError(f"need n_classes <= d for separated centers, got {c} > {d}")
-    if c < 3:
-        raise GenerationError("need at least 3 classes to form base/val/novel splits")
     rng = generator(seed, "gen-fewshot")
     scale = spec.cluster_separation * spec.noise_sd * np.sqrt(d)
     if scale == 0.0:
@@ -357,8 +352,8 @@ def gen_fewshot_clusters(spec: SyntheticSpec, seed: int) -> tuple[DatasetBundle,
     table = AttributeTable(signatures[labels], np.ones((n, m)))
 
     class_order = rng.permutation(c)
-    n_base = max(1, int(round(0.5 * c)))
-    n_val = max(1, (c - n_base) // 2)
+    n_base = min(c - 2, round(0.5 * c))  # at least one val and one novel class
+    n_val = (c - n_base) // 2
     groups = {
         "base": class_order[:n_base],
         "val": class_order[n_base : n_base + n_val],
@@ -386,8 +381,6 @@ def gen_linear_separable(spec: SyntheticSpec, seed: int) -> tuple[DatasetBundle,
     """Attributes embedded linearly in features; pairs link iff their attribute
     vectors differ in at most hamming_threshold positions."""
     n, d, m = spec.n_items, spec.d, spec.m_attributes
-    if m > d:
-        raise ContractError(f"need m_attributes <= d, got {m} > {d}")
     rng = generator(seed, "gen-linear")
     values = (rng.random((n, m)) < spec.attr_density).astype(np.float64)
     basis = _orthonormal_columns(rng, d, m)
@@ -457,8 +450,7 @@ def build_fitb_questions(
 ) -> list[FitbQuestion]:
     """One question per set: drop one item as the answer, add same-category
     distractors drawn from the pool."""
-    if num_choices < 1:
-        raise ContractError("num_choices must be >= 1")
+    check_range("num_choices", num_choices, 1)
     categories = np.asarray(categories, dtype=np.int64)
     rng = generator(seed, "fitb-questions")
     pool = [int(p) for p in pool]
@@ -530,8 +522,9 @@ def build_episodes(
     split: str = "novel",
 ) -> list[Episode]:
     """Uniformly sampled N-way K-shot tasks with disjoint supports and queries."""
-    if min(n_way, k_shot, n_query, count) < 1:
-        raise ContractError("episode parameters must all be >= 1")
+    for name, value in (("n_way", n_way), ("k_shot", k_shot), ("n_query", n_query),
+                        ("count", count)):
+        check_range(name, value, 1)
     if bundle.categories is None:
         raise ContractError("episode construction needs per-item class labels")
     if split not in bundle.splits:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, check_choice, check_range
 from .rng import generator
 
 
@@ -43,9 +43,7 @@ class SimilarityGraph:
     __slots__ = ("n", "pairs", "_keys", "_propagation", "_edge_bits")
 
     def __init__(self, n: int, edges=()):
-        if n < 1:
-            raise ContractError(f"graph needs at least one node, got n={n}")
-        n = int(n)
+        n = int(check_range("n", n, 1))
         arr = pair_array(edges)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ContractError(f"edges must be index pairs, got shape {arr.shape}")
@@ -182,8 +180,7 @@ class Propagation:
 
 def drop_edges(g: SimilarityGraph, p: float, seed: int) -> SimilarityGraph:
     """Remove each edge independently with probability p; deterministic in seed."""
-    if not 0.0 <= p < 1.0:
-        raise ContractError(f"edge dropout probability must be in [0, 1), got {p}")
+    check_range("p", p, 0, 1)
     rng = generator(seed, "edge-dropout")
     keep = rng.random(g.num_edges) >= p
     return SimilarityGraph._from_keys(g.n, g._keys[keep])
@@ -208,17 +205,16 @@ class EncoderSpec:
     edge_dropout_p: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ENCODER_KINDS:
-            raise ContractError(f"unknown encoder kind {self.kind!r}")
+        check_choice("kind", self.kind, ENCODER_KINDS)
+        check_choice("activation", self.activation, ACTIVATIONS)
         if self.kind == "mlp" and not self.layer_dims:
             raise ContractError("mlp encoder needs at least one layer dim")
-        if self.kind == "gcn" and self.num_layers < 1:
-            raise ContractError("gcn encoder needs num_layers >= 1")
-        if self.activation not in ACTIVATIONS:
-            raise ContractError(f"unknown activation {self.activation!r}")
-        for p in (self.layer_dropout_p, self.edge_dropout_p):
-            if not 0.0 <= p < 1.0:
-                raise ContractError(f"dropout probability must be in [0, 1), got {p}")
+        if self.kind == "gcn":
+            check_range("num_layers", self.num_layers, 1)
+        for width in self.dims:
+            check_range("hidden_dim" if self.kind == "gcn" else "layer_dims", width, 1)
+        check_range("layer_dropout_p", self.layer_dropout_p, 0, 1)
+        check_range("edge_dropout_p", self.edge_dropout_p, 0, 1)
 
     @property
     def dims(self) -> tuple[int, ...]:

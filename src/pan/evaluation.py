@@ -22,7 +22,7 @@ from .attributes import AttributeTable, pair_label_matrix
 from .autodiff import row_sum_values
 from .data import Episode, FitbQuestion
 from .encoders import SimilarityGraph, pair_array, within_pairs
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, check_range
 from .rng import derive_seed, generator
 
 INTERVAL_Z = 1.96
@@ -188,8 +188,7 @@ def recall_at_k(
     n_q, n_g = query_features.shape[0], gallery_features.shape[0]
     if n_g == 0:
         raise ContractError("gallery is empty")
-    if not 1 <= k <= n_g:
-        raise ContractError(f"k={k} outside [1, {n_g}]")
+    check_range("k", k, 1, n_g + 1)
     if model is not None:
         stacked = np.concatenate([query_features, gallery_features])
         pairs = product_pairs(np.arange(n_q), n_q + np.arange(n_g))
@@ -424,9 +423,10 @@ def run_task(task: str, models, bundle, split: str, seed: int,
     pairs = _sampled_split_pairs(bundle, split, seed, options["max_pairs"])
     if task == "attr-map":
         report = attribute_map(model, pairs, bundle.attributes, options["fa"], features)
-        rows = [(a, None if np.isnan(ap) else ap)
-                for a, ap in enumerate(report.detail["per_attribute_ap"])]
-        return report, {"per_attribute_ap.csv": (("attribute", "ap"), rows)}
+        # JSON has no NaN: a skipped attribute is null in metrics.json, empty in the CSV
+        aps = [None if np.isnan(ap) else ap for ap in report.detail["per_attribute_ap"]]
+        report.detail["per_attribute_ap"] = aps
+        return report, {"per_attribute_ap.csv": (("attribute", "ap"), list(enumerate(aps)))}
     # rank-report
     rows = attribute_rank_report([m for _, m in models], pairs, features)
     report = MetricReport(

@@ -36,7 +36,10 @@ from .encoders import (
     pair_array,
     within_pairs,
 )
-from .errors import ContractError, DimensionError, GenerationError, NumericError, SamplingError
+from .errors import (
+    ContractError, DimensionError, GenerationError, NumericError, SamplingError,
+    check_choice, check_range,
+)
 from .rng import derive_seed, generator
 
 TRAIN_MODES = ("single_batch", "minibatch")
@@ -58,22 +61,15 @@ class TrainConfig:
     pairs_per_epoch: int | None = None  # per-class cap; None means every edge
 
     def __post_init__(self):
-        if self.lambda_ < 0:
-            raise ContractError(f"lambda must be nonnegative, got {self.lambda_}")
-        if self.learning_rate <= 0:
-            raise ContractError("learning rate must be positive")
-        if self.epochs < 0:
-            raise ContractError("epoch count must be nonnegative")
-        if self.mode not in TRAIN_MODES:
-            raise ContractError(f"unknown training mode {self.mode!r}")
-        if self.batch_size < 1:
-            raise ContractError("batch size must be >= 1")
-        if self.fa not in FA_CHOICES:
-            raise ContractError(f"unknown attribute combination {self.fa!r}")
-        if self.validation_every < 1:
-            raise ContractError("validation_every must be >= 1")
-        if self.pairs_per_epoch is not None and self.pairs_per_epoch < 1:
-            raise ContractError("pairs_per_epoch must be >= 1")
+        check_range("lambda_", self.lambda_, 0)
+        check_range("learning_rate", self.learning_rate, 0, above=True)
+        check_range("epochs", self.epochs, 0)
+        check_choice("mode", self.mode, TRAIN_MODES)
+        check_range("batch_size", self.batch_size, 1)
+        check_choice("fa", self.fa, FA_CHOICES)
+        check_range("validation_every", self.validation_every, 1)
+        if self.pairs_per_epoch is not None:
+            check_range("pairs_per_epoch", self.pairs_per_epoch, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +145,7 @@ def gradcheck_composition(seed: int, d: int, m: int):
         # them either, so numeric and analytic agree at 0. Only tiny nonzero
         # gradients drown in the difference-quotient noise floor.
         live_mins = [
-            float(np.abs(g[g != 0.0]).min()) for g in grads.grads.values() if (g != 0.0).any()
+            float(np.abs(g[g != 0.0]).min()) for g in grads.values() if (g != 0.0).any()
         ]
         if min(live_mins, default=1.0) >= 1e-6:
             return loss_fn, params
@@ -671,8 +667,7 @@ def train_siamese_baseline(
     bundle, margin: float, config: TrainConfig, embed_dim: int | None = None
 ) -> SiameseModel:
     """Triplet-loss embedding over frozen features, then a logistic link head."""
-    if not (np.isfinite(margin) and margin >= 0):
-        raise ContractError(f"margin must be finite and nonnegative, got {margin}")
+    check_range("margin", margin, 0)
     _, train = _train_split(bundle)
     d = train.d
     e_dim = embed_dim or d

@@ -64,6 +64,13 @@ class TestGen:
     def test_missing_out_is_usage_error(self):
         assert run_cli_expect_usage_exit("gen", "--task", "compat-manifest") == 2
 
+    def test_three_classes_give_one_class_per_split(self, tmp_path):
+        out = tmp_path / "fs3"
+        assert run_cli("gen", "--task", "fewshot-clusters", "--items", 30, "--dim", 8,
+                       "--classes", 3, "--out", out) == 0
+        report = json.loads((out / "oracle_report.json").read_text())
+        assert report["classes_per_split"] == {"base": 1, "val": 1, "novel": 1}
+
     def test_repeat_gives_identical_hashes(self, bundle_dir, tmp_path):
         again = tmp_path / "again"
         run_cli(
@@ -175,6 +182,24 @@ class TestEval:
         assert 0.0 <= payload["value"] <= 1.0
         assert "config_fingerprint" in payload
         assert (out / "metrics.csv").read_text().startswith("metric,")
+
+    def test_skipped_attribute_is_null_in_metrics_json(self, bundle_dir, trained_dir, tmp_path):
+        out = tmp_path / "attr-map"
+        assert run_cli("eval", "--checkpoint", trained_dir / "checkpoint.json",
+                       "--bundle", bundle_dir, "--task", "attr-map", "--max-pairs", 5,
+                       "--out", out) == 0
+
+        def no_constants(name):
+            raise AssertionError(f"metrics.json holds {name}")
+
+        detail = json.loads((out / "metrics.json").read_text(),
+                            parse_constant=no_constants)["detail"]
+        assert detail["skipped_attributes"]  # five pairs leave some attribute one-sided
+        for a, ap in enumerate(detail["per_attribute_ap"]):
+            assert (ap is None) == (a in detail["skipped_attributes"])
+        cells = [line.split(",")[1] for line in
+                 (out / "per_attribute_ap.csv").read_text().splitlines()[1:]]
+        assert [c == "" for c in cells] == [ap is None for ap in detail["per_attribute_ap"]]
 
     def test_identical_invocations_identical_reports(self, bundle_dir, trained_dir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -409,6 +434,15 @@ class TestSweep:
         ) == 0
         rows = (out / "sweep.csv").read_text().splitlines()
         assert len(rows) == 3
+
+    def test_out_of_range_value_fails_its_run(self, bundle_dir, tmp_path, capsys):
+        out = tmp_path / "sweepnan"
+        assert run_cli("sweep", "--axis", "lambda", "--values", "nan", "--bundle", bundle_dir,
+                       "--out", out, "--epochs", 1) == 1
+        captured = capsys.readouterr()
+        assert "0/1 runs ok" in captured.out and "lambda_" in captured.err
+        assert (out / "sweep.csv").read_text().splitlines()[1] == "nan,0,"
+        assert not (out / "runs").exists()
 
 
     @pytest.mark.parametrize("jobs,cpus,workers", [
@@ -919,13 +953,36 @@ class TestCleanFailures:
         (["--separation", "nan"], "cluster_separation"),
         (["--hamming", -1], "hamming_threshold"),
         (["--task", "fewshot-clusters", "--items", 10, "--classes", 20], "n_items"),
+        (["--task", "compat-manifest", "--attrs", 6, "--manifestations", 6],
+         "manifestation_count"),
+        (["--attrs", 33], "m_attributes"),
+        (["--task", "fewshot-clusters", "--classes", 33], "n_classes"),
+        (["--task", "fewshot-clusters", "--classes", 2], "n_classes"),
     ], ids=["noise-nan", "noise-inf", "separation-nan", "hamming-negative",
-            "fewshot-items-below-classes"])
+            "fewshot-items-below-classes", "compat-directions-above-dim",
+            "linear-attrs-above-dim", "fewshot-classes-above-dim", "fewshot-two-classes"])
     def test_out_of_range_spec_exits_one(self, tmp_path, capsys, flags, field):
         out = tmp_path / "out"
         argv = ["gen", "--task", "linear-separable", "--items", 60, "--dim", 32, "--out", out]
         assert run_cli(*argv, *flags) == 1
         assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,field", [
+        (["--lambda", "nan"], "lambda_"),
+        (["--lambda", "inf"], "lambda_"),
+        (["--lr", "nan"], "learning_rate"),
+        (["--lr", "inf"], "learning_rate"),
+        (["--lr", 0], "learning_rate"),
+        (["--encoder", "gcn", "--gcn-hidden", 0], "hidden_dim"),
+    ], ids=["lambda-nan", "lambda-inf", "lr-nan", "lr-inf", "lr-zero", "gcn-hidden-zero"])
+    def test_out_of_range_train_setting_exits_one(self, bundle_dir, tmp_path, capsys,
+                                                  flags, field):
+        out = tmp_path / "out"
+        assert run_cli("train", "--bundle", bundle_dir, "--out", out, "--epochs", 1,
+                       *flags) == 1
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("config", [False, True], ids=["flag", "config"])

@@ -389,6 +389,21 @@ class TestEncode:
         surplus = w | {f"enc_w{len(dims)}": np.ones((dims[-1] if dims else 7, 2))}
         assert untaped(spec, x, surplus, g).tobytes() == untaped(spec, x, w, g).tobytes()
 
+    @pytest.mark.parametrize("fields,name", [
+        ({"kind": "mlp", "layer_dims": (4, 0)}, "layer_dims"),
+        ({"kind": "mlp", "layer_dims": (-2,)}, "layer_dims"),
+        ({"kind": "gcn", "hidden_dim": 0}, "hidden_dim"),
+        ({"kind": "gcn", "hidden_dim": -3}, "hidden_dim"),
+        ({"kind": "gcn", "num_layers": 0}, "num_layers"),
+        ({"kind": "gcn", "layer_dropout_p": float("nan")}, "layer_dropout_p"),
+        ({"kind": "gcn", "edge_dropout_p": 1.0}, "edge_dropout_p"),
+        ({"kind": "conv"}, "kind"),
+    ], ids=["mlp-zero-width", "mlp-negative-width", "gcn-zero-width", "gcn-negative-width",
+            "gcn-no-layers", "dropout-nan", "edge-dropout-one", "unknown-kind"])
+    def test_spec_rejects_out_of_range_fields(self, fields, name):
+        with pytest.raises(ContractError, match=f"^{name} must be"):
+            enc.EncoderSpec(**fields)
+
     def test_gcn_requires_graph(self):
         spec = enc.EncoderSpec(kind="gcn", num_layers=1, hidden_dim=2)
         w = enc.init_encoder_weights(spec, 3, seed=0)

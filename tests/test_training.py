@@ -69,6 +69,21 @@ class TestTotalLoss:
         with pytest.raises(ContractError):
             tr.TrainConfig(lambda_=-0.1)
 
+    @pytest.mark.parametrize("fields,name", [
+        ({"lambda_": float("nan")}, "lambda_"),
+        ({"lambda_": float("inf")}, "lambda_"),
+        ({"learning_rate": float("nan")}, "learning_rate"),
+        ({"learning_rate": float("inf")}, "learning_rate"),
+        ({"learning_rate": 0.0}, "learning_rate"),
+        ({"epochs": -1}, "epochs"),
+        ({"pairs_per_epoch": 0}, "pairs_per_epoch"),
+        ({"mode": "online"}, "mode"),
+    ], ids=["lambda-nan", "lambda-inf", "lr-nan", "lr-inf", "lr-zero", "epochs-negative",
+            "pairs-per-epoch-zero", "unknown-mode"])
+    def test_out_of_range_setting_rejected(self, fields, name):
+        with pytest.raises(ContractError, match=f"^{name} must be"):
+            tr.TrainConfig(**fields)
+
     def test_prefix_supervision(self):
         # rho longer than labels: only the prefix is supervised
         got = total_loss(1, 0.5, [1.0], [1.0], [0.5, 0.99], lam=1.0)
