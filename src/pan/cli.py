@@ -329,7 +329,9 @@ EVAL_OPTIONS = ("choices", "way", "shot", "query", "episodes", "k", "query_split
 def _cmd_eval(args) -> int:
     bundle = data_mod.load_bundle(args.bundle)
     options = {name: getattr(args, name) for name in EVAL_OPTIONS}
-    split = ev.check_task(args.task, bundle, len(args.checkpoint), args.split, **options)
+    task_options = options | {"fa": FA_FLAGS[args.fa]}
+    split = ev.check_task(args.task, bundle, len(args.checkpoint), args.split, args.seed,
+                          **task_options)
     out_dir = Path(args.out)
     config = {
         "task": args.task, "checkpoints": [str(c) for c in args.checkpoint],
@@ -337,8 +339,7 @@ def _cmd_eval(args) -> int:
     }
     fingerprint = _write_run_manifest(out_dir, "eval", config)["fingerprint"]
     models = [(path, tr.load_checkpoint(path)) for path in args.checkpoint]
-    report, tables = ev.run_task(args.task, models, bundle, split, args.seed,
-                                 **options | {"fa": FA_FLAGS[args.fa]})
+    report, tables = ev.run_task(args.task, models, bundle, split, args.seed, **task_options)
     for name, (header, rows) in tables.items():
         tr.write_csv(out_dir / name, header, rows)
     _write_metric_files(out_dir, report, fingerprint)
@@ -461,7 +462,7 @@ def _sweep_one(packed) -> tuple[str, int, float | None, str | None]:
 def _cmd_sweep(args) -> int:
     parsed = _parse_axis_values(args)
     bundle = data_mod.load_bundle(args.bundle)
-    split = ev.check_task(args.eval_task, bundle, 1, args.eval_split)
+    split = ev.check_task(args.eval_task, bundle, 1, args.eval_split, args.seed)
     out_dir = Path(args.out)
     args_dict = {k: v for k, v in vars(args).items() if k != "func"}
     _write_run_manifest(out_dir, "sweep", args_dict)

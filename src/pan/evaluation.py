@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .attributes import AttributeTable, pair_label_matrix
 from .autodiff import row_sum_values
 from .data import Episode, FitbQuestion
 from .encoders import SimilarityGraph, pair_array, within_pairs
-from .errors import ContractError, DimensionError, check_range
+from .errors import ContractError, DimensionError, NumericError, check_range
 from .rng import derive_seed, generator
 
 INTERVAL_Z = 1.96
@@ -58,7 +59,10 @@ def score_pairs(model, pairs, features, graph_context: SimilarityGraph | None = 
 
 def product_pairs(a, b) -> np.ndarray:
     """Every pair (a[k], b[l]), k-major: (a[0], b[0]), (a[0], b[1]), ..."""
-    return np.stack([np.repeat(a, len(b)), np.tile(b, len(a))], axis=1)
+    out = np.empty((len(a), len(b), 2), dtype=np.int64)
+    out[:, :, 0] = np.asarray(a)[:, None]
+    out[:, :, 1] = b
+    return out.reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -133,23 +137,34 @@ def compatibility_auc(model, positive_sets, negative_sets, features) -> MetricRe
 def episode_accuracy(model, episode: Episode, features) -> float:
     """Per query: class score is the mean edge probability to that class's
     supports; argmax class wins, lowest class index on ties."""
-    queries, truth = np.array(episode.query, dtype=np.int64).reshape(-1, 2).T
-    supports = np.array([s for cls in episode.support for s in cls], dtype=np.int64)
-    pairs = product_pairs(queries, supports)
-    per_query = score_pairs(model, pairs, features).reshape(len(queries), len(supports))
-    class_scores = _class_means(per_query, [len(c) for c in episode.support])
-    return int(np.count_nonzero(class_scores.argmax(axis=1) == truth)) / len(queries)
+    sizes = [len(c) for c in episode.support]
+    n_q, n_s = len(episode.query), sum(sizes)
+    # (item, class) of every query, interleaved
+    query = np.fromiter(chain.from_iterable(episode.query), np.int64, 2 * n_q)
+    supports = np.fromiter(chain.from_iterable(episode.support), np.int64, n_s)
+    per_query = score_pairs(model, product_pairs(query[0::2], supports), features)
+    class_scores = _class_means(per_query.reshape(n_q, n_s), sizes)
+    return int(np.count_nonzero(class_scores.argmax(axis=1) == query[1::2])) / n_q
 
 
-def _class_means(per_query: np.ndarray, sizes) -> np.ndarray:
+def _class_means(per_query: np.ndarray, sizes: list[int]) -> np.ndarray:
     """(queries, classes): each row's mean over each class's column block,
     the blocks of ``sizes`` columns laid side by side in ``per_query``."""
     # autodiff.row_sum_values adds each row of a row-major block in np.mean's
-    # order (np.add.reduceat does not); the mean is that sum over the block's width
-    ends = np.cumsum(sizes)
-    return np.concatenate(
-        [row_sum_values(per_query[:, e - k : e]) / k for k, e in zip(sizes, ends)], axis=1
-    )
+    # order (np.add.reduceat does not); the mean is that sum over the block's
+    # width. One call per width sums every class block of that width, each
+    # block one row of a (queries * classes, width) matrix.
+    n_q, n_c = per_query.shape[0], len(sizes)
+    if len(set(sizes)) == 1:  # equal widths: the blocks are a view's rows
+        width = sizes[0]
+        return (row_sum_values(per_query.reshape(-1, width)) / width).reshape(n_q, n_c)
+    starts = np.cumsum(sizes) - sizes
+    out = np.empty((n_q, n_c))
+    for width in sorted(set(sizes)):
+        classes = [c for c, k in enumerate(sizes) if k == width]
+        blocks = per_query[:, starts[classes, None] + np.arange(width)]
+        out[:, classes] = (row_sum_values(blocks.reshape(-1, width)) / width).reshape(n_q, -1)
+    return out
 
 
 def few_shot_accuracy(model, episodes: list[Episode], features) -> MetricReport:
@@ -179,16 +194,17 @@ def recall_at_k(
     """Fraction of queries with a same-label gallery item in the top k.
 
     Ranking is by model pair score when a model is given, else by negative
-    Euclidean distance; ties prefer the lower gallery index.
+    Euclidean distance; ties prefer the lower gallery index. A query hits iff
+    its best same-label item (highest score, lowest index on ties) has rank
+    below k, where its rank counts the higher scores and the equal scores at
+    lower gallery indices: the position a stable descending sort gives it.
     """
     query_features = np.asarray(query_features, dtype=np.float64)
     gallery_features = np.asarray(gallery_features, dtype=np.float64)
     query_labels = np.asarray(query_labels)
     gallery_labels = np.asarray(gallery_labels)
     n_q, n_g = query_features.shape[0], gallery_features.shape[0]
-    if n_g == 0:
-        raise ContractError("gallery is empty")
-    check_range("k", k, 1, n_g + 1)
+    _check_recall_k(k, n_g)
     if model is not None:
         stacked = np.concatenate([query_features, gallery_features])
         pairs = product_pairs(np.arange(n_q), n_q + np.arange(n_g))
@@ -196,9 +212,21 @@ def recall_at_k(
     else:
         d2 = ((query_features[:, None, :] - gallery_features[None, :, :]) ** 2).sum(axis=2)
         scores = -np.sqrt(d2)
-    top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-    hits = int(np.count_nonzero((gallery_labels[top] == query_labels[:, None]).any(axis=1)))
-    return MetricReport(f"recall_at_{k}", hits / n_q, None, n_q)
+    if not np.isfinite(scores).all():
+        raise NumericError("recall@k needs finite scores")
+    same = gallery_labels == query_labels[:, None]
+    # -inf ranks every other label below any finite same-label score
+    best = np.where(same, scores, -np.inf).argmax(axis=1)  # first of the ties
+    top = scores[np.arange(n_q), best][:, None]
+    ahead = (scores > top) | ((scores == top) & (np.arange(n_g) < best[:, None]))
+    hit = same.any(axis=1) & (np.count_nonzero(ahead, axis=1) < k)
+    return MetricReport(f"recall_at_{k}", int(np.count_nonzero(hit)) / n_q, None, n_q)
+
+
+def _check_recall_k(k: int, n_gallery: int) -> None:
+    if n_gallery == 0:
+        raise ContractError("gallery is empty")
+    check_range("k", k, 1, n_gallery + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -235,24 +263,28 @@ def attribute_map(model, pairs, attribute_table: AttributeTable, fa: str, featur
         raise ContractError(
             f"model has {rho.shape[1]} conditions but labels need {n_attr}"
         )
+    two_sided = _two_sided_attributes(labels, mask)
     per_attr: list[float] = []
-    skipped: list[int] = []
     for a in range(n_attr):
         keep = mask[:, a] == 1.0
-        y = labels[keep, a]
-        if keep.sum() == 0 or y.sum() == 0 or y.sum() == keep.sum():
-            skipped.append(a)
-            per_attr.append(float("nan"))
-            continue
-        per_attr.append(average_precision(rho[keep, a], y))
-    included = [v for v in per_attr if not math.isnan(v)]
-    if not included:
-        raise ContractError("no attribute had both positive and negative labelled pairs")
-    value = float(np.mean(included))
+        per_attr.append(average_precision(rho[keep, a], labels[keep, a])
+                        if two_sided[a] else float("nan"))
+    value = float(np.mean([v for v, ok in zip(per_attr, two_sided) if ok]))
+    skipped = np.flatnonzero(~two_sided).tolist()
     return MetricReport(
         "attribute_map", value, None, len(idx),
         detail={"per_attribute_ap": per_attr, "skipped_attributes": skipped},
     )
+
+
+def _two_sided_attributes(labels: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per attribute column, whether the labelled pairs hold both a positive
+    and a negative; ContractError if no column does."""
+    labelled = mask == 1.0
+    out = (labelled & (labels == 1.0)).any(axis=0) & (labelled & (labels == 0.0)).any(axis=0)
+    if not out.any():
+        raise ContractError("no attribute had both positive and negative labelled pairs")
+    return out
 
 
 def _rank_matrix(scores: np.ndarray) -> np.ndarray:
@@ -356,16 +388,29 @@ def _sampled_split_pairs(bundle, split: str, seed: int, cap: int) -> np.ndarray:
     return pairs
 
 
-def check_task(task: str, bundle, n_models: int, split: str | None, **options) -> str:
+def _recall_rows(bundle, query_split: str, gallery_split: str):
+    """The query and gallery items of recall: the two splits' rows, or for
+    retrieval within one split its disjoint even and odd halves."""
+    q_idx, g_idx = bundle.splits[query_split], bundle.splits[gallery_split]
+    if query_split == gallery_split:
+        q_idx, g_idx = q_idx[0::2], q_idx[1::2]
+    return q_idx, g_idx
+
+
+def check_task(task: str, bundle, n_models: int, split: str | None, seed: int,
+               **options) -> str:
     """The split ``task`` reads (recall: ``options["query_split"]``; None: the
     test split, novel first for fewshot), once every split name, bundle field
-    and model count it needs is known to be good, and for fewshot that enough
-    classes are large enough for an episode. It does no other work."""
+    and model count it needs is known to be good; for fewshot, that enough
+    classes are large enough for an episode; for recall, that k fits the
+    gallery; and for attr-map, that the pairs ``seed`` samples label some
+    attribute both ways. It draws no episode, question or negative set."""
     if n_models > 1 and task != "rank-report":
         raise ContractError(f"task {task} takes one checkpoint, got {n_models}")
     if task == "recall":
         split = _split_name(bundle, options["query_split"])
-        _split_name(bundle, options["gallery_split"])
+        gallery = _split_name(bundle, options["gallery_split"])
+        _check_recall_k(options["k"], len(_recall_rows(bundle, split, gallery)[1]))
     elif task == "fewshot":
         split = _split_name(bundle, split or ("novel" if "novel" in bundle.splits else "test"))
     else:
@@ -374,8 +419,12 @@ def check_task(task: str, bundle, n_models: int, split: str | None, **options) -
             raise ContractError(f"bundle has no item sets for split {split!r}")
     if task in ("fitb", "auc", "fewshot", "recall") and bundle.categories is None:
         raise ContractError(f"{task} needs item categories")
-    if task == "attr-map" and bundle.attributes is None:
-        raise ContractError("attr-map needs a bundle with attributes")
+    if task == "attr-map":
+        if bundle.attributes is None:
+            raise ContractError("attr-map needs a bundle with attributes")
+        pairs = _sampled_split_pairs(bundle, split, seed, options["max_pairs"])
+        _two_sided_attributes(*pair_label_matrix(bundle.attributes, pairs[:, 0], pairs[:, 1],
+                                                 options["fa"]))
     if task == "fewshot":  # the episodes' draw is left to run_task
         data_mod.episode_classes(bundle, split, options["way"],
                                  options["shot"] + options["query"])
@@ -414,10 +463,7 @@ def run_task(task: str, models, bundle, split: str, seed: int,
             derive_seed(seed, "episodes"), split=split)
         return few_shot_accuracy(model, episodes, features), {}
     if task == "recall":
-        q_idx, g_idx = idx, bundle.splits[options["gallery_split"]]
-        if split == options["gallery_split"]:
-            # retrieval within one split: disjoint query/gallery halves
-            q_idx, g_idx = q_idx[0::2], q_idx[1::2]
+        q_idx, g_idx = _recall_rows(bundle, split, options["gallery_split"])
         return recall_at_k(features[q_idx], features[g_idx], cats[q_idx], cats[g_idx],
                            options["k"], model=model), {}
     pairs = _sampled_split_pairs(bundle, split, seed, options["max_pairs"])

@@ -842,6 +842,22 @@ class TestCleanFailures:
         assert "need 5 classes with >= 21 items in 'test'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--task", "recall", "--k", 5000], "k must be in [1, 91), got 5000"),
+        (["--task", "recall", "--k", 16, "--gallery-split", "test"],
+         "k must be in [1, 16), got 16"),
+        (["--task", "attr-map", "--max-pairs", 1],
+         "no attribute had both positive and negative labelled pairs"),
+    ], ids=["recall-k-above-gallery", "recall-k-above-half-split", "attr-map-one-sided-pairs"])
+    def test_task_the_bundle_cannot_feed_fails_before_run_json(
+            self, bundle_dir, trained_dir, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        assert run_cli("eval", "--checkpoint", trained_dir / "checkpoint.json",
+                       "--bundle", bundle_dir, *flags, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_fewshot_without_categories_fails_before_run_json(self, bundle_dir, trained_dir,
                                                               tmp_path, capsys):
         broken = tmp_path / "broken"

@@ -6,7 +6,7 @@ import pytest
 
 from pan import evaluation as ev
 from pan.attributes import AttributeTable
-from pan.errors import ContractError
+from pan.errors import ContractError, NumericError
 
 
 class ScoreTableModel:
@@ -207,23 +207,26 @@ class TestFewShot:
         assert abs(report.value - 0.2) < 3 * sigma
         assert report.interval is not None and report.count == 300
 
-    def test_unequal_classes_match_a_mean_reference(self):
-        # support sizes 1, 3 and 9: the 9-wide block adds with numpy's
-        # pairwise partial sums, the narrower ones left to right
+    @pytest.mark.parametrize("sizes", [(5, 5, 5, 5, 5), (9, 9, 9), (1, 3, 9)],
+                             ids=["5x5", "3x9", "1-3-9"])
+    def test_unequal_classes_match_a_mean_reference(self, sizes):
+        # a 9-wide block adds with numpy's pairwise partial sums, a narrower
+        # one left to right; equal widths are summed as one view's rows
         rng = np.random.default_rng(41)
-        table = rng.random((40, 40)) * 10.0 ** rng.uniform(-6, 0, size=(40, 40))
+        n_s = sum(sizes)
+        n = n_s + 27
+        table = rng.random((n, n)) * 10.0 ** rng.uniform(-6, 0, size=(n, n))
         table = np.minimum(table, table.T)
-        sizes = (1, 3, 9)
-        support = ((0,), (1, 2, 3), tuple(range(4, 13)))
-        queries = np.arange(13, 40)
-        truth = rng.integers(0, 3, size=queries.size)
+        ends = np.cumsum(sizes).tolist()
+        support = tuple(tuple(range(e - k, e)) for k, e in zip(sizes, ends))
+        queries = np.arange(n_s, n)
+        truth = rng.integers(0, len(sizes), size=queries.size)
         ep = ev.Episode(support, tuple(zip(queries.tolist(), truth.tolist())))
-        per_query = table[np.ix_(queries, np.arange(13))]
+        per_query = table[np.ix_(queries, np.arange(n_s))]
         reference = np.stack(
-            [per_query[:, 0:1].mean(axis=1), per_query[:, 1:4].mean(axis=1),
-             per_query[:, 4:13].mean(axis=1)], axis=1,
+            [per_query[:, e - k : e].mean(axis=1) for k, e in zip(sizes, ends)], axis=1
         )
-        got = ev._class_means(per_query, sizes)
+        got = ev._class_means(per_query, list(sizes))
         assert np.array_equal(got.view(np.uint64), reference.view(np.uint64))
         want = np.count_nonzero(reference.argmax(axis=1) == truth) / queries.size
         assert ev.episode_accuracy(TablePairModel(table), ep, FEATS) == want
@@ -279,6 +282,48 @@ class TestRecallAtK:
         model = ScoreTableModel({(0, 1): 0.9, (0, 2): 0.1}, default=0.0)
         report = ev.recall_at_k(np.zeros((1, 2)), np.zeros((2, 2)), [3], [3, 9], 1, model=model)
         assert report.value == 1.0
+
+    def test_rank_rule_matches_a_stable_sort_on_tied_scores(self):
+        # scores take three values (two of them 0.0 and -0.0), so most ranks
+        # are decided by the lower-index tie break; query 0's label is in no
+        # gallery item
+        rng = np.random.default_rng(23)
+        n_q, n_g = 9, 14
+        values = np.array([0.5, 0.0, -0.0])
+        table = values[rng.integers(0, 3, size=(n_q + n_g, n_q + n_g))]
+        ql = rng.integers(0, 3, size=n_q)
+        ql[0] = 7
+        gl = rng.integers(0, 3, size=n_g)
+        for k in range(1, n_g + 1):
+            model = TablePairModel(table)
+            got = ev.recall_at_k(np.zeros((n_q, 2)), np.zeros((n_g, 2)), ql, gl, k, model=model)
+            assert len(model.calls) == 1
+            scores = table[:n_q, n_q:]
+            top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+            want = np.count_nonzero((gl[top] == ql[:, None]).any(axis=1)) / n_q
+            assert _bits(got.value) == _bits(want)
+
+    def test_signed_zero_and_duplicate_ties_keep_the_lower_index(self):
+        # gallery item 0 scores +0.0 and item 1 scores -0.0: a stable sort
+        # counts them equal and puts the lower index first
+        table = np.zeros((3, 3))
+        table[0, 2] = -0.0
+        for labels, want in (([5, 9], 1.0), ([9, 5], 0.0)):
+            got = ev.recall_at_k(np.zeros((1, 2)), np.zeros((2, 2)), [5], labels, 1,
+                                 model=TablePairModel(table))
+            assert got.value == want
+        # exact duplicates 0 and 2 both score -sqrt(0) = -0.0 by distance
+        gallery = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+        assert ev.recall_at_k(np.zeros((1, 2)), gallery, [4], [1, 2, 4], 1).value == 0.0
+        assert ev.recall_at_k(np.zeros((1, 2)), gallery, [4], [4, 2, 1], 1).value == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_score_raises(self, bad):
+        table = np.zeros((3, 3))
+        table[0, 2] = bad
+        with pytest.raises(NumericError):
+            ev.recall_at_k(np.zeros((1, 2)), np.zeros((2, 2)), [5], [5, 9], 1,
+                           model=TablePairModel(table))
 
 
 def ap_oracle(scores, labels):
