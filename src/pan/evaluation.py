@@ -152,19 +152,16 @@ def _class_means(per_query: np.ndarray, sizes: list[int]) -> np.ndarray:
     the blocks of ``sizes`` columns laid side by side in ``per_query``."""
     # autodiff.row_sum_values adds each row of a row-major block in np.mean's
     # order (np.add.reduceat does not); the mean is that sum over the block's
-    # width. One call per width sums every class block of that width, each
-    # block one row of a (queries * classes, width) matrix.
+    # width. build_episodes gives every class k_shot supports, so the blocks
+    # are the rows of a (queries * classes, width) view, summed in one call.
     n_q, n_c = per_query.shape[0], len(sizes)
-    if len(set(sizes)) == 1:  # equal widths: the blocks are a view's rows
+    if len(set(sizes)) == 1:
         width = sizes[0]
         return (row_sum_values(per_query.reshape(-1, width)) / width).reshape(n_q, n_c)
-    starts = np.cumsum(sizes) - sizes
-    out = np.empty((n_q, n_c))
-    for width in sorted(set(sizes)):
-        classes = [c for c, k in enumerate(sizes) if k == width]
-        blocks = per_query[:, starts[classes, None] + np.arange(width)]
-        out[:, classes] = (row_sum_values(blocks.reshape(-1, width)) / width).reshape(n_q, -1)
-    return out
+    ends = np.cumsum(sizes)
+    return np.concatenate(
+        [row_sum_values(per_query[:, e - k : e]) / k for k, e in zip(sizes, ends)], axis=1
+    )
 
 
 def few_shot_accuracy(model, episodes: list[Episode], features) -> MetricReport:
